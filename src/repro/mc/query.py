@@ -109,27 +109,15 @@ class PlannedQuery:
     is_probe: bool = False
 
 
-#: ("fixed" policy) a prefix probe is worth a query when at least this many
-#: goals share it
-PREFIX_PROBE_THRESHOLD = 3
-
-#: probe when the expected subsumption savings beat the probe cost (default)
-PROBE_POLICY_ADAPTIVE = "adaptive"
-#: the historical fixed >= :data:`PREFIX_PROBE_THRESHOLD` sharers rule
-PROBE_POLICY_FIXED = "fixed"
-
-
 class QueryPlan:
     """All reachability goals of one function, ordered for shared work.
 
     Edge-sequence goals are clustered lexicographically by their label
     sequences so goals sharing prefixes run back to back (maximising
-    witness reuse and prefix subsumption), and shared prefixes worth
-    probing get a feasibility probe that runs first: one UNREACHABLE probe
-    answers every goal extending it.  Which prefixes are worth it is the
-    probe policy's call -- ``adaptive`` (default) weighs expected savings
-    against probe cost, ``fixed`` keeps the historical "at least
-    :data:`PREFIX_PROBE_THRESHOLD` sharers" rule.
+    witness reuse and prefix subsumption), and shared prefixes whose probe
+    is expected to pay for itself (:meth:`_probe_prefixes`) get a
+    feasibility probe that runs first: one UNREACHABLE probe answers every
+    goal extending it.
     """
 
     def __init__(self, items: list[PlannedQuery]):
@@ -145,12 +133,7 @@ class QueryPlan:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls,
-        goals: list[tuple[object, ReachabilityGoal]],
-        probe_threshold: int = PREFIX_PROBE_THRESHOLD,
-        probe_policy: str = PROBE_POLICY_ADAPTIVE,
-    ) -> "QueryPlan":
+    def build(cls, goals: list[tuple[object, ReachabilityGoal]]) -> "QueryPlan":
         with obs.span("mc.plan", goals=len(goals)), perf.timed("mc.plan"):
             ordered_goals = sorted(
                 goals,
@@ -163,10 +146,6 @@ class QueryPlan:
                 and not goal.target_locations
                 and not goal.target_labels
             ]
-            if probe_policy == PROBE_POLICY_FIXED:
-                prefixes = cls._shared_prefixes(sequences, probe_threshold)
-            else:
-                prefixes = cls._adaptive_prefixes(sequences)
             probes = [
                 PlannedQuery(
                     key=("probe", prefix),
@@ -176,7 +155,7 @@ class QueryPlan:
                     ),
                     is_probe=True,
                 )
-                for prefix in prefixes
+                for prefix in cls._probe_prefixes(sequences)
             ]
             items = probes + [
                 PlannedQuery(key=key, goal=goal) for key, goal in ordered_goals
@@ -184,29 +163,10 @@ class QueryPlan:
         return cls(items)
 
     @staticmethod
-    def _shared_prefixes(
-        sequences: list[tuple[str, ...]], threshold: int
-    ) -> list[tuple[str, ...]]:
-        """Deepest branching prefixes shared by >= *threshold* sequences."""
-        counts: dict[tuple[str, ...], int] = {}
-        continuations: dict[tuple[str, ...], set[str]] = {}
-        for sequence in sequences:
-            for cut in range(1, len(sequence)):
-                prefix = sequence[:cut]
-                counts[prefix] = counts.get(prefix, 0) + 1
-                continuations.setdefault(prefix, set()).add(sequence[cut])
-        candidates = {
-            prefix
-            for prefix, count in counts.items()
-            if count >= threshold and len(continuations[prefix]) >= 2
-        }
-        return QueryPlan._deepest(candidates)
-
-    @staticmethod
-    def _adaptive_prefixes(
+    def _probe_prefixes(
         sequences: list[tuple[str, ...]],
     ) -> list[tuple[str, ...]]:
-        """Branching prefixes whose probe is expected to pay for itself.
+        """Deepest branching prefixes whose probe is expected to pay for itself.
 
         A probe costs roughly one search over the prefix (``len(prefix)``
         path steps).  If it proves the prefix infeasible it saves every
@@ -214,10 +174,10 @@ class QueryPlan:
         sharers' extension steps beyond the prefix.  Probing is worth it
         when the potential saving is a healthy multiple of the cost --
         ``count*len(p) + extension_steps >= 4*len(p)`` -- so *two* goals
-        sharing a deep prefix with long tails get a probe the fixed >= 3
-        rule would skip, while several goals sharing a long prefix with
-        tiny tails (the probe costs nearly as much as just answering them)
-        do not.
+        sharing a deep prefix with long tails get a probe, while several
+        goals sharing a long prefix with tiny tails (the probe costs nearly
+        as much as just answering them) do not.  Of nested candidates only
+        the deepest is probed.
         """
         counts: dict[tuple[str, ...], int] = {}
         continuations: dict[tuple[str, ...], set[str]] = {}
@@ -237,11 +197,6 @@ class QueryPlan:
             and len(continuations[prefix]) >= 2
             and count * len(prefix) + extension_steps[prefix] >= 4 * len(prefix)
         }
-        return QueryPlan._deepest(candidates)
-
-    @staticmethod
-    def _deepest(candidates: set[tuple[str, ...]]) -> list[tuple[str, ...]]:
-        """Drop candidates that another candidate extends (probe deepest)."""
         return sorted(
             prefix
             for prefix in candidates

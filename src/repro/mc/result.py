@@ -100,7 +100,8 @@ class CheckStatistics:
     sliced_state_bits: int = 0
     sliced_transitions: int = 0
     #: why an inexhaustive search stopped ("deadline", "paths", "steps",
-    #: "solver_calls", "depth", "states"); None for complete searches
+    #: "solver_calls", "solver_nodes", "depth", "states"); None for
+    #: complete searches
     stop_reason: str | None = None
     #: engine stages the query went through ("explicit", "symbolic:sliced",
     #: "symbolic:full"); filled by the query planner

@@ -116,30 +116,28 @@ class SymbolicEngine:
             constraints=[],
         )
         if goal.is_trivially_reached_at(root.location):
-            witness = self._solve_witness(root, stats)
+            witness = self._solve_witness(root, stats, deadline)
             if witness is not None:
                 stats.time_seconds = time.perf_counter() - started
                 return witness
 
+        # every early stop records its stop_reason: the search is exhaustive
+        # -- and a miss a proof of UNREACHABLE -- only while it stays None
         stack: list[_PathState] = [root]
-        exhausted_completely = True
         peak_stack = 1
         while stack:
             if deadline is not None and time.perf_counter() > deadline:
-                exhausted_completely = False
                 stats.stop_reason = "deadline"
                 break
             if (
                 self._options.max_solver_calls is not None
                 and stats.solver.solve_calls >= self._options.max_solver_calls
             ):
-                exhausted_completely = False
                 stats.stop_reason = "solver_calls"
                 break
             state = stack.pop()
             stats.explored_states += 1
             if stats.explored_states > self._options.max_paths:
-                exhausted_completely = False
                 stats.stop_reason = "paths"
                 break
             peak_stack = max(peak_stack, len(stack) + 1)
@@ -157,7 +155,6 @@ class SymbolicEngine:
             )
 
             if len(state.trace) >= self._options.max_depth:
-                exhausted_completely = False
                 if stats.stop_reason is None:
                     stats.stop_reason = "depth"
                 continue
@@ -171,7 +168,9 @@ class SymbolicEngine:
                     symbolic_guard = substitute(transition.guard, state.environment)
                     new_constraints = state.constraints + [Constraint(symbolic_guard)]
                     if self._options.eager_guard_checks:
-                        feasible, solver_peak = self._satisfiable(new_constraints, stats)
+                        feasible, solver_peak = self._satisfiable(
+                            new_constraints, stats, deadline
+                        )
                         solver_stats_peak = max(solver_stats_peak, solver_peak)
                         if not feasible:
                             continue
@@ -196,23 +195,23 @@ class SymbolicEngine:
                 if successor.visits[transition.target] > 64:
                     # crude loop bound: stop unrolling after 64 visits of one
                     # location on a single path
-                    exhausted_completely = False
                     if stats.stop_reason is None:
                         stats.stop_reason = "depth"
                     continue
                 if goal.satisfied(transition.target, transition, new_progress):
-                    witness = self._solve_witness(successor, stats)
+                    witness = self._solve_witness(successor, stats, deadline)
                     if witness is not None:
                         stats.time_seconds = time.perf_counter() - started
                         stats.stored_states = peak_stack
                         return witness
-                    # path condition unsatisfiable after all: prune
+                    # path condition unsatisfiable after all (or the solve was
+                    # cut off, which set stop_reason): prune
                     continue
                 stack.append(successor)
 
         stats.time_seconds = time.perf_counter() - started
         stats.stored_states = peak_stack
-        verdict = Verdict.UNREACHABLE if exhausted_completely else Verdict.UNKNOWN
+        verdict = Verdict.UNREACHABLE if stats.stop_reason is None else Verdict.UNKNOWN
         return CheckResult(verdict=verdict, statistics=stats, goal_description=goal.description)
 
     # ------------------------------------------------------------------ #
@@ -238,14 +237,28 @@ class SymbolicEngine:
             return bool(folded.value)
         return None
 
-    def _satisfiable(
-        self, constraints: list[Constraint], stats: CheckStatistics
-    ) -> tuple[bool, int]:
-        solver = ConstraintSolver(
+    def _solver(
+        self, constraints: list[Constraint], deadline: float | None
+    ) -> ConstraintSolver:
+        """A solver over the free variables, bounded by the search deadline."""
+        return ConstraintSolver(
             dict(self._free_domains),
             constraints,
             max_nodes=self._options.solver_max_nodes,
+            time_limit=(
+                max(0.0, deadline - time.perf_counter())
+                if deadline is not None
+                else None
+            ),
         )
+
+    def _satisfiable(
+        self,
+        constraints: list[Constraint],
+        stats: CheckStatistics,
+        deadline: float | None,
+    ) -> tuple[bool, int]:
+        solver = self._solver(constraints, deadline)
         try:
             satisfiable = solver.is_satisfiable()
         except SolverLimitReached:
@@ -253,16 +266,22 @@ class SymbolicEngine:
         stats.solver.merge(solver.statistics)
         return satisfiable, solver.statistics.peak_memory_bytes
 
-    def _solve_witness(self, state: _PathState, stats: CheckStatistics) -> CheckResult | None:
-        solver = ConstraintSolver(
-            dict(self._free_domains),
-            state.constraints,
-            max_nodes=self._options.solver_max_nodes,
-        )
+    def _solve_witness(
+        self, state: _PathState, stats: CheckStatistics, deadline: float | None
+    ) -> CheckResult | None:
+        """The witness for *state*'s path, ``None`` when there is none.
+
+        A solve cut off by the node cap or the deadline proves nothing: it
+        records why in ``stats.stop_reason``, so the search can no longer
+        answer UNREACHABLE.
+        """
+        solver = self._solver(state.constraints, deadline)
         try:
             solution = solver.solve()
         except SolverLimitReached:
             solution = None
+            timed_out = deadline is not None and time.perf_counter() > deadline
+            stats.stop_reason = "deadline" if timed_out else "solver_nodes"
         stats.solver.merge(solver.statistics)
         if solution is None:
             return None

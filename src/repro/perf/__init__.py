@@ -1,10 +1,9 @@
-"""Performance instrumentation and benchmarking subsystem.
+"""Performance instrumentation: named counters and wall-clock timers.
 
-:mod:`repro.perf.instrument` provides counters, timers, a ``@profiled``
-decorator and a JSON report writer; :mod:`repro.perf.bench` runs the
-dataflow hot paths on the synthetic industrial application and writes the
-``BENCH_perf.json`` trajectory file (also reachable via
-``python -m repro.cli bench``).
+:mod:`repro.perf.instrument` provides the registry, its ambient
+(per-context) activation and a JSON-friendly :func:`report` snapshot.
+Timing the whole pipeline is the benchmark's job
+(``python3 wcetbench/run.py``).
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from .instrument import (
     active_registry,
     add,
     global_registry,
-    profiled,
     record_time,
     report,
     reset,
     timed,
     using_registry,
-    write_report,
 )
 
 __all__ = [
@@ -32,11 +29,9 @@ __all__ = [
     "active_registry",
     "add",
     "global_registry",
-    "profiled",
     "record_time",
     "report",
     "reset",
     "timed",
     "using_registry",
-    "write_report",
 ]

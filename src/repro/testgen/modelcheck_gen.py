@@ -27,7 +27,7 @@ from ..analysis.relevance import control_relevant_variables
 from ..cfg.builder import build_cfg
 from ..minic.semantic import AnalyzedProgram
 from ..mc.checker import ModelChecker, ModelCheckerOptions
-from ..mc.query import PROBE_POLICY_ADAPTIVE, EngineKind, QueryBudget, QueryPlan
+from ..mc.query import EngineKind, QueryBudget, QueryPlan
 from ..mc.result import CheckResult, CheckStatistics, Verdict
 from ..optim.pipeline import OptimizationConfig, build_optimized_model
 from .targets import PathTarget
@@ -79,9 +79,6 @@ class ModelCheckGeneratorOptions:
     budget: QueryBudget = field(default_factory=QueryBudget)
     #: per-goal cone-of-influence slicing (``--no-slicing`` disables it)
     slicing: bool = True
-    #: prefix-probe policy of the query plan: "adaptive" (payoff heuristic)
-    #: or "fixed" (the historical >= 3-sharers threshold)
-    probe_policy: str = PROBE_POLICY_ADAPTIVE
     #: optional sound static prefilter handed down to the query engine
     #: (see :class:`repro.sa.feasibility.StaticPrefilter`)
     prefilter: object | None = None
@@ -122,8 +119,7 @@ class ModelCheckingTestDataGenerator:
             [
                 (target.key, checker.goal_for_edge_sequence(list(target.edges)))
                 for target in targets
-            ],
-            probe_policy=self._options.probe_policy,
+            ]
         )
         results = checker.run_plan(plan)
         return [self._outcome(target, results[target.key]) for target in targets]

@@ -302,7 +302,7 @@ def edit_call_chain_function(
     """Apply a semantic edit local to one call-chain workload function.
 
     Incremental-invalidation scenarios (service sessions, cache-frontier
-    tests, the bench's cold-vs-incremental comparison) need "the same
+    tests, the benchmark's edit workload) need "the same
     project with exactly one function changed".  Every rendered function
     ends with its unique output assignment ``out_<name> = acc;`` (the
     declaration is ``= 0;``, so the assignment cannot collide), which makes

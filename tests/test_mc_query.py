@@ -8,6 +8,8 @@ found with slicing replays identically on the unstubbed interpreter.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cfg.builder import build_cfg
@@ -25,6 +27,8 @@ from repro.mc import (
     QueryEngineOptions,
     QueryPlan,
     ReachabilityGoal,
+    SymbolicEngine,
+    SymbolicEngineOptions,
     Verdict,
     slice_for_goal,
 )
@@ -308,6 +312,32 @@ class TestQueryBudget:
         engine, goal = self._engine(QueryBudget(deadline_ms=0))
         result = engine.check(goal)
         assert "deadline" in result.exhaustion.describe()
+
+    def test_deadline_reaches_the_solver(self):
+        # one solve on this model outlasts the deadline: only a solver that
+        # polls the query's remaining time stops within the budget
+        engine, goal = self._engine(QueryBudget(deadline_ms=500, max_steps=None))
+        started = time.perf_counter()
+        result = engine.check(goal)
+        elapsed = time.perf_counter() - started
+        assert result.verdict is Verdict.BUDGET_EXHAUSTED
+        assert result.exhaustion.limit == "deadline"
+        assert elapsed < 1.0
+
+    def test_solver_cut_off_is_not_a_proof(self):
+        # the target is reachable; a witness solve stopped by the node cap
+        # must leave the verdict open instead of pruning the path
+        _, translation = translate(SLOW, use_ranges=False)
+        goal = ReachabilityGoal(target_labels=frozenset({"call:target_hit"}))
+        capped = SymbolicEngine(
+            translation.system, SymbolicEngineOptions(solver_max_nodes=2)
+        ).check(goal)
+        assert capped.verdict is Verdict.UNKNOWN
+        assert capped.statistics.stop_reason == "solver_nodes"
+        roomy = SymbolicEngine(
+            translation.system, SymbolicEngineOptions(solver_max_nodes=50)
+        ).check(goal)
+        assert roomy.verdict is Verdict.REACHABLE
 
 
 # ---------------------------------------------------------------------- #

@@ -11,10 +11,8 @@ than the seed's textbook ordering.
 
 from __future__ import annotations
 
-import json
 import random as stdlib_random
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import (
@@ -35,7 +33,6 @@ from repro.analysis.reference import liveness_problem, reaching_problem
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
 from repro.perf import PerfRegistry
-from repro.perf.bench import run_perf_bench
 
 
 # --------------------------------------------------------------------------- #
@@ -268,19 +265,6 @@ class TestPerfRegistry:
         assert stat is not None and stat.calls == 1
         assert stat.total_seconds >= 0.0
 
-    def test_profiled_decorator_counts_calls(self):
-        registry = PerfRegistry()
-
-        @registry.profiled("double")
-        def double(x: int) -> int:
-            return 2 * x
-
-        assert double(21) == 42
-        assert double(1) == 2
-        stat = registry.timer("double")
-        assert stat is not None and stat.calls == 2
-        assert stat.mean_seconds == stat.total_seconds / 2
-
     def test_disabled_registry_is_a_no_op(self):
         registry = PerfRegistry(enabled=False)
         registry.add("work")
@@ -297,18 +281,6 @@ class TestPerfRegistry:
         assert registry.report()["counters"] == {}
         assert registry.report()["timers"] == {}
 
-    def test_write_report_round_trips_as_json(self, tmp_path):
-        registry = PerfRegistry()
-        registry.add("states", 7)
-        registry.record_time("solve", 0.25)
-        path = tmp_path / "perf.json"
-        payload = registry.write_report(path, extra={"label": "unit-test"})
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk == payload
-        assert on_disk["counters"]["states"] == 7
-        assert on_disk["timers"]["solve"]["calls"] == 1
-        assert on_disk["label"] == "unit-test"
-
     def test_solver_records_into_global_registry(self):
         from repro import perf
 
@@ -320,20 +292,3 @@ class TestPerfRegistry:
         assert report["counters"]["liveness.bitset_runs"] >= 1
         assert report["counters"]["reaching.bitset_runs"] >= 1
         assert "liveness.bitset" in report["timers"]
-
-
-# --------------------------------------------------------------------------- #
-# benchmark harness smoke test (small workload, no file output by default)
-# --------------------------------------------------------------------------- #
-@pytest.mark.perf
-def test_run_perf_bench_smoke(tmp_path):
-    from repro.workloads.targetlink import generate_small_application
-
-    app = generate_small_application(seed=7, target_blocks=60)
-    output = tmp_path / "BENCH_perf.json"
-    report = run_perf_bench(app=app, repeats=1, output=output)
-    assert report["results_match"]
-    assert report["speedup"]["combined"] > 0
-    on_disk = json.loads(output.read_text(encoding="utf-8"))
-    assert on_disk["workload"]["basic_blocks"] == app.basic_blocks
-    assert set(on_disk["timings_seconds"]) == set(report["timings_seconds"])
