@@ -8,6 +8,14 @@ programs are *loaded* once (parsed program + CFGs + cost model), then *run*
 any number of times with different test vectors, optionally with an
 instrumentation plan attached so each run also yields the cycle-counter
 readings of every instrumentation point that fired.
+
+Execution is deterministic, so a board can *memoise* its runs: with
+``memoise=True`` every distinct ``(function, input vector)`` pair runs on the
+interpreter once and later calls return the same immutable
+:class:`~repro.hw.interpreter.RunResult` (memoisation after Michie, *"Memo"
+functions and machine learning*, Nature 1968).  The memo is unbounded, so
+the analyzer turns it on only for input spaces small enough to be revisited
+by its own search budget.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from ..cfg.builder import build_all_cfgs
 from ..cfg.graph import ControlFlowGraph
 from ..minic.semantic import AnalyzedProgram
 from ..partition.instrument import InstrumentationPlan, InstrumentationPoint
+from ..resilience import faults as _resilience
 from .cost_model import CostModel, HCS12_COST_MODEL
 from .interpreter import Interpreter, RunResult
 
@@ -53,6 +62,7 @@ class EvaluationBoard:
         cost_model: CostModel = HCS12_COST_MODEL,
         max_steps: int = 1_000_000,
         stub_functions: Iterable[str] = (),
+        memoise: bool = False,
     ):
         self._analyzed = analyzed
         self._cfgs = build_all_cfgs(analyzed.program)
@@ -63,6 +73,11 @@ class EvaluationBoard:
             max_steps=max_steps,
             stub_functions=stub_functions,
         )
+        #: (function, sorted input items) -> run result; None = no memo
+        self._memo: dict[tuple, RunResult] | None = {} if memoise else None
+        #: board calls, and how many of them the memo answered
+        self.runs = 0
+        self.memo_hits = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -72,9 +87,31 @@ class EvaluationBoard:
     def cfg(self, function_name: str) -> ControlFlowGraph:
         return self._interpreter.cfg(function_name)
 
+    @property
+    def memo_size(self) -> int:
+        """Distinct runs held by the memo (0 when the board does not memoise)."""
+        return len(self._memo) if self._memo is not None else 0
+
     def run(self, function_name: str, inputs: dict[str, int] | None = None) -> RunResult:
-        """Execute one test vector and return the raw run result."""
-        return self._interpreter.run(function_name, inputs)
+        """Execute one test vector and return the raw run result.
+
+        A memoising board answers a repeated vector from its memo, except
+        while a fault injector is armed: then every call reaches the
+        interpreter, so ``interp.step`` hits are numbered as without a memo.
+        A lookup still polls the job deadline.  Failed runs are not stored.
+        """
+        self.runs += 1
+        memo = self._memo
+        if memo is None or _resilience.injector_armed():
+            return self._interpreter.run(function_name, inputs)
+        _resilience.poll_deadline()
+        key = (function_name, tuple(sorted(inputs.items())) if inputs else ())
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = self._interpreter.run(function_name, inputs)
+        else:
+            self.memo_hits += 1
+        return result
 
     def run_instrumented(
         self,
@@ -89,7 +126,7 @@ class EvaluationBoard:
         end-of-function points fire with the final cycle count.  Points of
         segments that were not executed at all simply do not appear.
         """
-        run = self._interpreter.run(function_name, inputs)
+        run = self.run(function_name, inputs)
         readings: list[PointReading] = []
         for index, event in enumerate(run.block_trace):
             for point in plan.triggers.get(event.block_id, ()):

@@ -21,7 +21,8 @@ external functions only consume cycles.  Execution is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from ..cfg.builder import build_all_cfgs
 from ..cfg.graph import ControlFlowGraph, Edge, EdgeKind, TerminatorKind
@@ -95,19 +96,23 @@ class SwitchEvent:
     taken_edge: Edge
 
 
-@dataclass
-class RunResult:
-    """Everything observed during one run of the top-level function."""
+class RunResult(NamedTuple):
+    """Everything observed during one run of the top-level function.
+
+    Immutable: a memoising :class:`~repro.hw.board.EvaluationBoard` hands the
+    same result to every caller that runs the same input vector, so the
+    traces and event sequences are tuples and the mappings read-only views.
+    """
 
     function_name: str
-    inputs: dict[str, int]
+    inputs: Mapping[str, int]
     total_cycles: int
     return_value: int | None
-    block_trace: list[BlockEvent] = field(default_factory=list)
-    edge_trace: list[Edge] = field(default_factory=list)
-    branch_events: list[BranchEvent] = field(default_factory=list)
-    switch_events: list[SwitchEvent] = field(default_factory=list)
-    final_environment: dict[str, int] = field(default_factory=dict)
+    block_trace: tuple[BlockEvent, ...]
+    edge_trace: tuple[Edge, ...]
+    branch_events: tuple[BranchEvent, ...]
+    switch_events: tuple[SwitchEvent, ...]
+    final_environment: Mapping[str, int]
 
     @property
     def executed_blocks(self) -> list[int]:
@@ -179,14 +184,14 @@ class Interpreter:
         del table
         return RunResult(
             function_name=function_name,
-            inputs=inputs,
+            inputs=MappingProxyType(inputs),
             total_cycles=state.cycles,
             return_value=return_value,
-            block_trace=state.block_trace,
-            edge_trace=state.edge_trace,
-            branch_events=state.branch_events,
-            switch_events=state.switch_events,
-            final_environment=dict(environment),
+            block_trace=tuple(state.block_trace),
+            edge_trace=tuple(state.edge_trace),
+            branch_events=tuple(state.branch_events),
+            switch_events=tuple(state.switch_events),
+            final_environment=MappingProxyType(environment),
         )
 
     # ------------------------------------------------------------------ #

@@ -24,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .. import obs
+from .. import obs, perf
 from ..cfg.builder import build_cfg
 from ..hw.board import EvaluationBoard
 from ..hw.cost_model import CostModel, HCS12_COST_MODEL
@@ -255,14 +255,20 @@ class WcetAnalyzer:
 
         # 2. instrumentation plan + simulated board; with callee summaries the
         #    measurement board stubs every summarised callee and charges its
-        #    WCET bound through the cost model's external-call table
+        #    WCET bound through the cost model's external-call table.  The
+        #    board memoises its runs when the whole input space fits in one
+        #    genetic search's evaluation budget: the phases then revisit
+        #    vectors by pigeonhole, and the memo never holds more runs than
+        #    that budget.  Wider spaces rarely repeat a vector and run as is.
         plan = build_instrumentation_plan(partition, cfg)
         cost_model = self._measurement_cost_model()
+        input_space = InputSpace.from_program(self._analyzed, self._function)
         board = EvaluationBoard(
             self._analyzed,
             cost_model=cost_model,
             max_steps=config.max_steps_per_run,
             stub_functions=sorted(self._callee_bounds),
+            memoise=input_space.size() <= config.hybrid.genetic.evaluation_budget,
         )
 
         # 3. hybrid test-data generation
@@ -281,7 +287,7 @@ class WcetAnalyzer:
         if config.extra_random_vectors:
             from ..testgen.random_gen import RandomTestDataGenerator
 
-            extra = RandomTestDataGenerator(generator.input_space, seed=99)
+            extra = RandomTestDataGenerator(input_space, seed=99)
             vectors.extend(extra.generate(config.extra_random_vectors))
         if not vectors:
             raise AnalysisError(
@@ -362,7 +368,7 @@ class WcetAnalyzer:
         try:
             with obs.span("analyze.exhaustive", function=self._function):
                 end_to_end = self._maybe_exhaustive(
-                    verification_board, generator.input_space
+                    verification_board, input_space
                 )
         except InjectedFault as fault:
             end_to_end = None
@@ -374,6 +380,11 @@ class WcetAnalyzer:
         if context is not None:
             for event in fault_events:
                 context.note(event)
+        runs = board.runs
+        if verification_board is not board:
+            runs += verification_board.runs
+        perf.add("hw.board.runs", runs)
+        perf.add("hw.board.memo_hits", board.memo_hits)
 
         return WcetReport(
             function_name=self._function,

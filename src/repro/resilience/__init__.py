@@ -24,6 +24,7 @@ from .faults import (
     ResilienceContext,
     activate,
     current,
+    injector_armed,
     maybe_fault,
     poll_deadline,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "ResilienceContext",
     "activate",
     "current",
+    "injector_armed",
     "maybe_fault",
     "poll_deadline",
     "PERMANENT_ERRORS",

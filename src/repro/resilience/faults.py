@@ -391,6 +391,15 @@ def maybe_fault(site: str, key: str = "") -> FaultSpec | None:
     return context.injector.check(site, key)
 
 
+def injector_armed() -> bool:
+    """True while a fault injector is active for the current job.
+
+    Memos that skip interpreter runs step aside then, so every fault site
+    is hit exactly as often as without them and chaos replay stays exact.
+    """
+    return _ACTIVE is not None and _ACTIVE.injector is not None
+
+
 def poll_deadline() -> None:
     """Poll the ambient deadline, if any (raises :class:`JobTimeout`)."""
     context = _ACTIVE

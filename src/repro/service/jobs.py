@@ -90,7 +90,8 @@ class ServiceJob:
 
     job_id: str
     fingerprint: str
-    project: Project
+    #: the parsed submission; released once the job reaches a terminal state
+    project: Project | None
     config: AnalyzerConfig
     #: qualified function name -> transitive fingerprint of this submission
     function_fingerprints: dict[str, str]
@@ -113,7 +114,11 @@ class ServiceJob:
     frontier: list[str] | None = None
     #: session functions untouched by the edit (the expected cache hits)
     reused: list[str] | None = None
-    report: ProjectReport | None = None
+    #: the finished report as served (:func:`report_json`), kept instead of
+    #: the report's object graph, plus the cache counts the status shows
+    report_text: str | None = None
+    cache_hits: int = 0
+    cache_misses: int = 0
     error: str | None = None
     #: "transient" or "permanent" (drives the HTTP status of failures)
     error_kind: str | None = None
@@ -158,11 +163,10 @@ class ServiceJob:
             payload["error_kind"] = self.error_kind
         if self.state is ServiceJobState.DONE:
             payload["result"] = f"/v1/results/{self.fingerprint}"
-            if self.report is not None:
-                payload["cache"] = {
-                    "hits": self.report.cache_hits,
-                    "misses": self.report.cache_misses,
-                }
+            payload["cache"] = {
+                "hits": self.cache_hits,
+                "misses": self.cache_misses,
+            }
         if self.perf_report is not None:
             payload["perf"] = self.perf_report
         return payload
@@ -180,6 +184,7 @@ class JobQueue:
         retry_policy: RetryPolicy | None = None,
         job_timeout_seconds: float | None = None,
         pool_restart_budget: int = 2,
+        metrics: perf.PerfRegistry | None = None,
     ):
         self._cache = cache or ResultCache.disabled()
         self._default_config = config or AnalyzerConfig()
@@ -197,6 +202,9 @@ class JobQueue:
         self._retry_policy = retry_policy
         self._job_timeout = job_timeout_seconds
         self._pool_restart_budget = pool_restart_budget
+        #: aggregate registry that every finished job's counters are added
+        #: to (the server's, so ``/v1/metrics`` shows analysis counters)
+        self._metrics = metrics
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._pending: collections.deque[ServiceJob] = collections.deque()
@@ -393,16 +401,20 @@ class JobQueue:
                 if isinstance(error, ProjectError)
                 else classify_error(error)
             )
+            job.project = None
             job.state = ServiceJobState.FAILED
             job.finished_at = time.monotonic()
-            job.perf_report = registry.report()
+            self._record_perf(job, registry)
             with self._lock:
                 self.failed += 1
             perf.add("service.jobs.failed")
             job.event.set()
             return
-        job.report = report
-        job.perf_report = registry.report()
+        job.project = None
+        job.report_text = report_json(report)
+        job.cache_hits = report.cache_hits
+        job.cache_misses = report.cache_misses
+        self._record_perf(job, registry)
         job.state = ServiceJobState.DONE
         job.finished_at = time.monotonic()
         with self._lock:
@@ -411,6 +423,12 @@ class JobQueue:
                 self._sessions[job.session] = dict(job.function_fingerprints)
         perf.add("service.jobs.completed")
         job.event.set()
+
+    def _record_perf(self, job: ServiceJob, registry: perf.PerfRegistry) -> None:
+        job.perf_report = registry.report()
+        if self._metrics is not None:
+            for name, amount in job.perf_report["counters"].items():
+                self._metrics.add(name, amount)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -27,7 +27,9 @@ versioned JSON API served by :class:`http.server.ThreadingHTTPServer`:
     Prometheus text exposition (0.0.4) of the server's aggregate perf
     registry -- counters as ``_total``, timers as ``_seconds`` histograms
     backed by the registry's bounded latency buckets -- plus labelled
-    per-endpoint/per-status request counts.
+    per-endpoint/per-status request counts.  The counters of every finished
+    job (board runs and memo hits, query-engine and cache counters) are
+    summed in.
 
 Every request runs under a span (``service.request``) in a bounded ring
 tracer; 5xx responses freeze that ring into a ``diagnostics/`` flight dump
@@ -65,7 +67,7 @@ from ..resilience import (
     RetryPolicy,
     classify_error,
 )
-from .jobs import JobQueue, ServiceJob, ServiceJobState, report_json
+from .jobs import JobQueue, ServiceJob, ServiceJobState
 
 #: API version prefix of every route
 API_PREFIX = "/v1"
@@ -105,6 +107,9 @@ class AnalysisServer:
         request_timeout_seconds: float = 30.0,
         verbose: bool = False,
     ):
+        #: server-level aggregate registry: request counts and latencies,
+        #: plus the counters of every finished job (added by the queue)
+        self.registry = perf.PerfRegistry()
         self.queue = JobQueue(
             cache=cache,
             config=config,
@@ -113,6 +118,7 @@ class AnalysisServer:
             retry_policy=retry_policy,
             job_timeout_seconds=job_timeout_seconds,
             pool_restart_budget=pool_restart_budget,
+            metrics=self.registry,
         )
         self._fault_plan = fault_plan or FaultPlan()
         request_plan = self._fault_plan.for_sites("service.request")
@@ -131,9 +137,6 @@ class AnalysisServer:
             self.flight = obs.FlightRecorder(
                 self.queue.cache.root / obs.DIAGNOSTICS_DIR
             )
-        #: server-level aggregate registry (per-request registries are
-        #: isolated; their latency/endpoint counts are folded in here)
-        self.registry = perf.PerfRegistry()
         self._stats_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._responses: dict[int, int] = {}
@@ -579,7 +582,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
 
         def _handle_result(self, fingerprint: str) -> int:
             job = server.queue.result_for(fingerprint)
-            if job is None or job.report is None:
+            if job is None or job.report_text is None:
                 raise ServiceError(
                     404,
                     f"no completed result for fingerprint {fingerprint[:16]}... "
@@ -594,9 +597,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
                     perf.add("service.results.not_modified")
                     self._send_empty(304, headers={"ETag": etag})
                     return 304
-            self._send_json(
-                200, raw=report_json(job.report), headers={"ETag": etag}
-            )
+            self._send_json(200, raw=job.report_text, headers={"ETag": etag})
             return 200
 
     return Handler

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hw.board import EvaluationBoard
 from ..hw.interpreter import RunResult
+from ..resilience import injector_armed
 from .inputs import InputSpace
 from .targets import CoverageTracker, PathTarget
 
@@ -42,6 +43,11 @@ class GeneticOptions:
     crossover_rate: float = 0.8
     elitism: int = 2
     seed: int = 1
+
+    @property
+    def evaluation_budget(self) -> int:
+        """Upper bound on the fitness evaluations of one search."""
+        return self.population_size * (self.max_generations + 1)
 
 
 @dataclass
@@ -67,7 +73,6 @@ class GeneticOutcome:
 class _Individual:
     vector: dict[str, int]
     fitness: float = float("inf")
-    run: RunResult | None = field(default=None, repr=False)
 
 
 class GeneticTestDataGenerator:
@@ -101,14 +106,21 @@ class GeneticTestDataGenerator:
 
         ``coverage`` (when given) is updated with every evaluated run, so the
         GA's by-products (other targets covered accidentally) are not lost.
+
+        The board is deterministic, so a vector scored earlier in the same
+        search keeps its fitness and is not run again: a repeated run can
+        neither change the fitness nor cover anything new.  It still counts
+        as an evaluation.  While a fault injector is armed every evaluation
+        runs, so fault-site hits are numbered as without the reuse.
         """
         options = self._options
         self.statistics.targets_attempted += 1
         outcome = GeneticOutcome(target=target, covered=False)
+        scored: dict[tuple, float] | None = None if injector_armed() else {}
 
         population = self._initial_population(seed_vectors)
         for individual in population:
-            self._evaluate(individual, target, coverage, outcome)
+            self._evaluate(individual, target, coverage, outcome, scored)
             if individual.fitness == 0.0:
                 return self._finish(outcome, individual)
 
@@ -129,7 +141,7 @@ class GeneticTestDataGenerator:
                     child_vector, self._rng, options.mutation_rate
                 )
                 child = _Individual(vector=self._space.clamp(child_vector))
-                self._evaluate(child, target, coverage, outcome)
+                self._evaluate(child, target, coverage, outcome, scored)
                 if child.fitness == 0.0:
                     return self._finish(outcome, child)
                 next_population.append(child)
@@ -174,14 +186,20 @@ class GeneticTestDataGenerator:
         target: PathTarget,
         coverage: CoverageTracker | None,
         outcome: GeneticOutcome,
+        scored: dict[tuple, float] | None,
     ) -> None:
-        run = self._board.run(self._function, individual.vector)
+        key = tuple(sorted(individual.vector.items()))
+        fitness = scored.get(key) if scored is not None else None
+        if fitness is None:
+            run = self._board.run(self._function, individual.vector)
+            fitness = self.fitness(run, target)
+            if coverage is not None:
+                coverage.record_run(run)
+            if scored is not None:
+                scored[key] = fitness
         self.statistics.evaluations += 1
         outcome.evaluations += 1
-        individual.run = run
-        individual.fitness = self.fitness(run, target)
-        if coverage is not None:
-            coverage.record_run(run)
+        individual.fitness = fitness
 
     def fitness(self, run: RunResult, target: PathTarget) -> float:
         """Approach level + normalised branch distance (lower is better, 0 = hit).

@@ -175,10 +175,6 @@ class HybridTestDataGenerator:
         self._space = InputSpace.from_program(analyzed, function_name)
 
     # ------------------------------------------------------------------ #
-    @property
-    def input_space(self) -> InputSpace:
-        return self._space
-
     def generate(self) -> TestSuite:
         """Run all three phases and return the complete test suite."""
         coverage = CoverageTracker.create(self._partition, self._cfg)

@@ -38,24 +38,3 @@ class RandomTestDataGenerator:
             vectors.append(self._space.random_vector(self._rng))
         self.statistics.vectors_generated += count
         return vectors
-
-    def generate_unique(self, count: int, max_attempts_factor: int = 10) -> list[dict[str, int]]:
-        """Generate up to *count* pairwise distinct vectors.
-
-        Falls back to returning fewer vectors when the input space is smaller
-        than requested (tiny case-study input spaces).
-        """
-        seen: set[tuple[tuple[str, int], ...]] = set()
-        vectors: list[dict[str, int]] = []
-        attempts = 0
-        limit = count * max_attempts_factor
-        while len(vectors) < count and attempts < limit:
-            attempts += 1
-            vector = self._space.random_vector(self._rng)
-            key = tuple(sorted(vector.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            vectors.append(vector)
-        self.statistics.vectors_generated += attempts
-        return vectors

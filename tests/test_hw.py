@@ -232,3 +232,140 @@ class TestInstrumentedRuns:
     def test_interpreter_exposed_by_board(self, figure1):
         board = EvaluationBoard(figure1)
         assert isinstance(board.interpreter, Interpreter)
+
+
+class TestBoardMemo:
+    """The memoising board: identical, immutable results, one run per vector."""
+
+    #: 64 input vectors; every run exercises a switch, a branch and a call
+    SOURCE = """
+    #pragma input a
+    #pragma input m
+    #pragma range a 0 7
+    #pragma range m 0 7
+    int a; int m; int out;
+    int twice(int v) { return v + v; }
+    void f(void) {
+        out = 0;
+        switch (m) {
+        case 0: out = 1; break;
+        case 3: case 5: out = twice(a); break;
+        default: out = 2; break;
+        }
+        if (a > 4 && out != 2) {
+            out = out - a;
+        }
+    }
+    """
+
+    VECTORS = [{"a": a, "m": m} for a in range(8) for m in range(8)]
+
+    def test_memoised_runs_match_a_fresh_interpreter(self):
+        analyzed = parse_and_analyze(self.SOURCE)
+        board = EvaluationBoard(analyzed, memoise=True)
+        fresh = Interpreter(analyzed)
+        for _ in range(2):
+            for vector in self.VECTORS:
+                memoised, expected = board.run("f", vector), fresh.run("f", vector)
+                assert memoised.total_cycles == expected.total_cycles
+                assert memoised.block_trace == expected.block_trace
+                assert memoised.edge_trace == expected.edge_trace
+                assert memoised.branch_events == expected.branch_events
+                assert memoised.switch_events == expected.switch_events
+                assert dict(memoised.final_environment) == dict(
+                    expected.final_environment
+                )
+        assert (board.runs, board.memo_hits, board.memo_size) == (128, 64, 64)
+
+    def test_hit_returns_the_same_object(self):
+        board = board_for(self.SOURCE, memoise=True)
+        first = board.run("f", {"a": 6, "m": 3})
+        assert board.run("f", {"m": 3, "a": 6}) is first
+        assert board.run("f", {"a": 6, "m": 5}) is not first
+
+    def test_results_are_immutable(self):
+        result = board_for(self.SOURCE).run("f", {"a": 6, "m": 3})
+        assert result.branch_events and result.switch_events
+        with pytest.raises(AttributeError):
+            result.block_trace.append(result.block_trace[0])
+        with pytest.raises(TypeError):
+            result.final_environment["out"] = 0
+        with pytest.raises(TypeError):
+            result.inputs["a"] = 0
+        with pytest.raises(AttributeError):
+            result.total_cycles = 0
+
+    def test_execution_errors_are_not_memoised(self):
+        source = "#pragma input d\n#pragma range d 0 3\nint d; int r; void f(void) { r = 10 / d; }"
+        board = board_for(source, memoise=True)
+        for _ in range(2):
+            with pytest.raises(ExecutionError):
+                board.run("f", {"d": 0})
+        assert board.memo_size == 0
+
+    def test_armed_injector_bypasses_the_memo(self, monkeypatch):
+        from repro.resilience import (
+            FaultInjector,
+            FaultPlan,
+            ResilienceContext,
+            activate,
+        )
+
+        calls = []
+        original = Interpreter.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", counting_run)
+        board = board_for(self.SOURCE, memoise=True)
+        plan = FaultPlan.from_args(["interp.step:raise@1000000"])
+        with activate(ResilienceContext(injector=FaultInjector(plan))):
+            for _ in range(3):
+                board.run("f", {"a": 1, "m": 0})
+        assert len(calls) == 3
+        assert (board.memo_hits, board.memo_size) == (0, 0)
+
+    def test_expired_deadline_raises_on_a_memo_hit(self):
+        from repro.resilience import Deadline, JobTimeout, ResilienceContext, activate
+
+        board = board_for(self.SOURCE, memoise=True)
+        board.run("f", {"a": 1, "m": 0})
+        with activate(ResilienceContext(deadline=Deadline(3600.0))):
+            board.run("f", {"a": 1, "m": 0})
+        assert board.memo_hits == 1
+        with activate(ResilienceContext(deadline=Deadline(0.0))):
+            with pytest.raises(JobTimeout):
+                board.run("f", {"a": 1, "m": 0})
+
+    @pytest.mark.parametrize("key_range, memoised", [("0 7", True), ("0 2000", False)])
+    def test_analyzer_memoises_only_spaces_within_the_search_budget(
+        self, monkeypatch, key_range, memoised
+    ):
+        """64 vectors fit one genetic search's budget (1230); 16,008 do not."""
+        import repro.pipeline.analyzer as analyzer_module
+        from repro import perf
+        from repro.pipeline import WcetAnalyzer
+
+        boards = []
+
+        class RecordingBoard(EvaluationBoard):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                boards.append(self)
+
+        monkeypatch.setattr(analyzer_module, "EvaluationBoard", RecordingBoard)
+        source = self.SOURCE.replace("#pragma range a 0 7", f"#pragma range a {key_range}")
+        registry = perf.PerfRegistry()
+        with perf.using_registry(registry):
+            WcetAnalyzer.from_source(source, "f").analyze()
+        (board,) = boards
+        if memoised:
+            assert 0 < board.memo_size <= 64
+            assert board.memo_hits > 0
+        else:
+            assert board.memo_size == 0
+            assert board.memo_hits == 0
+        assert registry.counter("hw.board.runs") == board.runs
+        assert registry.counter("hw.board.memo_hits") == board.memo_hits

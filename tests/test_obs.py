@@ -328,10 +328,15 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
         client = ServiceClient(srv.base_url, timeout=30.0)
         client.healthz()
         client.metrics()  # first scrape: the request timer now has samples
+        job = client.analyze(TINY, wait=60)
         text = client.metrics()
         assert "repro_service_request_seconds_bucket{le=" in text
         assert "repro_service_requests_total" in text
         assert 'endpoint="GET metrics"' in text
+        # finished jobs' counters are summed into the exposition
+        runs = job["perf"]["counters"]["hw.board.runs"]
+        assert f"repro_hw_board_runs_total {runs}" in text
+        assert "repro_hw_board_memo_hits_total" in text
         # raw exchange to check the content type of the exposition
         with urllib.request.urlopen(srv.base_url + "/v1/metrics") as response:
             assert response.headers["Content-Type"] == (

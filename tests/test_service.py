@@ -302,6 +302,50 @@ def test_served_json_matches_direct_scheduler_run(tmp_path):
     assert strip(served_body["functions"]) == strip(direct_body["functions"])
 
 
+def test_terminal_jobs_keep_only_the_served_bytes(monkeypatch):
+    """Done and failed jobs drop the parsed project and the report objects."""
+    import repro.service.jobs as jobs_module
+
+    reports = []
+
+    class RecordingScheduler(ProjectScheduler):
+        """Records each report; a project defining ``broken`` fails its job."""
+
+        def __init__(self, project, **kwargs):
+            super().__init__(project, **kwargs)
+            self.broken = any(f.name == "broken" for f in project.functions())
+
+        def run(self):
+            if self.broken:
+                raise RuntimeError("scheduler crashed")
+            report = super().run()
+            reports.append(report)
+            return report
+
+    monkeypatch.setattr(jobs_module, "ProjectScheduler", RecordingScheduler)
+    broken = {"unit": "int broken(int x) { return x; }"}
+    with AnalysisServer(config=quick_config()) as srv:
+        client = ServiceClient(srv.base_url, timeout=60.0)
+        done = client.analyze(TINY, wait=120)
+        assert done["state"] == "done"
+        assert done["cache"] == {
+            "hits": reports[0].cache_hits, "misses": reports[0].cache_misses,
+        }
+        _, _, served = client.result(done["fingerprint"])
+        assert served == report_json(reports[0])
+        failed, _ = srv.queue.submit(broken)
+        assert failed.event.wait(60)
+        assert failed.state is ServiceJobState.FAILED
+        assert srv.queue.get(done["job_id"]).project is None
+        assert failed.project is None
+        # a failed job does not block its sources: they run again
+        again, deduplicated = srv.queue.submit(broken)
+        assert not deduplicated and again is not failed
+        assert again.event.wait(60)
+        assert again.state is ServiceJobState.FAILED
+        assert srv.queue.stats()["failed"] == 2
+
+
 # ---------------------------------------------------------------------- #
 # fingerprints
 # ---------------------------------------------------------------------- #

@@ -142,12 +142,6 @@ class TestRandomGenerator:
         second = RandomTestDataGenerator(space, seed=7).generate(10)
         assert first == second
 
-    def test_unique_generation(self, needle):
-        _, _, _, _, space = needle
-        vectors = RandomTestDataGenerator(space, seed=3).generate_unique(20)
-        keys = {tuple(sorted(v.items())) for v in vectors}
-        assert len(keys) == len(vectors)
-
     def test_random_alone_misses_the_needle(self, needle):
         """Random testing almost surely misses key == 1234 (motivation for GA/MC)."""
         _, cfg, partition, board, space = needle
@@ -212,6 +206,80 @@ class TestGeneticGenerator:
         generator.search(targets[0])
         assert generator.statistics.targets_attempted == 1
         assert generator.statistics.evaluations > 0
+
+
+#: 64 input vectors, so one search (budget 1230 evaluations) revisits most;
+#: ``a + b == 20`` is unreachable, so that target's search runs to the end
+SMALL_SPACE_SOURCE = """
+#pragma input a
+#pragma input b
+#pragma range a 0 7
+#pragma range b 0 7
+int a; int b; int out;
+void f(void) {
+    out = 0;
+    if (a == 5) {
+        if (b > 6) { out = 1; }
+        if (a + b == 20) { out = 2; }
+    }
+}
+"""
+
+
+class TestGeneticFitnessReuse:
+    @staticmethod
+    def _search_all(board, analyzed, cfg, partition):
+        space = InputSpace.from_program(analyzed, "f")
+        tracker = CoverageTracker.create(partition, cfg)
+        generator = GeneticTestDataGenerator(board, "f", space, GeneticOptions(seed=4))
+        outcomes = [
+            generator.search(target, coverage=tracker)
+            for target in build_targets(partition, cfg)
+        ]
+        return generator, tracker, outcomes
+
+    @pytest.fixture(scope="class")
+    def small_space(self):
+        analyzed = parse_and_analyze(SMALL_SPACE_SOURCE)
+        cfg = build_cfg(analyzed.program.function("f"))
+        partition = partition_function(analyzed.program.function("f"), 1, cfg)
+        return analyzed, cfg, partition
+
+    def test_outcomes_are_pinned(self, small_space):
+        """The same vectors, evaluation counts and fitness as without reuse."""
+        analyzed, cfg, partition = small_space
+        board = EvaluationBoard(analyzed)
+        generator, tracker, outcomes = self._search_all(board, analyzed, cfg, partition)
+        assert [
+            (o.target.blocks, o.vector, o.evaluations, o.best_fitness) for o in outcomes
+        ] == [
+            ((2,), {"a": 3, "b": 4}, 1, 0.0),
+            ((3,), {"a": 5, "b": 2}, 9, 0.0),
+            ((4,), {"a": 5, "b": 7}, 31, 0.0),
+            ((5,), {"a": 5, "b": 7}, 9, 0.0),
+            ((6,), None, 1150, 1.8888888888888888),
+        ]
+        assert generator.statistics.evaluations == 1200
+        assert len(tracker.covered) == 4
+        # each search runs a vector once, not once per evaluation: 97 is the
+        # number of distinct vectors per search, summed over the five
+        assert board.runs == 97
+
+    def test_armed_injector_runs_every_evaluation(self, small_space):
+        from repro.resilience import (
+            FaultInjector,
+            FaultPlan,
+            ResilienceContext,
+            activate,
+        )
+
+        analyzed, cfg, partition = small_space
+        board = EvaluationBoard(analyzed)
+        plan = FaultPlan.from_args(["interp.step:raise@1000000"])
+        with activate(ResilienceContext(injector=FaultInjector(plan))):
+            generator, _, outcomes = self._search_all(board, analyzed, cfg, partition)
+        assert board.runs == generator.statistics.evaluations == 1200
+        assert outcomes[-1].best_fitness == 1.8888888888888888
 
 
 class TestModelCheckingGenerator:
