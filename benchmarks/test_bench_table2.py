@@ -103,31 +103,37 @@ def test_bench_table2_optimisation_impact(benchmark, eval_program, results_dir):
         assert row["inputs"]["sensor_load"] > 75
 
     # --- report ----------------------------------------------------------- #
+    # table2.txt is tracked and holds only deterministic columns; the wall
+    # clock times go to the git-ignored table2_times.txt
     lines = [
         "Table 2 reproduction: impact of optimisations on model checking",
         f"evaluation program: {source_line_count()} source lines "
         "(paper: 105), 4 boolean + 13 byte variables",
         "",
-        f"{'optimisation technique':<28} {'time [ms]':>10} {'memory [KiB]':>13} "
+        f"{'optimisation technique':<28} {'memory [KiB]':>13} "
         f"{'steps':>6} {'state bits':>11}   paper (time s / mem kB / steps)",
     ]
+    times = ["Table 2 reproduction: model-checking time per configuration", ""]
     for row in rows:
         paper = PAPER_TABLE2[row["name"]]
         lines.append(
-            f"{row['name']:<28} {row['time_s'] * 1000:>10.1f} "
+            f"{row['name']:<28} "
             f"{row['memory_bytes'] / 1024:>13.1f} {row['steps']:>6} "
             f"{row['state_bits']:>11}   ({paper[0]:>6.1f} / {paper[1]:>7} / {paper[2]:>2})"
         )
+        times.append(f"{row['name']:<28} {row['time_s'] * 1000:>10.1f} ms")
     lines.extend(
         [
             "",
             "shape reproduced: every optimisation reduces memory, the combination",
             "dominates, statement concatenation/reverse CSE shorten the",
             "counterexample, variable range analysis is the strongest single",
-            "state-space reducer.",
+            "state-space reducer; all optimisations used took no longer than",
+            "unoptimized (wall clock times in table2_times.txt).",
         ]
     )
     write_result(results_dir, "table2.txt", lines)
+    write_result(results_dir, "table2_times.txt", times)
 
     # sanity: the analysed program has the structure the paper describes
     cfg = build_cfg(eval_program.program.function(EVAL_FUNCTION_NAME))

@@ -16,6 +16,15 @@ surrounding tooling needs:
 
 Defined functions can call each other (arguments by value, globals shared);
 external functions only consume cycles.  Execution is deterministic.
+
+:meth:`Interpreter.run` executes closures compiled from each function's CFG
+on its first run (:mod:`repro.hw.compiler`).  A block runs on its compiled
+form only when its step window crosses neither a deadline poll (every 1024
+steps) nor the step limit; every other block runs on the step-by-step
+walker, so faults, deadline polls and step-limit errors fire at the same
+step as on the walker alone.  :meth:`Interpreter.run_reference` runs the
+walker alone: it is the reference oracle the compiled path is tested
+against, field for field.
 """
 
 from __future__ import annotations
@@ -47,6 +56,15 @@ from ..minic.folding import apply_binary, apply_unary
 from ..minic.semantic import AnalyzedProgram
 from ..minic.types import BOOL, CType, INT16
 from ..resilience import faults as _resilience
+from .compiler import (
+    BRANCH,
+    EXIT,
+    FAILURE_CONSTANT,
+    RETURN,
+    SWITCH,
+    CompiledFunction,
+    compile_function,
+)
 from .cost_model import CostModel, HCS12_COST_MODEL
 
 
@@ -124,7 +142,11 @@ class RunResult(NamedTuple):
 
 
 class Interpreter:
-    """Executes functions of one analysed program with cycle accounting."""
+    """Executes functions of one analysed program with cycle accounting.
+
+    Compiled code is built from the CFGs on first use, so the CFGs must not
+    change after the first run.
+    """
 
     def __init__(
         self,
@@ -145,6 +167,11 @@ class Interpreter:
         #: cost for the name instead.  The interprocedural analysis uses this
         #: to replace already-summarised callees with their WCET bound.
         self._stubbed = set(stub_functions)
+        #: function name -> its compiled CFG, built on the function's first run
+        self._compiled: dict[str, CompiledFunction] = {}
+        #: (global environment before inputs, global name -> declared type),
+        #: built on the first run
+        self._globals: tuple[dict[str, int], dict[str, CType]] | None = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -167,11 +194,31 @@ class Interpreter:
         or zero.  Parameters of the top-level function may also be supplied
         through ``inputs`` by name.
         """
+        return self._run(function_name, inputs, reference=False)
+
+    def run_reference(
+        self,
+        function_name: str,
+        inputs: dict[str, int] | None = None,
+    ) -> RunResult:
+        """:meth:`run` on the step-by-step walker alone (the reference oracle).
+
+        Returns the same :class:`RunResult` as :meth:`run` and raises the
+        same errors on the same runs; it is kept for the tests that check
+        exactly that.
+        """
+        return self._run(function_name, inputs, reference=True)
+
+    def _run(
+        self, function_name: str, inputs: dict[str, int] | None, reference: bool
+    ) -> RunResult:
         inputs = dict(inputs or {})
-        environment = self._initial_environment(inputs)
-        state = _RunState(cost=self._cost, max_steps=self._max_steps)
+        if reference:
+            environment = self._initial_environment(inputs)
+        else:
+            environment = self._environment_for(inputs)
+        state = _RunState(cost=self._cost, max_steps=self._max_steps, reference=reference)
         function = self._program.function(function_name)
-        table = self._analyzed.table(function_name)
 
         # top-level parameters come from the inputs mapping (default 0)
         for param in function.params:
@@ -181,7 +228,6 @@ class Interpreter:
         return_value = self._execute_function(
             function_name, environment, state, record=True
         )
-        del table
         return RunResult(
             function_name=function_name,
             inputs=MappingProxyType(inputs),
@@ -212,6 +258,20 @@ class Interpreter:
                 environment[name] = value
         return environment
 
+    def _environment_for(self, inputs: dict[str, int]) -> dict[str, int]:
+        """:meth:`_initial_environment` from globals evaluated once per board."""
+        if self._globals is None:
+            types: dict[str, CType] = {}
+            for decl in self._program.globals:
+                types.setdefault(decl.name, decl.var_type)
+            self._globals = (self._initial_environment({}), types)
+        initial, types = self._globals
+        environment = dict(initial)
+        for name, value in inputs.items():
+            ctype = types.get(name)
+            environment[name] = value if ctype is None else ctype.wrap(value)
+        return environment
+
     def _evaluate_static(self, expr: Expr) -> int:
         """Evaluate a global initialiser (no variables allowed)."""
         if isinstance(expr, IntLiteral):
@@ -235,43 +295,146 @@ class Interpreter:
         state: "_RunState",
         record: bool,
     ) -> int | None:
+        if state.reference:
+            return self._walk_function(function_name, environment, state, record)
+        return self._run_compiled(function_name, environment, state, record)
+
+    def _run_compiled(
+        self,
+        function_name: str,
+        environment: dict[str, int],
+        state: "_RunState",
+        record: bool,
+    ) -> int | None:
+        code = self._compiled.get(function_name)
+        if code is None:
+            code = self._compiled[function_name] = compile_function(
+                self.cfg(function_name), self._cost, self._defined - self._stubbed
+            )
+        max_steps = state.max_steps
+        enter, take = state.block_trace.append, state.edge_trace.append
+        block = code.entry
+        return_value: int | None = None
+        while True:
+            steps = state.steps
+            window = block.steps
+            if (steps & 1023) + window >= 1024 or steps + window > max_steps:
+                # a poll or the step limit falls inside the block (or it is
+                # walk-only): take it step by step
+                successor, return_value = self._walk_block(
+                    code.cfg, block.block, environment, state, record, return_value
+                )
+                if successor is None:
+                    return return_value
+                block = code.blocks[successor.block_id]
+                continue
+            state.steps = steps + block.fixed_steps
+            if record:
+                enter(BlockEvent(block.block_id, state.cycles))
+            state.cycles += block.cycles
+            try:
+                for statement, is_return in block.statements:
+                    result = statement(environment, state)
+                    if is_return:
+                        return_value = result
+                kind = block.kind
+                if kind == BRANCH:
+                    outcome = block.condition(environment, state) != 0
+                    edge, target, cycles = block.on_true if outcome else block.on_false
+                    state.cycles += cycles
+                    if record:
+                        state.branch_events.append(
+                            BranchEvent(block.block_id, outcome, *block.distances(environment))
+                        )
+                elif kind == SWITCH:
+                    value = block.condition(environment, state)
+                    case = block.cases.get(value) or block.default
+                    if case is None:
+                        raise ExecutionError(
+                            f"switch block {block.block_id}: no case matches value "
+                            f"{value} and no default"
+                        )
+                    edge, target, cycles = case
+                    state.cycles += cycles
+                    if record:
+                        state.switch_events.append(SwitchEvent(block.block_id, value, edge))
+                elif kind == RETURN:
+                    if record:
+                        take(block.successor[0])
+                    return return_value
+                elif kind == EXIT:
+                    return return_value
+                else:
+                    edge, target = block.successor
+            except KeyError as exc:
+                raise ExecutionError(f"read of unbound variable {exc.args[0]!r}") from None
+            if record:
+                take(edge)
+            if target is None:
+                if record:
+                    enter(BlockEvent(code.exit_id, state.cycles))
+                return return_value
+            block = target
+
+    def _walk_function(
+        self,
+        function_name: str,
+        environment: dict[str, int],
+        state: "_RunState",
+        record: bool,
+    ) -> int | None:
         cfg = self.cfg(function_name)
         block = cfg.entry
         return_value: int | None = None
-        while True:
-            state.step()
-            if record:
-                state.block_trace.append(BlockEvent(block.block_id, state.cycles))
-            for stmt in block.statements:
-                result = self._execute_statement(stmt, environment, state)
-                if isinstance(stmt, ReturnStmt):
-                    return_value = result
+        while block is not None:
+            block, return_value = self._walk_block(
+                cfg, block, environment, state, record, return_value
+            )
+        return return_value
 
-            terminator = block.terminator
-            if terminator.kind is TerminatorKind.RETURN:
-                state.cycles += self._cost.return_cost
-                edge = self._single_edge(cfg, block)
-                if record:
-                    state.edge_trace.append(edge)
-                return return_value
-            if block is cfg.exit:
-                return return_value
-            if terminator.kind is TerminatorKind.JUMP or terminator.kind is TerminatorKind.NONE:
-                edge = self._single_edge(cfg, block)
-            elif terminator.kind is TerminatorKind.BRANCH:
-                edge = self._execute_branch(cfg, block, environment, state, record)
-            elif terminator.kind is TerminatorKind.SWITCH:
-                edge = self._execute_switch(cfg, block, environment, state, record)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown terminator {terminator.kind}")
+    def _walk_block(
+        self,
+        cfg: ControlFlowGraph,
+        block,
+        environment: dict[str, int],
+        state: "_RunState",
+        record: bool,
+        return_value: int | None,
+    ) -> tuple:
+        """Run one block step by step: (next block or None on return, return value)."""
+        state.step()
+        if record:
+            state.block_trace.append(BlockEvent(block.block_id, state.cycles))
+        for stmt in block.statements:
+            result = self._execute_statement(stmt, environment, state)
+            if isinstance(stmt, ReturnStmt):
+                return_value = result
+
+        terminator = block.terminator
+        if terminator.kind is TerminatorKind.RETURN:
+            state.cycles += self._cost.return_cost
+            edge = self._single_edge(cfg, block)
             if record:
                 state.edge_trace.append(edge)
-            next_block = cfg.block(edge.target)
-            if next_block is cfg.exit:
-                if record:
-                    state.block_trace.append(BlockEvent(next_block.block_id, state.cycles))
-                return return_value
-            block = next_block
+            return None, return_value
+        if block is cfg.exit:
+            return None, return_value
+        if terminator.kind is TerminatorKind.JUMP or terminator.kind is TerminatorKind.NONE:
+            edge = self._single_edge(cfg, block)
+        elif terminator.kind is TerminatorKind.BRANCH:
+            edge = self._execute_branch(cfg, block, environment, state, record)
+        elif terminator.kind is TerminatorKind.SWITCH:
+            edge = self._execute_switch(cfg, block, environment, state, record)
+        else:  # pragma: no cover - defensive
+            raise ExecutionError(f"unknown terminator {terminator.kind}")
+        if record:
+            state.edge_trace.append(edge)
+        next_block = cfg.block(edge.target)
+        if next_block is cfg.exit:
+            if record:
+                state.block_trace.append(BlockEvent(next_block.block_id, state.cycles))
+            return None, return_value
+        return next_block, return_value
 
     def _single_edge(self, cfg: ControlFlowGraph, block) -> Edge:
         edges = cfg.out_edges(block)
@@ -300,12 +463,9 @@ class Interpreter:
                 )
             )
         wanted = EdgeKind.TRUE if outcome else EdgeKind.FALSE
-        for edge in cfg.out_edges(block):
-            if edge.kind is wanted or (edge.kind is EdgeKind.BACK and outcome):
-                return edge
         # loop back-edges may carry the TRUE direction for do-while loops
         for edge in cfg.out_edges(block):
-            if outcome and edge.kind is EdgeKind.BACK:
+            if edge.kind is wanted or (edge.kind is EdgeKind.BACK and outcome):
                 return edge
         raise ExecutionError(
             f"branch block {block.block_id} has no {wanted.value} successor"
@@ -450,7 +610,7 @@ class Interpreter:
     # ------------------------------------------------------------------ #
     # branch distances (Tracey-style objective functions)
     # ------------------------------------------------------------------ #
-    _FAILURE_CONSTANT = 1.0
+    _FAILURE_CONSTANT = FAILURE_CONSTANT
 
     def _branch_distances(
         self, condition: Expr, environment: dict[str, int]
@@ -573,6 +733,8 @@ class _RunState:
 
     cost: CostModel
     max_steps: int
+    #: run every function on the walker alone (:meth:`Interpreter.run_reference`)
+    reference: bool = False
     cycles: int = 0
     steps: int = 0
     block_trace: list[BlockEvent] = field(default_factory=list)

@@ -96,6 +96,8 @@ class MeasurementRunner:
         measurements: list[SegmentMeasurement] = []
         readings = instrumented.readings
         block_trace = instrumented.run.block_trace
+        # one copy of the vector, shared by every measurement of this run
+        inputs = dict(inputs)
         for index, reading in enumerate(readings):
             if reading.point.kind is not PointKind.ENTRY:
                 continue
@@ -124,7 +126,7 @@ class MeasurementRunner:
                     segment_id=segment_id,
                     path=path_blocks,
                     cycles=exit_reading.cycles - reading.cycles,
-                    inputs=dict(inputs),
+                    inputs=inputs,
                 )
             )
         return measurements

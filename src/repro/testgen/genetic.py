@@ -137,10 +137,11 @@ class GeneticTestDataGenerator:
                     )
                 else:
                     child_vector = dict(parent_a.vector)
-                child_vector = self._space.mutate(
-                    child_vector, self._rng, options.mutation_rate
+                # parents are in range and in variable order, and crossover
+                # and mutation keep both, so a child needs no clamp
+                child = _Individual(
+                    vector=self._space.mutate(child_vector, self._rng, options.mutation_rate)
                 )
-                child = _Individual(vector=self._space.clamp(child_vector))
                 self._evaluate(child, target, coverage, outcome, scored)
                 if child.fitness == 0.0:
                     return self._finish(outcome, child)

@@ -14,6 +14,7 @@ always means "a measurement for this segment path exists".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.paths import enumerate_paths
@@ -81,6 +82,22 @@ class CoverageTracker:
     cfg: ControlFlowGraph
     targets: list[PathTarget] = field(default_factory=list)
     covered: dict[tuple[int, tuple[int, ...]], dict[str, int]] = field(default_factory=dict)
+    #: coverage key -> the first target with that key
+    _by_key: dict[tuple[int, tuple[int, ...]], PathTarget] = field(
+        init=False, repr=False, compare=False
+    )
+    #: entry block -> (position in the partition, segment) of the segments it enters
+    _by_entry: dict[int, list[tuple[int, ProgramSegment]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._by_key = {}
+        for target in self.targets:
+            self._by_key.setdefault(target.key, target)
+        self._by_entry = {}
+        for position, segment in enumerate(self.partition.segments):
+            self._by_entry.setdefault(segment.entry_block, []).append((position, segment))
 
     @classmethod
     def create(cls, partition: PartitionResult, cfg: ControlFlowGraph) -> "CoverageTracker":
@@ -88,46 +105,32 @@ class CoverageTracker:
 
     # ------------------------------------------------------------------ #
     def record_run(self, run: RunResult) -> list[PathTarget]:
-        """Record one executed run; return the targets it covered for the first time."""
+        """Record one executed run; return the targets it covered for the first time.
+
+        A segment's observed path is its first traversal: the blocks from
+        the first entry into the segment's entry block up to the first
+        block outside the segment.
+        """
         newly_covered: list[PathTarget] = []
         executed = run.executed_blocks
-        for segment in self.partition.segments:
-            observed = self._segment_path(segment, executed)
-            if not observed:
-                continue
-            key = (segment.segment_id, observed)
+        # walking the trace backwards leaves each block's first index
+        first_index = dict(zip(reversed(executed), range(len(executed) - 1, -1, -1)))
+        entered = [
+            (position, segment, start)
+            for block, start in first_index.items()
+            for position, segment in self._by_entry.get(block, ())
+        ]
+        entered.sort(key=itemgetter(0))
+        for _, segment, start in entered:
+            key = (segment.segment_id, _first_traversal(segment, executed, start))
             if key in self.covered:
                 continue
-            target = self._target_for(key)
+            target = self._by_key.get(key)
             if target is None:
                 continue
             self.covered[key] = dict(run.inputs)
             newly_covered.append(target)
         return newly_covered
-
-    def _segment_path(
-        self, segment: ProgramSegment, executed: list[int]
-    ) -> tuple[int, ...]:
-        """The first traversal of *segment* in the executed block sequence."""
-        inside: list[int] = []
-        started = False
-        for block_id in executed:
-            if not started:
-                if block_id == segment.entry_block:
-                    started = True
-                    inside.append(block_id)
-                continue
-            if block_id in segment.block_ids:
-                inside.append(block_id)
-            else:
-                break
-        return tuple(inside)
-
-    def _target_for(self, key: tuple[int, tuple[int, ...]]) -> PathTarget | None:
-        for target in self.targets:
-            if target.key == key:
-                return target
-        return None
 
     # ------------------------------------------------------------------ #
     def uncovered_targets(self) -> list[PathTarget]:
@@ -143,3 +146,14 @@ class CoverageTracker:
 
     def covering_vector(self, target: PathTarget) -> dict[str, int] | None:
         return self.covered.get(target.key)
+
+
+def _first_traversal(
+    segment: ProgramSegment, executed: list[int], start: int
+) -> tuple[int, ...]:
+    """The blocks of *segment* from ``executed[start]`` to the first block outside it."""
+    inside = segment.block_ids
+    end = start + 1
+    while end < len(executed) and executed[end] in inside:
+        end += 1
+    return tuple(executed[start:end])

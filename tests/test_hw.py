@@ -369,3 +369,201 @@ class TestBoardMemo:
             assert board.memo_hits == 0
         assert registry.counter("hw.board.runs") == board.runs
         assert registry.counter("hw.board.memo_hits") == board.memo_hits
+
+
+# ---------------------------------------------------------------------- #
+# compiled board vs the step-by-step walker
+# ---------------------------------------------------------------------- #
+#: a counted loop that crosses several deadline polls, a call returning a
+#: value (a walk-only block calling compiled code), a switch whose dispatch
+#: cost depends on the case, ``?:`` and short-circuit operators
+#: (data-dependent step counts), and a division by an input that can be 0
+LOOP_SOURCE = """
+#pragma input n
+#pragma input d
+#pragma input k
+#pragma range n 0 100
+#pragma range d 0 6
+#pragma range k -40 40
+int n; int d; Int8 k; Int16 acc; int q;
+int scale(int v) {
+    if (v > 3) {
+        return v * 2;
+    }
+    return v - 1;
+}
+void spin(void) {
+    int i;
+    acc = 0;
+    i = 0;
+    #pragma loopbound(100)
+    while (i < n) {
+        acc = acc + i * 3 + k;
+        if (i > 10 && (acc & 1) == 0 || k < -30) {
+            acc = acc - (k > 0 ? 1 : 2);
+        }
+        if (i == 7) {
+            acc = acc + scale(d);
+        }
+        i = i + 1;
+    }
+    q = acc / d;
+    switch (d) {
+    case 1: q = q + 1; break;
+    case 2: case 3: q = q * 2; break;
+    case 5: q = (Int8)(q << 3); break;
+    default: q = -q; break;
+    }
+}
+"""
+
+
+def _differential_programs():
+    """(name, analysed program, function) of every program the oracle covers."""
+    from repro.workloads.figure1 import figure1_analyzed
+    from repro.workloads.multi import generate_call_chain_workload
+    from repro.workloads.targetlink import generate_small_application
+    from repro.workloads.wiper import WIPER_FUNCTION_NAME, wiper_case_study
+
+    programs = []
+    for seed in (11, 2, 5):
+        app = generate_small_application(seed=seed)
+        programs.append((f"controller_{seed}", parse_and_analyze(app.source), app.function_name))
+    for unit, source in sorted(generate_call_chain_workload(2005).sources.items()):
+        analyzed = parse_and_analyze(source)
+        for function in analyzed.program.functions:
+            programs.append((f"{unit}:{function.name}", analyzed, function.name))
+    programs.append(("wiper", parse_and_analyze(wiper_case_study().source), WIPER_FUNCTION_NAME))
+    programs.append(("figure1", figure1_analyzed(), "main"))
+    programs.append(("loop", parse_and_analyze(LOOP_SOURCE), "spin"))
+    return programs
+
+
+def _vectors(analyzed, function, count, seed=2005):
+    """*count* seeded random vectors plus the corners of the input ranges."""
+    import random
+
+    from repro.testgen.inputs import InputSpace
+
+    space = InputSpace.from_program(analyzed, function)
+    rng = random.Random(seed)
+    lows = {v.name: v.value_range.lo for v in space.variables}
+    highs = {v.name: v.value_range.hi for v in space.variables}
+    corners = [lows, highs]
+    for variable in space.variables:
+        corners.append({**lows, variable.name: variable.value_range.hi})
+        corners.append({**highs, variable.name: variable.value_range.lo})
+    return corners + [space.random_vector(rng) for _ in range(count)]
+
+
+def _outcome(run, function, vector):
+    """The run result, or ``"<exception type>: <message>"`` of what it raised."""
+    try:
+        return run(function, vector)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCompiledBoard:
+    """``Interpreter.run`` (compiled) against ``run_reference`` (the walker)."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        return _differential_programs()
+
+    def test_the_oracle_covers_every_named_program(self, programs):
+        names = [name for name, _, _ in programs]
+        assert len(names) == 3 + 9 + 3
+        assert len([name for name in names if name.startswith("unit_")]) == 9
+
+    def test_run_results_are_identical(self, programs, monkeypatch):
+        import repro.hw.interpreter as interpreter_module
+
+        states = []
+
+        class RecordingState(interpreter_module._RunState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        # the final step count is not part of RunResult; compare it too
+        monkeypatch.setattr(interpreter_module, "_RunState", RecordingState)
+        errors = 0
+        for name, analyzed, function in programs:
+            interpreter = Interpreter(analyzed)
+            for vector in _vectors(analyzed, function, 1000):
+                compiled = _outcome(interpreter.run, function, vector)
+                reference = _outcome(interpreter.run_reference, function, vector)
+                assert compiled == reference, (name, vector)
+                if isinstance(compiled, str):
+                    errors += compiled.startswith("ExecutionError: division by zero")
+                else:
+                    assert states[-2].steps == states[-1].steps, (name, vector)
+        assert errors > 0  # the loop program divides by zero
+
+    def test_events_carry_the_walker_values(self, programs):
+        """Spot-check the fields RunResult equality could hide (exact types)."""
+        name, analyzed, function = programs[-1]
+        interpreter = Interpreter(analyzed)
+        vector = {"n": 40, "d": 2, "k": -35}
+        compiled = interpreter.run(function, vector)
+        reference = interpreter.run_reference(function, vector)
+        assert compiled.branch_events and compiled.switch_events
+        for mine, theirs in zip(compiled.branch_events, reference.branch_events):
+            assert type(mine.outcome) is type(theirs.outcome) is bool
+            assert repr(mine.distance_true) == repr(theirs.distance_true)
+            assert repr(mine.distance_false) == repr(theirs.distance_false)
+        assert [type(e.value) for e in compiled.switch_events] == [int]
+        assert dict(compiled.final_environment) == dict(reference.final_environment)
+        assert all(
+            type(value) is int for value in compiled.final_environment.values()
+        )
+
+    @pytest.mark.parametrize("max_steps", [5, 100, 1023, 1024, 1025, 3000])
+    def test_step_limit_fires_on_the_same_runs(self, programs, max_steps):
+        limited = 0
+        for name, analyzed, function in programs:
+            interpreter = Interpreter(analyzed, max_steps=max_steps)
+            for vector in _vectors(analyzed, function, 40):
+                compiled = _outcome(interpreter.run, function, vector)
+                reference = _outcome(interpreter.run_reference, function, vector)
+                assert compiled == reference, (name, vector)
+                limited += isinstance(compiled, str) and "exceeded" in compiled
+        assert limited > 0
+
+    @pytest.mark.parametrize("hit", [1, 2, 5, 13])
+    def test_step_faults_fire_on_the_same_run(self, programs, hit):
+        from repro.resilience import FaultInjector, FaultPlan, ResilienceContext, activate
+
+        def outcomes(reference):
+            plan = FaultPlan.from_args([f"interp.step:raise@{hit}"])
+            injector = FaultInjector(plan)
+            results = []
+            with activate(ResilienceContext(injector=injector)):
+                for name, analyzed, function in programs:
+                    interpreter = Interpreter(analyzed)
+                    run = interpreter.run_reference if reference else interpreter.run
+                    for vector in _vectors(analyzed, function, 15, seed=hit):
+                        results.append((name, _outcome(run, function, vector)))
+            return results, injector.hits("interp.step")
+
+        compiled, compiled_hits = outcomes(reference=False)
+        reference, reference_hits = outcomes(reference=True)
+        assert compiled == reference
+        assert compiled_hits == reference_hits >= hit
+        faults = [o for _, o in compiled if isinstance(o, str) and o.startswith("InjectedFault")]
+        assert len(faults) == 1
+
+    def test_expired_deadline_times_out_on_the_same_runs(self, programs):
+        from repro.resilience import Deadline, ResilienceContext, activate
+
+        for name, analyzed, function in programs:
+            interpreter = Interpreter(analyzed)
+            vectors = _vectors(analyzed, function, 25)
+            with activate(ResilienceContext(deadline=Deadline(0.0))):
+                compiled = [_outcome(interpreter.run, function, v) for v in vectors]
+                reference = [_outcome(interpreter.run_reference, function, v) for v in vectors]
+            assert compiled == reference, name
+            if name == "loop":
+                timed_out = [o for o in compiled if isinstance(o, str) and o.startswith("JobTimeout")]
+                assert 0 < len(timed_out) < len(compiled)

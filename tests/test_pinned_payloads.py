@@ -1,8 +1,9 @@
-"""Pinned analysis results: the call-chain demo and the wiper case study.
+"""Pinned analysis results: the call-chain demo, the wiper and one controller.
 
 ``fixtures/pinned_payloads.json`` holds :meth:`FunctionSummary.result_payload`
-of every function of ``generate_call_chain_workload(2005)`` and of the wiper
-case study under the default :class:`AnalyzerConfig`, uncached.  The payload
+of every function of ``generate_call_chain_workload(2005)``, of the wiper
+case study and of the wide-input controller ``generate_small_application(11)``
+under the default :class:`AnalyzerConfig`, uncached.  The payload
 carries the generator statistics (genetic evaluations, random vectors used),
 so a change to how test data is searched for shows up here even when the
 bounds stay the same.  Regenerate the fixture only for a change that is
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from repro.project import Project, ProjectScheduler, ResultCache
 from repro.workloads.multi import generate_call_chain_workload
+from repro.workloads.targetlink import generate_small_application
 from repro.workloads.wiper import wiper_case_study
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_payloads.json"
@@ -27,6 +29,7 @@ def current_payloads() -> dict[str, dict]:
     projects = [
         generate_call_chain_workload(2005).sources,
         {"wiper.c": wiper_case_study().source},
+        {"controller_11.c": generate_small_application(seed=11).source},
     ]
     payloads: dict[str, dict] = {}
     for sources in projects:

@@ -135,6 +135,105 @@ class TestTargetsAndCoverage:
         assert len(targets) == 11
 
 
+def _reference_record_run(tracker, covered, run):
+    """The original per-segment scan of ``CoverageTracker.record_run``.
+
+    Each segment re-scans the whole block trace for its first traversal,
+    and each new key is matched by a linear search over the targets.
+    """
+    newly = []
+    executed = run.executed_blocks
+    for segment in tracker.partition.segments:
+        inside = []
+        started = False
+        for block_id in executed:
+            if not started:
+                if block_id == segment.entry_block:
+                    started = True
+                    inside.append(block_id)
+                continue
+            if block_id in segment.block_ids:
+                inside.append(block_id)
+            else:
+                break
+        observed = tuple(inside)
+        if not observed:
+            continue
+        key = (segment.segment_id, observed)
+        if key in covered:
+            continue
+        target = next((t for t in tracker.targets if t.key == key), None)
+        if target is None:
+            continue
+        covered[key] = dict(run.inputs)
+        newly.append(target)
+    return newly
+
+
+class TestSinglePassCoverage:
+    """``record_run`` against the per-segment scan it replaced."""
+
+    @staticmethod
+    def _compare(analyzed, function, path_bound, vectors):
+        cfg = build_cfg(analyzed.program.function(function))
+        partition = partition_function(analyzed.program.function(function), path_bound, cfg)
+        board = EvaluationBoard(analyzed)
+        tracker = CoverageTracker.create(partition, cfg)
+        covered: dict = {}
+        repeated_entries = 0
+        for vector in vectors:
+            run = board.run(function, vector)
+            assert tracker.record_run(run) == _reference_record_run(tracker, covered, run)
+            executed = run.executed_blocks
+            repeated_entries += sum(
+                executed.count(segment.entry_block) > 1 for segment in partition.segments
+            )
+        assert list(tracker.covered.items()) == list(covered.items())
+        return tracker, repeated_entries
+
+    @pytest.mark.parametrize("seed", [11, 2, 5])
+    def test_controller_runs(self, seed):
+        from repro.workloads.targetlink import generate_small_application
+
+        app = generate_small_application(seed=seed)
+        analyzed = parse_and_analyze(app.source)
+        space = InputSpace.from_program(analyzed, app.function_name)
+        rng = random.Random(seed)
+        vectors = [space.random_vector(rng) for _ in range(400)]
+        tracker, _ = self._compare(analyzed, app.function_name, 4, vectors)
+        assert 0.2 < tracker.coverage_ratio() < 1.0
+
+    #: the loop body takes one branch on the first iterations and the other
+    #: later, so a segment's first traversal differs from its later ones
+    LOOP_SOURCE = """
+    #pragma input n
+    #pragma range n 0 6
+    int n; int total;
+    void walk(void) {
+        int i;
+        total = 0;
+        i = 0;
+        #pragma loopbound(6)
+        while (i < n) {
+            if (i < 2) {
+                total = total + 1;
+            } else {
+                total = total + i;
+            }
+            i = i + 1;
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("path_bound", [1, 2, 4])
+    def test_loop_whose_segment_entries_repeat(self, path_bound):
+        vectors = [{"n": n} for n in (6, 0, 3, 1, 6, 2, 5)]
+        _, repeated_entries = self._compare(
+            parse_and_analyze(self.LOOP_SOURCE), "walk", path_bound, vectors
+        )
+        assert repeated_entries > 0
+
+
 class TestRandomGenerator:
     def test_deterministic_given_seed(self, needle):
         _, _, _, _, space = needle
