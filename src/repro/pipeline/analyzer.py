@@ -227,9 +227,13 @@ class WcetAnalyzer:
         cfg = build_cfg(function)
 
         # 0. sound static analysis: branch feasibility (feeding the query
-        #    engine's prefilter), exact loop bounds and program diagnostics.
-        #    Skippable (--no-sa) and verdict-preserving by construction, so
-        #    the measured bound is bit-identical either way.
+        #    engine's prefilter and letting the genetic phase skip targets it
+        #    proved infeasible), exact loop bounds and program diagnostics.
+        #    Skippable (--no-sa).  Its verdicts match the model checker's, but
+        #    the skipped searches change the generator statistics and the
+        #    random stream of later searches, so bounds are identical with
+        #    and without it on the pinned and tested workloads, not by
+        #    construction.
         sa_result = None
         if config.static_analysis:
             from ..sa import run_static_analysis
@@ -385,6 +389,7 @@ class WcetAnalyzer:
             runs += verification_board.runs
         perf.add("hw.board.runs", runs)
         perf.add("hw.board.memo_hits", board.memo_hits)
+        perf.add("testgen.static_skips", len(suite.static_skips))
 
         return WcetReport(
             function_name=self._function,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from collections.abc import Iterable
 
 from ..analysis.ranges import RangeEnvironment, variable_defaults
 from ..cfg.graph import (
@@ -769,23 +770,44 @@ class StaticPrefilter:
     def infeasible_edges(self) -> frozenset[tuple[int, int, str]]:
         return frozenset(self._infeasible_edges)
 
+    def path_is_infeasible(
+        self,
+        blocks: Iterable[int],
+        edges: Iterable[tuple[int, int, str]],
+    ) -> bool:
+        """True when no execution can follow a path through *blocks* and *edges*.
+
+        The path is proved infeasible when one of its blocks is unreachable,
+        or one of its edges is infeasible or has an unreachable endpoint.
+        Edges are ``(source, target, kind value)`` triples as in
+        :class:`repro.testgen.targets.PathTarget`.
+        """
+        unreachable = self._unreachable
+        if any(block in unreachable for block in blocks):
+            return True
+        return any(
+            edge in self._infeasible_edges
+            or edge[0] in unreachable
+            or edge[1] in unreachable
+            for edge in edges
+        )
+
     def goal_is_unreachable(self, goal, location_block) -> bool:
         from ..mc.slicing import parse_label
 
         # ordered labels: every one must be takeable for the goal to hold
+        blocks: list[int] = []
+        edges: list[tuple[int, int, str]] = []
         for label in goal.ordered_labels:
             parsed = parse_label(label)
             if parsed is None:
                 continue
             if parsed[0] == "block":
-                if parsed[1] in self._unreachable:
-                    return True
-            elif parsed[0] == "edge":
-                _, source, target, kind = parsed
-                if (source, target, kind) in self._infeasible_edges:
-                    return True
-                if source in self._unreachable or target in self._unreachable:
-                    return True
+                blocks.append(parsed[1])
+            else:
+                edges.append(parsed[1:])
+        if self.path_is_infeasible(blocks, edges):
+            return True
 
         # target disjuncts: *all* of them must be provably unreachable
         disjuncts: list[bool] = []

@@ -14,7 +14,8 @@ Section 3 of the paper:
 
 1. random sampling until no new segment path is covered for
    ``plateau_patterns`` consecutive vectors,
-2. one genetic-algorithm search per still-uncovered path target,
+2. one genetic-algorithm search per still-uncovered path target, except
+   targets the static analysis (:mod:`repro.sa`) already proved infeasible,
 3. one model-checking query per target that the heuristics missed, yielding
    either a test vector or an infeasibility proof.
 
@@ -95,6 +96,9 @@ class TestSuite:
     reports: list[TargetReport] = field(default_factory=list)
     random_vectors_used: int = 0
     genetic_evaluations: int = 0
+    #: targets whose genetic search was skipped because sa proved their
+    #: path infeasible (the model-checking phase settles them)
+    static_skips: list[PathTarget] = field(default_factory=list)
     model_checking_queries: int = 0
     #: queries whose QueryBudget ran out (reported uncovered, pessimised)
     budget_exhausted_queries: int = 0
@@ -247,18 +251,30 @@ class HybridTestDataGenerator:
         generator = GeneticTestDataGenerator(
             self._board, self._function, self._space, self._options.genetic
         )
+        # a target whose path sa proved infeasible is left to the
+        # model-checking phase, where the same prefilter settles it as
+        # INFEASIBLE with no solver call
+        prefilter = self._options.model_checking.prefilter
         seeds = [dict(vector) for vector in suite.vectors]
-        for target in list(coverage.uncovered_targets()):
-            if target.key in {r.target.key for r in suite.reports}:
-                continue
+        for target in coverage.uncovered_targets():
             if coverage.covering_vector(target) is not None:
                 continue
+            if prefilter is not None and prefilter.path_is_infeasible(
+                target.blocks, target.edges
+            ):
+                suite.static_skips.append(target)
+                continue
             outcome = generator.search(target, coverage=coverage, seed_vectors=seeds)
-            if outcome.covered and outcome.vector is not None:
-                suite.add_vector(outcome.vector)
+            if not outcome.covered or outcome.vector is None:
+                continue
+            suite.add_vector(outcome.vector)
+            # fitness 0 only says the guidance path is a subsequence of the
+            # run; the target is covered once the tracker saw its exact path
+            vector = coverage.covering_vector(target)
+            if vector is not None:
                 suite.reports.append(
                     TargetReport(
-                        target=target, source=CoverageSource.GENETIC, vector=outcome.vector
+                        target=target, source=CoverageSource.GENETIC, vector=dict(vector)
                     )
                 )
         suite.genetic_evaluations = generator.statistics.evaluations

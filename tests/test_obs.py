@@ -44,6 +44,11 @@ int right(int y) { if (y > 1) { y = y + 2; } return y; }
 }
 
 TINY = {"unit": "int only(int x) { if (x > 1) { x = x - 1; } return x; }"}
+#: one branch sa proves never taken, so the genetic phase skips its target
+PRUNED = {
+    "unit": "#pragma input x\n#pragma range x 0 3\nint x;\n"
+    "int f(void) { int a; a = 0; if (x > 100) { a = 9; } return a; }"
+}
 
 
 def quick_config(**overrides) -> AnalyzerConfig:
@@ -328,7 +333,7 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
         client = ServiceClient(srv.base_url, timeout=30.0)
         client.healthz()
         client.metrics()  # first scrape: the request timer now has samples
-        job = client.analyze(TINY, wait=60)
+        job = client.analyze(PRUNED, wait=60)
         text = client.metrics()
         assert "repro_service_request_seconds_bucket{le=" in text
         assert "repro_service_requests_total" in text
@@ -337,6 +342,8 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
         runs = job["perf"]["counters"]["hw.board.runs"]
         assert f"repro_hw_board_runs_total {runs}" in text
         assert "repro_hw_board_memo_hits_total" in text
+        assert job["perf"]["counters"]["testgen.static_skips"] == 1
+        assert "repro_testgen_static_skips_total 1" in text
         # raw exchange to check the content type of the exposition
         with urllib.request.urlopen(srv.base_url + "/v1/metrics") as response:
             assert response.headers["Content-Type"] == (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cfg import EdgeKind, build_cfg
+from repro.cfg.paths import enumerate_paths
 from repro.mc import ModelChecker, ModelCheckerOptions, Verdict
 from repro.mc.property import GoalBuilder
 from repro.mc.query import QueryBudget, QueryEngine, QueryEngineOptions
@@ -27,7 +28,10 @@ from repro.sa import (
     render_diagnostics,
     run_static_analysis,
 )
+from repro.partition import partition_function
+from repro.testgen import build_targets
 from repro.testgen.hybrid import HybridOptions
+from repro.transsys import edge_label
 from repro.workloads.multi import (
     generate_call_chain_workload,
     generate_multi_function_workload,
@@ -351,6 +355,50 @@ class TestDifferentialSoundness:
         for before, after in zip(baseline, filtered):
             if before.counterexample is not None and after.counterexample is not None:
                 assert before.counterexample.inputs == after.counterexample.inputs
+
+
+class TestPathPrefilter:
+    """The path-level check the genetic phase uses to skip searches."""
+
+    def test_only_proved_blocks_and_edges_make_a_path_infeasible(self):
+        cfg, _, result = feasibility_of(
+            "int a; a = 1; if (a > 5) { a = 2; } else { a = 3; } a = a + 1;"
+        )
+        prefilter = StaticPrefilter(result)
+        (dead,) = result.unreachable_blocks
+        verdicts = {}
+        for path in enumerate_paths(cfg):
+            edges = [(e.source, e.target, e.kind.value) for e in path.edges]
+            verdicts[dead in path.blocks] = prefilter.path_is_infeasible(
+                path.blocks, edges
+            )
+            # the edge alone, and its unreachable endpoint alone, are proofs
+            assert prefilter.path_is_infeasible([], edges) == (dead in path.blocks)
+        assert verdicts == {True: True, False: False}
+        assert prefilter.path_is_infeasible([dead], [])
+
+    def test_goal_check_agrees_with_path_check(self):
+        app = generate_small_application(seed=5)
+        feasibility = analyze_feasibility(
+            app.cfg, app.analyzed.table(app.function_name)
+        )
+        prefilter = StaticPrefilter(feasibility)
+        partition = partition_function(
+            app.analyzed.program.function(app.function_name), 4, app.cfg
+        )
+        builder = GoalBuilder()
+        verdicts = []
+        for target in build_targets(partition, app.cfg):
+            labels = [
+                edge_label(source, goal, EdgeKind(kind))
+                for source, goal, kind in target.edges
+            ]
+            verdict = prefilter.path_is_infeasible(target.blocks, target.edges)
+            assert prefilter.goal_is_unreachable(
+                builder.follow_edges(labels), {}
+            ) == verdict, target.describe()
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------- #

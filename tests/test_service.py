@@ -333,6 +333,12 @@ def test_terminal_jobs_keep_only_the_served_bytes(monkeypatch):
         }
         _, _, served = client.result(done["fingerprint"])
         assert served == report_json(reports[0])
+        # the queue keeps every finished job, so it keeps the served bytes
+        # and the perf snapshot compressed
+        kept = srv.queue.get(done["job_id"])
+        assert kept.report_text == served
+        assert len(kept.report_zlib) < len(served) / 2
+        assert kept.perf_report == done["perf"]
         failed, _ = srv.queue.submit(broken)
         assert failed.event.wait(60)
         assert failed.state is ServiceJobState.FAILED
