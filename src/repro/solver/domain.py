@@ -65,7 +65,8 @@ class Domain:
         return IntRange(self.lo, self.hi)
 
     def bits(self) -> int:
-        return self.to_range().bits()
+        """Bits needed to encode a value of the interval (as :meth:`IntRange.bits`)."""
+        return max(1, (self.hi - self.lo).bit_length())
 
     def iter_values(self) -> Iterator[int]:
         """Iterate the remaining values in ascending order."""

@@ -112,11 +112,16 @@ class ConstraintSolver:
         constraints = self._constraints + list(extra_constraints or [])
         started = time.perf_counter()
         call_stats = SolverStatistics(solve_calls=1)
-        call_stats.peak_memory_bytes = self._memory_estimate(self._domains, constraints, 1)
+        # the constraints are fixed for the whole call, so only the domain
+        # store's share of the memory estimate changes from node to node
+        constraint_bytes = _constraint_bytes(constraints)
+        call_stats.peak_memory_bytes = _domain_bytes(self._domains) + constraint_bytes
         deadline = started + self._time_limit if self._time_limit is not None else None
 
         try:
-            assignment = self._search(dict(self._domains), constraints, 0, call_stats, deadline)
+            assignment = self._search(
+                dict(self._domains), constraints, constraint_bytes, 0, call_stats, deadline
+            )
         finally:
             call_stats.time_seconds = time.perf_counter() - started
             self.statistics.merge(call_stats)
@@ -134,6 +139,7 @@ class ConstraintSolver:
         self,
         domains: dict[str, Domain],
         constraints: list[Constraint],
+        constraint_bytes: int,
         depth: int,
         stats: SolverStatistics,
         deadline: float | None,
@@ -151,9 +157,10 @@ class ConstraintSolver:
             stats.conflicts += 1
             return None
 
+        # depth + 1 copies of the domain store plus the constraints
         stats.peak_memory_bytes = max(
             stats.peak_memory_bytes,
-            self._memory_estimate(domains, constraints, depth + 1),
+            (depth + 1) * _domain_bytes(domains) + constraint_bytes,
         )
 
         # check filtering status
@@ -195,7 +202,9 @@ class ConstraintSolver:
             for value in domain.iter_values():
                 child = dict(domains)
                 child[variable] = Domain.singleton(value)
-                result = self._search(child, constraints, depth + 1, stats, deadline)
+                result = self._search(
+                    child, constraints, constraint_bytes, depth + 1, stats, deadline
+                )
                 if result is not None:
                     return result
             return None
@@ -203,7 +212,9 @@ class ConstraintSolver:
         for half in domain.split():
             child = dict(domains)
             child[variable] = half
-            result = self._search(child, constraints, depth + 1, stats, deadline)
+            result = self._search(
+                child, constraints, constraint_bytes, depth + 1, stats, deadline
+            )
             if result is not None:
                 return result
         return None
@@ -231,20 +242,23 @@ class ConstraintSolver:
                     changed = True
         return domains
 
-    @staticmethod
-    def _memory_estimate(
-        domains: dict[str, Domain], constraints: list[Constraint], depth: int
-    ) -> int:
-        """Rough, deterministic memory model of the solver state.
 
-        ``depth`` copies of the domain store (the backtracking stack) plus the
-        stored constraint expressions.  The estimate is proportional to the
-        state-vector width, which is what makes the Table 2 memory column
-        respond to the state-space optimisations the same way SAL does.
-        """
-        domain_bits = sum(domain.bits() for domain in domains.values())
-        domain_bytes = (domain_bits + 7) // 8 + 16 * len(domains)
-        constraint_bytes = sum(
-            32 * expression_node_count(constraint.expr) for constraint in constraints
-        )
-        return depth * domain_bytes + constraint_bytes
+# ---------------------------------------------------------------------- #
+# memory model
+# ---------------------------------------------------------------------- #
+# A rough, deterministic memory model of the solver state: ``depth`` copies of
+# the domain store (the backtracking stack) plus the stored constraint
+# expressions.  The estimate is proportional to the state-vector width, which
+# is what makes the Table 2 memory column respond to the state-space
+# optimisations the same way SAL does.
+
+
+def _domain_bytes(domains: dict[str, Domain]) -> int:
+    """Bytes of one copy of the domain store."""
+    domain_bits = sum(domain.bits() for domain in domains.values())
+    return (domain_bits + 7) // 8 + 16 * len(domains)
+
+
+def _constraint_bytes(constraints: list[Constraint]) -> int:
+    """Bytes of the stored constraint expressions."""
+    return sum(32 * expression_node_count(constraint.expr) for constraint in constraints)

@@ -24,12 +24,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..hw.board import EvaluationBoard
 from ..hw.interpreter import RunResult
 from ..resilience import injector_armed
 from .inputs import InputSpace
-from .targets import CoverageTracker, PathTarget
+from .targets import CoverageTracker, PathTarget, block_ids
 
 
 @dataclass
@@ -75,6 +76,9 @@ class _Individual:
     fitness: float = float("inf")
 
 
+_by_fitness = attrgetter("fitness")
+
+
 class GeneticTestDataGenerator:
     """Search-based test-data generation for individual path targets."""
 
@@ -92,8 +96,10 @@ class GeneticTestDataGenerator:
         self._rng = random.Random(self._options.seed)
         self.statistics = GeneticStatistics()
         #: per-target guidance paths: block sequence from the function entry
-        #: through the target path, plus the CFG edge taken at every step
-        self._guidance_cache: dict[tuple, tuple[tuple[int, ...], dict[int, tuple[int, str]]]] = {}
+        #: through the target path, plus the decision taken at every step
+        self._guidance_cache: dict[
+            tuple, tuple[tuple[int, ...], dict[int, tuple[str, tuple[int, ...]]]]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     def search(
@@ -111,22 +117,27 @@ class GeneticTestDataGenerator:
         search keeps its fitness and is not run again: a repeated run can
         neither change the fitness nor cover anything new.  It still counts
         as an evaluation.  While a fault injector is armed every evaluation
-        runs, so fault-site hits are numbered as without the reuse.
+        runs, so fault-site hits are numbered as without the reuse.  Runs
+        that take the same block trace share one approach level.
         """
         options = self._options
         self.statistics.targets_attempted += 1
         outcome = GeneticOutcome(target=target, covered=False)
-        scored: dict[tuple, float] | None = None if injector_armed() else {}
+        # every vector of a search is in InputSpace variable order (the
+        # initial population is clamped or drawn by the space, and crossover
+        # and mutation keep the order), so its values identify it
+        scored: dict[tuple[int, ...], float] | None = None if injector_armed() else {}
+        matched: dict[tuple[int, ...], int] = {}
 
         population = self._initial_population(seed_vectors)
         for individual in population:
-            self._evaluate(individual, target, coverage, outcome, scored)
+            self._evaluate(individual, target, coverage, outcome, scored, matched)
             if individual.fitness == 0.0:
                 return self._finish(outcome, individual)
 
         for generation in range(options.max_generations):
             self.statistics.generations += 1
-            population.sort(key=lambda ind: ind.fitness)
+            population.sort(key=_by_fitness)
             next_population: list[_Individual] = population[: options.elitism]
             while len(next_population) < options.population_size:
                 parent_a = self._tournament(population)
@@ -142,13 +153,13 @@ class GeneticTestDataGenerator:
                 child = _Individual(
                     vector=self._space.mutate(child_vector, self._rng, options.mutation_rate)
                 )
-                self._evaluate(child, target, coverage, outcome, scored)
+                self._evaluate(child, target, coverage, outcome, scored, matched)
                 if child.fitness == 0.0:
                     return self._finish(outcome, child)
                 next_population.append(child)
             population = next_population
             del generation
-        population.sort(key=lambda ind: ind.fitness)
+        population.sort(key=_by_fitness)
         outcome.best_fitness = population[0].fitness if population else float("inf")
         return outcome
 
@@ -169,7 +180,7 @@ class GeneticTestDataGenerator:
         contenders = self._rng.sample(
             population, min(self._options.tournament_size, len(population))
         )
-        return min(contenders, key=lambda ind: ind.fitness)
+        return min(contenders, key=_by_fitness)
 
     def _finish(self, outcome: GeneticOutcome, winner: _Individual) -> GeneticOutcome:
         outcome.covered = True
@@ -187,15 +198,17 @@ class GeneticTestDataGenerator:
         target: PathTarget,
         coverage: CoverageTracker | None,
         outcome: GeneticOutcome,
-        scored: dict[tuple, float] | None,
+        scored: dict[tuple[int, ...], float] | None,
+        matched: dict[tuple[int, ...], int],
     ) -> None:
-        key = tuple(sorted(individual.vector.items()))
+        key = tuple(individual.vector.values())
         fitness = scored.get(key) if scored is not None else None
         if fitness is None:
             run = self._board.run(self._function, individual.vector)
-            fitness = self.fitness(run, target)
+            trace = block_ids(run)
+            fitness = self._fitness(run, trace, target, matched)
             if coverage is not None:
-                coverage.record_run(run)
+                coverage.record_trace(trace, run.inputs)
             if scored is not None:
                 scored[key] = fitness
         self.statistics.evaluations += 1
@@ -212,26 +225,43 @@ class GeneticTestDataGenerator:
         distance of the decision where execution left the guidance path
         provides the fine-grained gradient (Tracey-style objective).
         """
-        guidance, desired_edges = self._guidance(target)
-        executed = run.executed_blocks
-        matched = 0
-        position = 0
-        for block in executed:
-            if matched < len(guidance) and block == guidance[matched]:
-                matched += 1
-            position += 1
+        return self._fitness(run, block_ids(run), target, {})
+
+    def _fitness(
+        self,
+        run: RunResult,
+        trace: tuple[int, ...],
+        target: PathTarget,
+        matched_by_trace: dict[tuple[int, ...], int],
+    ) -> float:
+        """:meth:`fitness` of *run*, whose block trace is *trace*.
+
+        ``matched_by_trace`` maps the traces already scored against *target*
+        to their matched guidance prefix; only the branch distance at the
+        divergence depends on the inputs.
+        """
+        guidance, decisions = self._guidance(target)
+        matched = matched_by_trace.get(trace)
+        if matched is None:
+            matched = matched_by_trace[trace] = _matched_prefix(guidance, trace)
         if matched == len(guidance):
             return 0.0
         approach = len(guidance) - matched
-        diverged_at = guidance[matched - 1] if matched > 0 else None
-        return float(approach) + self._divergence_distance(
-            run, target, diverged_at, desired_edges
+        if matched == 0:
+            return float(approach) + 0.999
+        diverged_at = guidance[matched - 1]
+        return float(approach) + _divergence_distance(
+            run, diverged_at, decisions.get(diverged_at, _NO_DECISION)
         )
 
     def _guidance(
         self, target: PathTarget
-    ) -> tuple[tuple[int, ...], dict[int, tuple[int, str]]]:
-        """Guidance path and desired outgoing edge per guidance block."""
+    ) -> tuple[tuple[int, ...], dict[int, tuple[str, tuple[int, ...]]]]:
+        """Guidance path, and the desired decision at each guidance block.
+
+        A decision is the kind of the outgoing edge the guidance path takes
+        and, when a ``case`` edge leads to the same successor, its labels.
+        """
         key = target.key
         if key in self._guidance_cache:
             return self._guidance_cache[key]
@@ -269,71 +299,59 @@ class GeneticTestDataGenerator:
         guidance = tuple(prefix) + tuple(target.blocks)
         for source, target_block, kind in target.edges:
             desired.setdefault(source, (target_block, kind))
-        result = (guidance, desired)
+        decisions: dict[int, tuple[str, tuple[int, ...]]] = {}
+        for block, (successor, kind) in desired.items():
+            labels = next(
+                (
+                    tuple(edge.case_values)
+                    for edge in cfg.out_edges(block)
+                    if edge.target == successor and edge.kind is EdgeKind.CASE
+                ),
+                (),
+            )
+            decisions[block] = (kind, labels)
+        result = (guidance, decisions)
         self._guidance_cache[key] = result
         return result
 
-    def _divergence_distance(
-        self,
-        run: RunResult,
-        target: PathTarget,
-        diverged_at: int | None,
-        desired_edges: dict[int, tuple[int, str]] | None = None,
-    ) -> float:
-        """Normalised distance of the diverging decision toward the desired edge."""
-        if diverged_at is None:
-            return 0.999
-        desired_kind: str | None = None
-        if desired_edges and diverged_at in desired_edges:
-            desired_kind = desired_edges[diverged_at][1]
-        else:
-            for source, target_block, kind in target.edges:
-                del target_block
-                if source == diverged_at:
-                    desired_kind = kind
-                    break
-        # two-way branches: use the recorded branch distances
-        for event in reversed(run.branch_events):
-            if event.block_id == diverged_at:
-                if desired_kind == "true" or desired_kind == "back":
-                    distance = event.distance_true
-                elif desired_kind == "false":
-                    distance = event.distance_false
-                else:
-                    distance = min(event.distance_true, event.distance_false)
-                return _normalise(distance)
-        # switch dispatches: distance between the scrutinee value and the label
-        for event in reversed(run.switch_events):
-            if event.block_id == diverged_at:
-                desired_values = self._case_values(target, diverged_at, desired_edges)
-                if desired_values:
-                    distance = min(abs(event.value - v) for v in desired_values)
-                    return _normalise(float(distance))
-                return 0.5
-        return 0.999
 
-    def _case_values(
-        self,
-        target: PathTarget,
-        block_id: int,
-        desired_edges: dict[int, tuple[int, str]] | None = None,
-    ) -> tuple[int, ...]:
-        """Case-label values of the switch edge the guidance path takes at *block_id*."""
-        cfg = self._board.cfg(self._function)
-        wanted_target: int | None = None
-        if desired_edges and block_id in desired_edges:
-            wanted_target = desired_edges[block_id][0]
-        else:
-            for source, target_block, kind in target.edges:
-                if source == block_id and kind == "case":
-                    wanted_target = target_block
-                    break
-        if wanted_target is None:
-            return ()
-        for edge in cfg.out_edges(block_id):
-            if edge.target == wanted_target and edge.kind.value == "case":
-                return tuple(edge.case_values)
-        return ()
+#: the decision of a guidance block the guidance path leaves by no known edge
+_NO_DECISION: tuple[str | None, tuple[int, ...]] = (None, ())
+
+
+def _divergence_distance(
+    run: RunResult, diverged_at: int, decision: tuple[str | None, tuple[int, ...]]
+) -> float:
+    """Normalised distance of the decision at *diverged_at* toward the desired one."""
+    desired_kind, labels = decision
+    # two-way branches: use the recorded branch distances
+    for event in reversed(run.branch_events):
+        if event.block_id == diverged_at:
+            if desired_kind == "true" or desired_kind == "back":
+                distance = event.distance_true
+            elif desired_kind == "false":
+                distance = event.distance_false
+            else:
+                distance = min(event.distance_true, event.distance_false)
+            return _normalise(distance)
+    # switch dispatches: distance between the scrutinee value and the label
+    for event in reversed(run.switch_events):
+        if event.block_id == diverged_at:
+            if labels:
+                return _normalise(float(min(abs(event.value - v) for v in labels)))
+            return 0.5
+    return 0.999
+
+
+def _matched_prefix(guidance: tuple[int, ...], trace: tuple[int, ...]) -> int:
+    """Length of the longest prefix of *guidance* that is a subsequence of *trace*."""
+    matched = 0
+    for block in trace:
+        if block == guidance[matched]:
+            matched += 1
+            if matched == len(guidance):
+                break
+    return matched
 
 
 def _normalise(distance: float) -> float:

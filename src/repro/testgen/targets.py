@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Mapping
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.paths import enumerate_paths
@@ -90,6 +91,8 @@ class CoverageTracker:
     _by_entry: dict[int, list[tuple[int, ProgramSegment]]] = field(
         init=False, repr=False, compare=False
     )
+    #: block traces already recorded
+    _seen_traces: set[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_key = {}
@@ -98,6 +101,7 @@ class CoverageTracker:
         self._by_entry = {}
         for position, segment in enumerate(self.partition.segments):
             self._by_entry.setdefault(segment.entry_block, []).append((position, segment))
+        self._seen_traces = set()
 
     @classmethod
     def create(cls, partition: PartitionResult, cfg: ControlFlowGraph) -> "CoverageTracker":
@@ -105,16 +109,27 @@ class CoverageTracker:
 
     # ------------------------------------------------------------------ #
     def record_run(self, run: RunResult) -> list[PathTarget]:
-        """Record one executed run; return the targets it covered for the first time.
+        """Record one executed run; return the targets it covered for the first time."""
+        return self.record_trace(block_ids(run), run.inputs)
 
-        A segment's observed path is its first traversal: the blocks from
-        the first entry into the segment's entry block up to the first
-        block outside the segment.
+    def record_trace(
+        self, trace: tuple[int, ...], inputs: Mapping[str, int]
+    ) -> list[PathTarget]:
+        """Record a run's block trace; return the targets it covered for the first time.
+
+        *inputs* is the run's input vector.  A segment's observed path is
+        its first traversal: the blocks from the first entry into the
+        segment's entry block up to the first block outside the segment.
+        What a trace covers depends on the trace alone and ``covered`` only
+        grows, so a trace recorded before covers nothing new and is not
+        walked again.
         """
+        if trace in self._seen_traces:
+            return []
+        self._seen_traces.add(trace)
         newly_covered: list[PathTarget] = []
-        executed = run.executed_blocks
         # walking the trace backwards leaves each block's first index
-        first_index = dict(zip(reversed(executed), range(len(executed) - 1, -1, -1)))
+        first_index = dict(zip(reversed(trace), range(len(trace) - 1, -1, -1)))
         entered = [
             (position, segment, start)
             for block, start in first_index.items()
@@ -122,13 +137,13 @@ class CoverageTracker:
         ]
         entered.sort(key=itemgetter(0))
         for _, segment, start in entered:
-            key = (segment.segment_id, _first_traversal(segment, executed, start))
+            key = (segment.segment_id, _first_traversal(segment, trace, start))
             if key in self.covered:
                 continue
             target = self._by_key.get(key)
             if target is None:
                 continue
-            self.covered[key] = dict(run.inputs)
+            self.covered[key] = dict(inputs)
             newly_covered.append(target)
         return newly_covered
 
@@ -136,24 +151,30 @@ class CoverageTracker:
     def uncovered_targets(self) -> list[PathTarget]:
         return [target for target in self.targets if target.key not in self.covered]
 
+    # ``covered`` holds target keys only, and no two targets share a key
     def coverage_ratio(self) -> float:
-        if not self.targets:
+        if not self._by_key:
             return 1.0
-        return len([t for t in self.targets if t.key in self.covered]) / len(self.targets)
+        return len(self.covered) / len(self._by_key)
 
     def is_complete(self) -> bool:
-        return not self.uncovered_targets()
+        return len(self.covered) == len(self._by_key)
 
     def covering_vector(self, target: PathTarget) -> dict[str, int] | None:
         return self.covered.get(target.key)
 
 
+def block_ids(run: RunResult) -> tuple[int, ...]:
+    """The block-id trace of *run*, in execution order."""
+    return tuple([event.block_id for event in run.block_trace])
+
+
 def _first_traversal(
-    segment: ProgramSegment, executed: list[int], start: int
+    segment: ProgramSegment, trace: tuple[int, ...], start: int
 ) -> tuple[int, ...]:
-    """The blocks of *segment* from ``executed[start]`` to the first block outside it."""
+    """The blocks of *segment* from ``trace[start]`` to the first block outside it."""
     inside = segment.block_ids
     end = start + 1
-    while end < len(executed) and executed[end] in inside:
+    while end < len(trace) and trace[end] in inside:
         end += 1
-    return tuple(executed[start:end])
+    return trace[start:end]

@@ -224,3 +224,97 @@ class TestSolver:
         solution = solver.solve([Constraint(parse_expression("x == 2"))])
         assert solution is not None
         assert "free" in solution.assignment
+
+
+class _RecordingSolver(ConstraintSolver):
+    """Records the depth and the propagated domains of every search node."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.searches = 0
+        self.nodes_seen: list[tuple[int, dict[str, Domain]]] = []
+        self._depth = 0
+
+    def _search(self, domains, constraints, constraint_bytes, depth, stats, deadline):
+        self.searches += 1
+        self._depth = depth
+        return super()._search(domains, constraints, constraint_bytes, depth, stats, deadline)
+
+    def _propagate(self, domains, constraints, stats):
+        # a node propagates before it branches, so ``_depth`` is its own
+        propagated = super()._propagate(domains, constraints, stats)
+        self.nodes_seen.append((self._depth, propagated))
+        return propagated
+
+
+def _reference_memory_estimate(domains, constraints, depth):
+    """The per-node memory formula, recounting every constraint at every node."""
+    from repro.solver.expression import expression_node_count
+
+    domain_bits = sum(IntRange(d.lo, d.hi).bits() for d in domains.values())
+    domain_bytes = (domain_bits + 7) // 8 + 16 * len(domains)
+    constraint_bytes = sum(
+        32 * expression_node_count(constraint.expr) for constraint in constraints
+    )
+    return depth * domain_bytes + constraint_bytes
+
+
+class TestSolverAccounting:
+    """``peak_memory_bytes`` and ``nodes`` against the per-node formula."""
+
+    #: (variables, stored constraints, per-call constraints, satisfiable,
+    #: pinned nodes, pinned peak memory bytes)
+    PROBLEMS = {
+        "sat": (
+            {"a": IntRange(0, 30), "b": IntRange(0, 30)},
+            ["a + b > 20", "a < 10"],
+            ["b != 15"],
+            True,
+            10,
+            484,
+        ),
+        "unsat": (
+            {"x": IntRange(2, 40), "y": IntRange(2, 40)},
+            ["x * y == 37"],
+            [],
+            False,
+            263,
+            391,
+        ),
+        "bisection": (
+            {"x": IntRange(-32768, 32767), "y": IntRange(0, 1000)},
+            ["x == 12345 + y"],
+            ["y * 3 == 999"],
+            True,
+            2174,
+            815,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_statistics_match_the_per_node_formula(self, name):
+        variables, stored, extra, satisfiable, nodes, peak = self.PROBLEMS[name]
+        stored_constraints = [Constraint(parse_expression(text)) for text in stored]
+        extra_constraints = [Constraint(parse_expression(text)) for text in extra]
+        solver = _RecordingSolver(variables, stored_constraints)
+        solution = solver.solve(extra_constraints)
+        assert (solution is not None) == satisfiable
+
+        constraints = stored_constraints + extra_constraints
+        initial = {name: Domain.from_range(rng) for name, rng in variables.items()}
+        expected_peak = max(
+            [_reference_memory_estimate(initial, constraints, 1)]
+            + [
+                _reference_memory_estimate(domains, constraints, depth + 1)
+                for depth, domains in solver.nodes_seen
+            ]
+        )
+        assert solver.statistics.nodes == solver.searches
+        assert solver.statistics.peak_memory_bytes == expected_peak
+        assert (solver.statistics.nodes, solver.statistics.peak_memory_bytes) == (nodes, peak)
+
+    def test_domain_bits_match_int_range_bits(self):
+        bounds = [(lo, hi) for lo in range(-70, 70) for hi in range(lo, lo + 140)]
+        bounds += [(-(2**31), 2**31 - 1), (0, 2**32 - 1), (-(2**15), 2**15 - 1), (0, 2**63)]
+        for lo, hi in bounds:
+            assert Domain(lo, hi).bits() == IntRange(lo, hi).bits(), (lo, hi)

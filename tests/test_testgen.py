@@ -381,6 +381,90 @@ class TestGeneticFitnessReuse:
         assert outcomes[-1].best_fitness == 1.8888888888888888
 
 
+class TestPerTraceMemos:
+    """The trace and approach-level memos against recomputation on every run.
+
+    One analysis of controller 11 is recorded: every trace the coverage
+    tracker is handed, with what it returned, and every fitness a genetic
+    search computed, next to the fitness a fresh generator computes for the
+    same run and target.
+    """
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        from types import SimpleNamespace
+
+        from repro.pipeline.analyzer import WcetAnalyzer
+        from repro.testgen.genetic import _matched_prefix
+        from repro.testgen.targets import block_ids
+        from repro.workloads.targetlink import generate_small_application
+
+        record_trace = CoverageTracker.record_trace
+        fitness = GeneticTestDataGenerator._fitness
+        recorded = SimpleNamespace(trackers=[], traces=[], scores=[])
+        fresh_scoring = False
+
+        def recording_record_trace(tracker, trace, inputs):
+            newly = record_trace(tracker, trace, inputs)
+            if not any(seen is tracker for seen in recorded.trackers):
+                recorded.trackers.append(tracker)
+            recorded.traces.append((trace, dict(inputs), newly))
+            return newly
+
+        def recording_fitness(generator, run, trace, target, matched_by_trace):
+            nonlocal fresh_scoring
+            value = fitness(generator, run, trace, target, matched_by_trace)
+            if fresh_scoring:
+                return value
+            fresh_scoring = True
+            try:
+                # a generator per pair, so no memo can carry over
+                fresh = GeneticTestDataGenerator(
+                    generator._board, generator._function, generator._space
+                ).fitness(run, target)
+            finally:
+                fresh_scoring = False
+            guidance, _ = generator._guidance(target)
+            matched = _matched_prefix(guidance, block_ids(run))
+            at_switch = 0 < matched < len(guidance) and any(
+                event.block_id == guidance[matched - 1] for event in run.switch_events
+            )
+            recorded.scores.append((target.key, trace, value, fresh, at_switch))
+            return value
+
+        app = generate_small_application(seed=11)
+        analyzed = parse_and_analyze(app.source)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CoverageTracker, "record_trace", recording_record_trace)
+            patch.setattr(GeneticTestDataGenerator, "_fitness", recording_fitness)
+            WcetAnalyzer(analyzed, app.function_name).analyze()
+        return recorded
+
+    def test_skipped_traces_cover_what_a_full_scan_covers(self, recorded):
+        from types import SimpleNamespace
+
+        assert len(recorded.trackers) == 1
+        tracker = recorded.trackers[0]
+        covered: dict = {}
+        for trace, inputs, newly in recorded.traces:
+            run = SimpleNamespace(executed_blocks=list(trace), inputs=inputs)
+            assert newly == _reference_record_run(tracker, covered, run)
+        assert list(tracker.covered.items()) == list(covered.items())
+        # most runs repeat an earlier trace, so most were skipped
+        distinct = {trace for trace, _, _ in recorded.traces}
+        assert 10 * len(distinct) < len(recorded.traces)
+
+    def test_memoised_fitness_equals_fresh_fitness(self, recorded):
+        for key, _, value, fresh, _ in recorded.scores:
+            assert value == fresh, key
+        # the memo answered most evaluations, across several targets, and
+        # switch divergences were among them
+        distinct = {(key, trace) for key, trace, _, _, _ in recorded.scores}
+        assert 10 * len(distinct) < len(recorded.scores)
+        assert len({key for key, _, _, _, _ in recorded.scores}) > 1
+        assert any(at_switch for _, _, _, _, at_switch in recorded.scores)
+
+
 class TestModelCheckingGenerator:
     def test_covers_the_needle_exactly(self, needle):
         analyzed, cfg, partition, board, _ = needle
