@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from repro.cfg import build_cfg
-from repro.mc import EngineKind, ModelChecker, ModelCheckerOptions, Verdict
+from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
 from repro.optim import TABLE2_CONFIGURATIONS, build_optimized_model
 from repro.workloads.optimisation_eval import (
     EVAL_FUNCTION_NAME,
@@ -47,7 +47,10 @@ PAPER_TABLE2 = {
 def _run_configuration(eval_program, name, config):
     model = build_optimized_model(eval_program, EVAL_FUNCTION_NAME, config)
     target = find_target_block(model.translation.cfg)
-    checker = ModelChecker(model.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+    checker = ModelChecker(
+        model.translation,
+        QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False),
+    )
     started = time.perf_counter()
     result = checker.find_test_data_for_block(target)
     elapsed = time.perf_counter() - started

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro.mc import EngineKind, ModelChecker, ModelCheckerOptions
+from repro.mc import EngineKind, ModelChecker, QueryEngineOptions
 from repro.optim import TABLE2_CONFIGURATIONS, build_optimized_model
 from repro.workloads.optimisation_eval import (
     EVAL_FUNCTION_NAME,
@@ -43,7 +43,8 @@ def main() -> None:
         model = build_optimized_model(analyzed, EVAL_FUNCTION_NAME, config)
         target = find_target_block(model.translation.cfg)
         checker = ModelChecker(
-            model.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
+            model.translation,
+            QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False),
         )
         started = time.perf_counter()
         result = checker.find_test_data_for_block(target)

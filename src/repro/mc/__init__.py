@@ -8,7 +8,7 @@ tool chain talks to.
 
 from __future__ import annotations
 
-from .checker import ModelChecker, ModelCheckerOptions
+from .checker import ModelChecker
 from .explicit import ExplicitEngineOptions, ExplicitStateEngine, StateSpaceTooLarge
 from .property import GoalBuilder, ReachabilityGoal
 from .query import (
@@ -34,7 +34,6 @@ from .symbolic import SymbolicEngine, SymbolicEngineOptions
 __all__ = [
     "EngineKind",
     "ModelChecker",
-    "ModelCheckerOptions",
     "ExplicitEngineOptions",
     "ExplicitStateEngine",
     "StateSpaceTooLarge",

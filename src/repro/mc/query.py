@@ -10,17 +10,16 @@ Every model-checking question the WCET tool chain asks ("reach this block",
 * a :class:`QueryEngine` runs each goal through a budgeted engine
   portfolio: explicit enumeration when the (sliced) initial state space is
   small, then symbolic search on the goal's cone-of-influence slice
-  (:mod:`repro.mc.slicing`), escalating to the full model only when the
-  slice could not answer;
+  (:mod:`repro.mc.slicing`), or on the full model when slicing is off or
+  removed nothing.  The slice is verdict-exact and the stages share one
+  budget, so a full-model search after the slice could settle nothing the
+  slice left open;
 * a :class:`QueryBudget` bounds every query with step / solver-call /
   deadline limits; when the budget runs out the result carries the typed
   :class:`~repro.mc.result.BudgetExhausted` verdict, which the WCET layer
   treats as "unreached, pessimise" instead of hanging on an unbounded
   search;
-* witnesses are memoised per ``(slice fingerprint, goal)`` and replayed
-  against later goals of the batch (a witness that reaches block 40 through
-  block 17 also answers the block-17 query), and proven-infeasible label
-  sequences subsume every extension;
+* proven-infeasible label sequences subsume every extension;
 * when a persistent :class:`~repro.mc.store.QueryStore` is ambient
   (:func:`~repro.mc.store.using_query_store`), settled verdicts and
   witnesses survive the process: they are written through the crash-safe
@@ -29,10 +28,9 @@ Every model-checking question the WCET tool chain asks ("reach this block",
   warm run answers every planned query from disk with zero solver calls.
 
 Progress is surfaced through :mod:`repro.perf`: counters ``mc.query.*``
-(planned / sliced / cache_hits / escalations / budget_exhausted /
-prefix_hits / witness_reuse / store_hits / store_misses / store_writes /
-replay_failures / solver_runs / static_prunes) and timers ``mc.plan`` /
-``mc.slice`` / ``mc.solve``.
+(planned / sliced / budget_exhausted / engine_faults / prefix_hits /
+store_hits / store_misses / store_writes / replay_failures / solver_runs /
+static_prunes) and timers ``mc.plan`` / ``mc.slice`` / ``mc.solve``.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ class PlannedQuery:
 
     ``key`` is the caller's handle (the test-data generator uses the path
     target's key); probes carry synthetic keys and are executed only for
-    their side effects on the shared infeasible-prefix/witness bookkeeping.
+    their side effect on the shared infeasible-prefix bookkeeping.
     """
 
     key: object
@@ -114,10 +112,9 @@ class QueryPlan:
 
     Edge-sequence goals are clustered lexicographically by their label
     sequences so goals sharing prefixes run back to back (maximising
-    witness reuse and prefix subsumption), and shared prefixes whose probe
-    is expected to pay for itself (:meth:`_probe_prefixes`) get a
-    feasibility probe that runs first: one UNREACHABLE probe answers every
-    goal extending it.
+    prefix subsumption), and shared prefixes whose probe is expected to pay
+    for itself (:meth:`_probe_prefixes`) get a feasibility probe that runs
+    first: one UNREACHABLE probe answers every goal extending it.
     """
 
     def __init__(self, items: list[PlannedQuery]):
@@ -207,19 +204,22 @@ class QueryPlan:
         )
 
 
+#: explicit enumeration is attempted (AUTO mode) when the free state space
+#: of the (sliced) model has at most this many bits
+EXPLICIT_BITS_THRESHOLD = 16
+
+
 @dataclass
 class QueryEngineOptions:
-    """Configuration of the query engine (budget + portfolio + slicing)."""
+    """Configuration of the query engine and of every checker built on it."""
 
     engine: EngineKind = EngineKind.AUTO
     #: None = no external budget (the engines' own defaults still apply)
     budget: QueryBudget | None = None
+    #: per-goal cone-of-influence slicing (``--no-slicing`` disables it)
     slicing: bool = True
     symbolic: SymbolicEngineOptions | None = None
     explicit: ExplicitEngineOptions | None = None
-    #: explicit enumeration is attempted when the free state space of the
-    #: (sliced) model has at most this many bits
-    explicit_bits_threshold: int = 16
     #: optional sound static prefilter (duck-typed, see
     #: :class:`repro.sa.feasibility.StaticPrefilter`): anything exposing
     #: ``goal_is_unreachable(goal, location_block) -> bool`` whose True
@@ -233,11 +233,8 @@ class QueryEngineStats:
 
     planned: int = 0
     sliced: int = 0
-    cache_hits: int = 0
-    escalations: int = 0
     budget_exhausted: int = 0
     prefix_hits: int = 0
-    witness_reuse: int = 0
     #: queries degraded to ENGINE_FAULT because every stage's solver died
     #: on an injected fault
     engine_faults: int = 0
@@ -276,12 +273,8 @@ class QueryEngine:
         self._forward: frozenset[int] | None = None
         #: goal-seed -> GoalSlice (many goals share one slice)
         self._slices: dict[object, GoalSlice | None] = {}
-        #: (slice fingerprint, goal) -> memoised result
-        self._memo: dict[tuple[str, ReachabilityGoal], CheckResult] = {}
         #: label sequences proven infeasible (subsume every extension)
         self._infeasible_prefixes: list[tuple[str, ...]] = []
-        #: completed witnesses, replayed against later goals of a batch
-        self._witnesses: list[Counterexample] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -302,11 +295,11 @@ class QueryEngine:
         self.stats.planned += 1
         perf.add("mc.query.planned")
 
-        # 0. sound static prefilter: goals the interval analysis proved
+        # 1. sound static prefilter: goals the interval analysis proved
         #    unreachable are settled before slicing or any engine work.
-        #    Deliberately neither memoised nor persisted -- the proof is
-        #    free to recompute, and warm-run store gates (store_hits ==
-        #    planned) keep counting only solver-shaped queries.
+        #    Deliberately not persisted -- the proof is free to recompute,
+        #    and warm-run store gates (store_hits == planned) keep counting
+        #    only solver-shaped queries.
         prefilter = self._options.prefilter
         if prefilter is not None and prefilter.goal_is_unreachable(
             goal, self._translation.location_block
@@ -319,32 +312,20 @@ class QueryEngine:
                 goal_description=goal.description,
             )
 
-        # 1. per-(slice content, goal) memo -- in-process; unlike the
-        #    persistent store it also remembers UNKNOWN/BUDGET_EXHAUSTED
-        goal_slice = self._slice_for(goal)
-        fingerprint = self._content_fingerprint(goal_slice)
-        memo_key = (fingerprint, goal)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            perf.add("mc.query.cache_hits")
-            # a fresh result shell charging (near) zero time: the hit did not
-            # re-run the search, and handing out the memoised statistics
-            # object would double-bill the original query's cost per sibling
-            return replace(
-                cached, statistics=replace(cached.statistics, time_seconds=0.0)
-            )
-
         # 2. the persistent store: replay-validated verdicts from earlier
         #    runs (and from other functions sharing this cone).  Checked
-        #    before prefix subsumption and witness reuse so a warm run
-        #    answers *every* first-seen goal from disk (store_hits ==
-        #    planned), which is what the zero-solver-calls gate measures.
+        #    before prefix subsumption so a warm run answers *every*
+        #    first-seen goal from disk (store_hits == planned), which is
+        #    what the zero-solver-calls gate measures.
+        goal_slice = self._slice_for(goal)
         store = active_query_store()
-        replay_system = self._replay_system(goal_slice)
         if store is not None:
             failures_before = store.stats.replay_failures
-            loaded = store.load(fingerprint, goal, replay_system)
+            loaded = store.load(
+                self._content_fingerprint(goal_slice),
+                goal,
+                self._replay_system(goal_slice),
+            )
             self.stats.replay_failures += (
                 store.stats.replay_failures - failures_before
             )
@@ -352,7 +333,6 @@ class QueryEngine:
                 self.stats.store_hits += 1
                 result = self._from_store(goal, goal_slice, *loaded)
                 self._note_outcome(goal, result)
-                self._memo[memo_key] = result
                 return result
             self.stats.store_misses += 1
 
@@ -373,36 +353,24 @@ class QueryEngine:
                     )
                     # subsumption derives from a proof over this system, so
                     # the verdict is as persistable as the proof itself
-                    self._persist(store, fingerprint, goal, replay_system, result)
+                    self._persist(store, goal, goal_slice, result)
                     return result
 
-        # 4. an earlier witness may already answer this goal
-        reused = self._covered_by_known_witness(goal)
-        if reused is not None:
-            self.stats.witness_reuse += 1
-            perf.add("mc.query.witness_reuse")
-            self._memo[memo_key] = reused
-            self._persist(store, fingerprint, goal, replay_system, reused)
-            return reused
-
-        # 5. the budgeted engine portfolio
+        # 4. the budgeted engine portfolio
         result = self._run_portfolio(goal, goal_slice)
-
-        # 6. bookkeeping for the rest of the batch (and later runs)
         self._note_outcome(goal, result)
         if result.verdict is not Verdict.ENGINE_FAULT:
             # a faulted query is a property of this run's fault plan, not of
-            # the goal: memoising it would let one injected crash answer
-            # later sibling goals with a degraded verdict
-            self._memo[memo_key] = result
-            self._persist(store, fingerprint, goal, replay_system, result)
+            # the goal: persisting it would let one injected crash answer
+            # the goal with a degraded verdict in later runs
+            self._persist(store, goal, goal_slice, result)
         return result
 
     # ------------------------------------------------------------------ #
     # persistent store plumbing
     # ------------------------------------------------------------------ #
     def _content_fingerprint(self, goal_slice: GoalSlice | None) -> str:
-        """The store/memo key component: content hash of the search model.
+        """The store key component: content hash of the search model.
 
         A slice that removed nothing hashes identically to the full system,
         so "no slicing" and "improper slice" share entries by construction.
@@ -420,7 +388,7 @@ class QueryEngine:
         return self._translation.system
 
     def _note_outcome(self, goal: ReachabilityGoal, result: CheckResult) -> None:
-        """Feed a settled result into the batch-shared bookkeeping."""
+        """Record a proven-infeasible label sequence for the rest of the batch."""
         if (
             result.verdict is Verdict.UNREACHABLE
             and goal.ordered_labels
@@ -428,22 +396,22 @@ class QueryEngine:
             and not goal.target_labels
         ):
             self._infeasible_prefixes.append(tuple(goal.ordered_labels))
-        if result.verdict is Verdict.REACHABLE and result.counterexample is not None:
-            if result.counterexample.trace:
-                self._witnesses.append(result.counterexample)
 
     def _persist(
         self,
         store: QueryStore | None,
-        fingerprint: str,
         goal: ReachabilityGoal,
-        replay_system,
+        goal_slice: GoalSlice | None,
         result: CheckResult,
     ) -> None:
         if store is None:
             return
         if store.save(
-            fingerprint, goal, replay_system, result.verdict, result.counterexample
+            self._content_fingerprint(goal_slice),
+            goal,
+            self._replay_system(goal_slice),
+            result.verdict,
+            result.counterexample,
         ):
             self.stats.store_writes += 1
 
@@ -530,54 +498,30 @@ class QueryEngine:
         return goal_slice
 
     # ------------------------------------------------------------------ #
-    # witness reuse
-    # ------------------------------------------------------------------ #
-    def _covered_by_known_witness(self, goal: ReachabilityGoal) -> CheckResult | None:
-        for witness in self._witnesses:
-            progress = 0
-            for index, transition in enumerate(witness.trace):
-                progress = goal.progress_after(transition, progress)
-                if goal.satisfied(transition.target, transition, progress):
-                    counterexample = Counterexample(
-                        inputs=dict(witness.inputs),
-                        initial_state=dict(witness.initial_state),
-                        trace=list(witness.trace[: index + 1]),
-                    )
-                    stats = self._empty_statistics()
-                    stats.steps = counterexample.steps
-                    return CheckResult(
-                        verdict=Verdict.REACHABLE,
-                        counterexample=counterexample,
-                        statistics=stats,
-                        goal_description=goal.description,
-                    )
-        return None
-
-    # ------------------------------------------------------------------ #
     # the portfolio
     # ------------------------------------------------------------------ #
     def _stages(
         self, goal_slice: GoalSlice | None
     ) -> list[tuple[str, TranslationResult]]:
-        """(label, model) stages in escalation order for this goal."""
-        sliced = (
-            goal_slice.translation
-            if goal_slice is not None and goal_slice.is_proper
-            else None
-        )
-        base = sliced if sliced is not None else self._translation
+        """(label, model) stages in portfolio order for this goal.
+
+        Every stage searches the same model: the goal's slice when it is
+        proper, the full model otherwise.
+        """
+        if goal_slice is not None and goal_slice.is_proper:
+            model, symbolic = goal_slice.translation, "symbolic:sliced"
+        else:
+            model, symbolic = self._translation, "symbolic:full"
         kind = self._options.engine
-        stages: list[tuple[str, TranslationResult]] = []
         if kind is EngineKind.EXPLICIT:
-            return [("explicit", base)]
-        if kind is EngineKind.AUTO:
-            bits = base.system.initial_state_bits()
-            if bits <= self._options.explicit_bits_threshold:
-                stages.append(("explicit", base))
-        label = "symbolic:sliced" if sliced is not None else "symbolic:full"
-        stages.append((label, base))
-        if sliced is not None:
-            stages.append(("symbolic:full", self._translation))
+            return [("explicit", model)]
+        stages: list[tuple[str, TranslationResult]] = []
+        if (
+            kind is EngineKind.AUTO
+            and model.system.initial_state_bits() <= EXPLICIT_BITS_THRESHOLD
+        ):
+            stages.append(("explicit", model))
+        stages.append((symbolic, model))
         return stages
 
     def _run_portfolio(
@@ -592,13 +536,12 @@ class QueryEngine:
         )
         spent_steps = 0
         spent_solver_calls = 0
-        stages = self._stages(goal_slice)
         engines_tried: list[str] = []
         last: CheckResult | None = None
         tripped_before_stage: str | None = None
 
         solver_faults: list[InjectedFault] = []
-        for index, (label, model) in enumerate(stages):
+        for label, model in self._stages(goal_slice):
             # the per-job wall-clock deadline (scheduler resilience) is
             # polled between stages -- solver stages are the long-running
             # part of a job besides interpreter runs
@@ -614,7 +557,7 @@ class QueryEngine:
             try:
                 with obs.span("mc.solve", engine=label), perf.timed("mc.solve"):
                     maybe_fault("mc.solve", goal.description)
-                    # the warm-run gate: a run answered entirely from memo,
+                    # the warm-run gate: a run answered entirely from
                     # subsumption and the store executes zero engine stages
                     self.stats.solver_runs += 1
                     perf.add("mc.query.solver_runs")
@@ -635,9 +578,6 @@ class QueryEngine:
             last = result
             if result.verdict in (Verdict.REACHABLE, Verdict.UNREACHABLE):
                 break
-            if index + 1 < len(stages):
-                self.stats.escalations += 1
-                perf.add("mc.query.escalations")
 
         if last is None and solver_faults:
             # every stage that ran died on an injected solver fault: degrade

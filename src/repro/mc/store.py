@@ -1,8 +1,8 @@
 """Persistent per-``(slice fingerprint, goal)`` verdict store.
 
-The PR 4 query memo dies with its process: every ``project`` run and every
-service job re-solves reachability queries whose sliced transition systems
-have not changed.  This module persists verdicts *and witnesses* through
+Without it every ``project`` run and every service job re-solves
+reachability queries whose sliced transition systems have not changed.
+This module persists verdicts *and witnesses* through
 the crash-safe :class:`~repro.project.cache.ResultCache` (query namespace,
 see :meth:`ResultCache.get_query`) keyed by the *content* fingerprint of
 the sliced system (:func:`repro.mc.slicing.system_fingerprint`) and a

@@ -17,7 +17,6 @@ from .hybrid import (
 )
 from .inputs import InputSpace, InputVariable
 from .modelcheck_gen import (
-    ModelCheckGeneratorOptions,
     ModelCheckGeneratorStatistics,
     ModelCheckOutcome,
     ModelCheckingTestDataGenerator,
@@ -38,7 +37,6 @@ __all__ = [
     "TestSuite",
     "InputSpace",
     "InputVariable",
-    "ModelCheckGeneratorOptions",
     "ModelCheckGeneratorStatistics",
     "ModelCheckOutcome",
     "ModelCheckingTestDataGenerator",

@@ -32,15 +32,16 @@ from dataclasses import dataclass, field
 
 from ..cfg.graph import ControlFlowGraph
 from ..hw.board import EvaluationBoard
+from ..mc.query import QueryEngineOptions
 from ..minic.semantic import AnalyzedProgram
 from ..resilience import InjectedFault
 from ..partition.segment import PartitionResult
 from .genetic import GeneticOptions, GeneticTestDataGenerator
 from .inputs import InputSpace
 from .modelcheck_gen import (
-    ModelCheckGeneratorOptions,
     ModelCheckingTestDataGenerator,
     TargetStatus,
+    default_options,
 )
 from .random_gen import RandomTestDataGenerator
 from .targets import CoverageTracker, PathTarget
@@ -67,9 +68,7 @@ class HybridOptions:
     #: hard cap on random vectors
     max_random_vectors: int = 2_000
     genetic: GeneticOptions = field(default_factory=GeneticOptions)
-    model_checking: ModelCheckGeneratorOptions = field(
-        default_factory=ModelCheckGeneratorOptions
-    )
+    model_checking: QueryEngineOptions = field(default_factory=default_options)
     #: random seed of the random phase
     seed: int = 0
     #: skip the genetic phase entirely (for experiments)
@@ -104,7 +103,7 @@ class TestSuite:
     budget_exhausted_queries: int = 0
     #: queries where every engine stage died on an (injected) solver fault
     engine_fault_queries: int = 0
-    #: query-engine counters (planned/sliced/cache_hits/escalations/...)
+    #: query-engine counters (planned/sliced/prefix_hits/solver_runs/...)
     mc_diagnostics: dict[str, int] = field(default_factory=dict)
     #: injected faults that cut a generation phase short (degradation
     #: diagnostics; the analyzer pessimises the bound when any occurred)
@@ -284,7 +283,7 @@ class HybridTestDataGenerator:
             self._analyzed, self._function, self._options.model_checking
         )
         # one query plan for every remaining target: shared path prefixes are
-        # probed once and witnesses found for one target answer its siblings
+        # probed once, and an infeasible one settles every target extending it
         targets = list(coverage.uncovered_targets())
         for outcome in generator.generate_for_targets(targets):
             target = outcome.target

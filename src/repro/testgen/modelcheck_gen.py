@@ -10,8 +10,8 @@ model per function (protecting the control-relevant variables computed by
 :mod:`repro.analysis.relevance`, which is what the old per-target
 "protected variables" re-translation guaranteed) and batches every path
 target into a single :class:`~repro.mc.query.QueryPlan`: shared path
-prefixes are probed once, witnesses found for one target answer sibling
-targets, and every query runs under the configured
+prefixes are probed once, an infeasible prefix settles every target
+extending it, and every query runs under the configured
 :class:`~repro.mc.query.QueryBudget` with cone-of-influence slicing.  A
 target whose budget runs out is reported as
 :attr:`TargetStatus.BUDGET_EXHAUSTED` -- the WCET layer keeps its
@@ -21,13 +21,13 @@ pessimistic charge instead of hanging.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.relevance import control_relevant_variables
 from ..cfg.builder import build_cfg
 from ..minic.semantic import AnalyzedProgram
-from ..mc.checker import ModelChecker, ModelCheckerOptions
-from ..mc.query import EngineKind, QueryBudget, QueryPlan
+from ..mc.checker import ModelChecker
+from ..mc.query import QueryBudget, QueryEngineOptions, QueryPlan
 from ..mc.result import CheckResult, CheckStatistics, Verdict
 from ..optim.pipeline import OptimizationConfig, build_optimized_model
 from .targets import PathTarget
@@ -66,22 +66,9 @@ class ModelCheckGeneratorStatistics:
     total_time_seconds: float = 0.0
 
 
-@dataclass
-class ModelCheckGeneratorOptions:
-    """Configuration of the model-checking generator."""
-
-    optimizations: OptimizationConfig = field(
-        default_factory=OptimizationConfig.cfg_preserving
-    )
-    engine: EngineKind = EngineKind.AUTO
-    checker: ModelCheckerOptions | None = None
-    #: step/solver-call/deadline limits of every reachability query
-    budget: QueryBudget = field(default_factory=QueryBudget)
-    #: per-goal cone-of-influence slicing (``--no-slicing`` disables it)
-    slicing: bool = True
-    #: optional sound static prefilter handed down to the query engine
-    #: (see :class:`repro.sa.feasibility.StaticPrefilter`)
-    prefilter: object | None = None
+def default_options() -> QueryEngineOptions:
+    """The generator's query configuration: budgeted and sliced."""
+    return QueryEngineOptions(budget=QueryBudget())
 
 
 class ModelCheckingTestDataGenerator:
@@ -91,11 +78,11 @@ class ModelCheckingTestDataGenerator:
         self,
         analyzed: AnalyzedProgram,
         function_name: str,
-        options: ModelCheckGeneratorOptions | None = None,
+        options: QueryEngineOptions | None = None,
     ):
         self._analyzed = analyzed
         self._function = function_name
-        self._options = options or ModelCheckGeneratorOptions()
+        self._options = options or default_options()
         self.statistics = ModelCheckGeneratorStatistics()
         self._checker: ModelChecker | None = None
 
@@ -108,9 +95,9 @@ class ModelCheckingTestDataGenerator:
         """Answer all *targets* through one shared query plan.
 
         Batching is what enables the cross-target optimisations: prefix
-        probes, witness reuse and the per-(slice, goal) memo all live on the
-        query engine shared by the batch (and by later batches -- the
-        checker persists across calls).
+        probes and infeasible-prefix subsumption live on the query engine
+        shared by the batch (and by later batches -- the checker persists
+        across calls).
         """
         if not targets:
             return []
@@ -125,7 +112,7 @@ class ModelCheckingTestDataGenerator:
         return [self._outcome(target, results[target.key]) for target in targets]
 
     def query_diagnostics(self) -> dict[str, int]:
-        """Planner counters (planned/sliced/cache_hits/escalations/...)."""
+        """Planner counters (planned/sliced/prefix_hits/solver_runs/...)."""
         if self._checker is None:
             return {}
         return self._checker.query_engine.stats.as_dict()
@@ -147,25 +134,10 @@ class ModelCheckingTestDataGenerator:
         model = build_optimized_model(
             self._analyzed,
             self._function,
-            self._options.optimizations,
+            OptimizationConfig.cfg_preserving(),
             keep_variables=protected,
         )
-        checker_options = self._options.checker or ModelCheckerOptions(
-            engine=self._options.engine,
-            budget=self._options.budget,
-            slicing=self._options.slicing,
-            prefilter=self._options.prefilter,
-        )
-        if (
-            checker_options.prefilter is None
-            and self._options.prefilter is not None
-        ):
-            from dataclasses import replace as dc_replace
-
-            checker_options = dc_replace(
-                checker_options, prefilter=self._options.prefilter
-            )
-        self._checker = ModelChecker(model.translation, checker_options)
+        self._checker = ModelChecker(model.translation, self._options)
         return self._checker
 
     def _outcome(self, target: PathTarget, result: CheckResult) -> ModelCheckOutcome:

@@ -34,8 +34,8 @@ class WcetReport:
     #: syntactic call sites charged interprocedurally -- via a genuine
     #: callee summary or the pessimistic unknown-call constant
     summarised_call_sites: int = 0
-    #: model-checking query-engine counters (planned/sliced/cache_hits/
-    #: escalations/budget_exhausted/...); budget-exhausted targets stay
+    #: model-checking query-engine counters (planned/sliced/prefix_hits/
+    #: budget_exhausted/...); budget-exhausted targets stay
     #: uncovered, so their segments keep the pessimistic static charge
     mc_diagnostics: dict[str, int] = field(default_factory=dict)
     #: True when injected faults forced part of the analysis onto the static
@@ -98,11 +98,7 @@ class WcetReport:
             planned = self.mc_diagnostics.get("planned", 0)
             sliced = self.mc_diagnostics.get("sliced", 0)
             exhausted = self.mc_diagnostics.get("budget_exhausted", 0)
-            shared = (
-                self.mc_diagnostics.get("cache_hits", 0)
-                + self.mc_diagnostics.get("prefix_hits", 0)
-                + self.mc_diagnostics.get("witness_reuse", 0)
-            )
+            shared = self.mc_diagnostics.get("prefix_hits", 0)
             lines.append(
                 f"  mc queries planned        : {planned} "
                 f"({sliced} sliced, {shared} answered by shared work)"

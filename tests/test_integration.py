@@ -17,7 +17,7 @@ import pytest
 from repro.cfg import build_cfg
 from repro.hw import EvaluationBoard
 from repro.measurement import MeasurementDatabase, MeasurementRunner
-from repro.mc import EngineKind, ModelChecker, ModelCheckerOptions, Verdict
+from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
 from repro.optim import OptimizationConfig, build_optimized_model
 from repro.partition import build_instrumentation_plan, partition_function
 from repro.pipeline import AnalyzerConfig, WcetAnalyzer
@@ -25,6 +25,10 @@ from repro.testgen import HybridOptions, build_targets
 from repro.transsys import translate_function
 from repro.wcet import TimingSchema, exhaustive_end_to_end
 from repro.workloads.targetlink import generate_small_application
+
+
+#: the symbolic engine on the full model (no slicing, no budget)
+FULL_SYMBOLIC = QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False)
 
 
 QUICK_HYBRID = HybridOptions(plateau_patterns=25, max_random_vectors=80, seed=7)
@@ -129,7 +133,7 @@ class TestWitnessConsistency:
     def test_model_checker_witnesses_replay_on_the_board(self, eval_program, eval_function_name):
         """Every reachable block's witness must actually reach that block."""
         translation = translate_function(eval_program, eval_function_name)
-        checker = ModelChecker(translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+        checker = ModelChecker(translation, FULL_SYMBOLIC)
         board = EvaluationBoard(eval_program)
         cfg = translation.cfg
         checked = 0
@@ -151,12 +155,8 @@ class TestWitnessConsistency:
         optimised = build_optimized_model(
             eval_program, eval_function_name, OptimizationConfig.cfg_preserving()
         )
-        plain_checker = ModelChecker(
-            plain.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
-        )
-        optimised_checker = ModelChecker(
-            optimised.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
-        )
+        plain_checker = ModelChecker(plain.translation, FULL_SYMBOLIC)
+        optimised_checker = ModelChecker(optimised.translation, FULL_SYMBOLIC)
         for block in plain.translation.cfg.real_blocks():
             plain_verdict = plain_checker.find_test_data_for_block(block.block_id).verdict
             optimised_verdict = optimised_checker.find_test_data_for_block(

@@ -9,7 +9,7 @@ from repro.mc import (
     ExplicitEngineOptions,
     ExplicitStateEngine,
     ModelChecker,
-    ModelCheckerOptions,
+    QueryEngineOptions,
     ReachabilityGoal,
     StateSpaceTooLarge,
     SymbolicEngine,
@@ -19,6 +19,10 @@ from repro.mc import (
 from repro.minic import parse_and_analyze
 from repro.transsys import TranslationOptions, translate_function
 from repro.transsys.translate import block_label
+
+
+#: the symbolic engine on the full model (no slicing, no budget)
+FULL_SYMBOLIC = QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False)
 
 
 GUARDED = """
@@ -56,7 +60,9 @@ def make_checker(source: str, engine: EngineKind, use_ranges: bool = True):
         use_declared_ranges=use_ranges, initialize_variables=use_ranges
     )
     translation = translate_function(analyzed, "f", options)
-    return translation, ModelChecker(translation, ModelCheckerOptions(engine=engine))
+    return translation, ModelChecker(
+        translation, QueryEngineOptions(engine=engine, slicing=False)
+    )
 
 
 def block_calling(translation, name: str) -> int:
@@ -161,9 +167,7 @@ class TestExplicitEngineSpecifics:
         translation, checker = make_checker(GUARDED, EngineKind.EXPLICIT)
         target = block_calling(translation, "target_hit")
         explicit = checker.find_test_data_for_block(target)
-        symbolic_checker = ModelChecker(
-            translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
-        )
+        symbolic_checker = ModelChecker(translation, FULL_SYMBOLIC)
         symbolic = symbolic_checker.find_test_data_for_block(target)
         assert explicit.statistics.steps <= symbolic.statistics.steps
 
@@ -196,7 +200,7 @@ class TestSymbolicEngineSpecifics:
 
     def test_infeasible_path_detection(self, figure1):
         translation = translate_function(figure1, "main")
-        checker = ModelChecker(translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+        checker = ModelChecker(translation, FULL_SYMBOLIC)
         # outer if false (i != 0) then second if true (i == 0): contradictory
         assert checker.is_path_infeasible([(4, 9, "false"), (9, 10, "true")])
         assert not checker.is_path_infeasible([(4, 9, "false"), (9, 12, "false")])

@@ -21,7 +21,6 @@ from repro.mc import (
     ExplicitEngineOptions,
     GoalBuilder,
     ModelChecker,
-    ModelCheckerOptions,
     QueryBudget,
     QueryEngine,
     QueryEngineOptions,
@@ -36,7 +35,6 @@ from repro.minic import parse_and_analyze
 from repro.optim.pipeline import OptimizationConfig, build_optimized_model
 from repro.pipeline.analyzer import AnalyzerConfig, analyze_source
 from repro.testgen.hybrid import HybridOptions
-from repro.testgen.modelcheck_gen import ModelCheckGeneratorOptions
 from repro.transsys import translate_function
 from repro.transsys.translate import TranslationOptions
 
@@ -226,10 +224,10 @@ class TestSlicedUnslicedAgree:
         translation = model.translation
         cfg = translation.cfg
         checker_sliced = ModelChecker(
-            translation, ModelCheckerOptions(slicing=True)
+            translation, QueryEngineOptions(slicing=True)
         )
         checker_unsliced = ModelChecker(
-            translation, ModelCheckerOptions(slicing=False)
+            translation, QueryEngineOptions(slicing=False)
         )
         board = EvaluationBoard(model.analyzed)
         for block in cfg.real_blocks():
@@ -361,18 +359,46 @@ class TestEscalation:
             builder.reach_block(block_calling(translation, "target_hit"))
         )
         assert result.verdict is Verdict.REACHABLE
-        assert result.statistics.engines_tried[0] == "explicit"
-        assert "symbolic:sliced" in result.statistics.engines_tried
-        assert engine.stats.escalations >= 1
+        assert result.statistics.engines_tried == ("explicit", "symbolic:sliced")
+        assert engine.stats.solver_runs == 2
 
-    def test_escalation_order_is_explicit_then_sliced_then_full(self):
+    def test_escalation_order_is_explicit_then_symbolic(self):
+        # both stages search one model: the proper slice, or the full model
+        # with slicing off
         _, translation = translate(GUARDED)
-        engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
-        builder = GoalBuilder(block_location=translation.block_location)
-        goal = builder.reach_block(block_calling(translation, "target_hit"))
-        goal_slice = engine._slice_for(goal)
-        stages = [label for label, _ in engine._stages(goal_slice)]
-        assert stages == ["explicit", "symbolic:sliced", "symbolic:full"]
+        for slicing, expected in (
+            (True, ["explicit", "symbolic:sliced"]),
+            (False, ["explicit", "symbolic:full"]),
+        ):
+            engine = QueryEngine(translation, QueryEngineOptions(slicing=slicing))
+            builder = GoalBuilder(block_location=translation.block_location)
+            goal = builder.reach_block(block_calling(translation, "target_hit"))
+            goal_slice = engine._slice_for(goal)
+            stages = engine._stages(goal_slice)
+            assert [label for label, _ in stages] == expected
+            model = goal_slice.translation if slicing else translation
+            assert all(stage_model is model for _, stage_model in stages)
+
+    def test_open_sliced_goal_does_not_escalate_to_the_full_model(self):
+        # the node-capped solver leaves the sliced search open well inside
+        # the step budget; the slice is verdict-exact, so the query ends
+        # there instead of re-searching the full model with the rest
+        _, translation = translate(SLOW, use_ranges=False)
+        engine = QueryEngine(
+            translation,
+            QueryEngineOptions(
+                engine=EngineKind.SYMBOLIC,
+                budget=QueryBudget(max_steps=50, deadline_ms=None),
+                slicing=True,
+                symbolic=SymbolicEngineOptions(solver_max_nodes=2),
+            ),
+        )
+        goal = ReachabilityGoal(target_labels=frozenset({"call:target_hit"}))
+        result = engine.check(goal)
+        assert engine.stats.sliced == 1
+        assert result.verdict in (Verdict.UNKNOWN, Verdict.BUDGET_EXHAUSTED)
+        assert result.statistics.engines_tried == ("symbolic:sliced",)
+        assert engine.stats.solver_runs == 1
 
     def test_forced_explicit_does_not_escalate(self):
         _, translation = translate(GUARDED)
@@ -389,22 +415,12 @@ class TestEscalation:
 
 
 # ---------------------------------------------------------------------- #
-# shared work: memo, prefix subsumption, witness reuse, probes
+# shared work: prefix subsumption and probes
 # ---------------------------------------------------------------------- #
 class TestSharedWork:
-    def test_identical_goal_is_memoised(self):
-        _, translation = translate(GUARDED)
-        engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
-        builder = GoalBuilder(block_location=translation.block_location)
-        goal = builder.reach_block(block_calling(translation, "target_hit"))
-        first = engine.check(goal)
-        second = engine.check(goal)
-        assert engine.stats.cache_hits == 1
-        assert second.verdict is first.verdict
-
     def test_infeasible_prefix_subsumes_extensions(self, figure1):
         translation = translate_function(figure1, "main")
-        checker = ModelChecker(translation, ModelCheckerOptions(slicing=True))
+        checker = ModelChecker(translation, QueryEngineOptions(slicing=True))
         # outer if false (i != 0) then second if true (i == 0): contradictory
         assert checker.is_path_infeasible([(4, 9, "false"), (9, 10, "true")])
         engine = checker.query_engine
@@ -414,25 +430,6 @@ class TestSharedWork:
             [(4, 9, "false"), (9, 10, "true"), (10, 11, "fallthrough")]
         )
         assert engine.stats.prefix_hits == before + 1
-
-    def test_witness_reuse_across_block_goals(self):
-        _, translation = translate(GUARDED)
-        engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
-        builder = GoalBuilder(block_location=translation.block_location)
-        target_block = block_calling(translation, "target_hit")
-        first = engine.check(builder.reach_block(target_block))
-        assert first.verdict is Verdict.REACHABLE
-        # a block on the witness path is answered from the stored witness
-        witness_blocks = {
-            int(label.split(":")[1])
-            for transition in first.counterexample.trace
-            for label in transition.labels
-            if label.startswith("block:")
-        }
-        witness_blocks.discard(target_block)
-        assert witness_blocks
-        engine.check(builder.reach_block(sorted(witness_blocks)[0]))
-        assert engine.stats.witness_reuse == 1
 
     def test_plan_inserts_probes_for_shared_prefixes(self):
         shared = ("edge:1->2:true", "edge:2->3:true")
@@ -484,7 +481,7 @@ class TestWcetPropagation:
             plateau_patterns=5,
             max_random_vectors=10,
             use_genetic=False,
-            model_checking=ModelCheckGeneratorOptions(budget=budget),
+            model_checking=QueryEngineOptions(budget=budget),
         )
         return AnalyzerConfig(
             path_bound=2,
@@ -505,8 +502,15 @@ class TestWcetPropagation:
         # ... the analysis still terminates with a bound (pessimise, not hang)
         assert report.wcet_bound_cycles > 0
         text = report.to_text()
-        assert "mc budget exhausted" in text
-        assert "mc queries planned" in text
+        diagnostics = report.mc_diagnostics
+        assert (
+            f"mc budget exhausted       : {diagnostics['budget_exhausted']} "
+        ) in text
+        assert (
+            f"mc queries planned        : {diagnostics['planned']} "
+            f"({diagnostics['sliced']} sliced, "
+            f"{diagnostics['prefix_hits']} answered by shared work)"
+        ) in text
 
     def test_generous_budget_reports_no_exhaustion(self):
         report = analyze_source(self.HARD, "f", self._config(QueryBudget()))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cfg import build_cfg
-from repro.mc import EngineKind, ModelChecker, ModelCheckerOptions, Verdict
+from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
 from repro.minic import parse_and_analyze, print_program
 from repro.optim import (
     OptimizationConfig,
@@ -26,6 +26,10 @@ from repro.workloads.optimisation_eval import (
     UNUSED_VARIABLES,
     find_target_block,
 )
+
+
+#: the symbolic engine on the full model (no slicing, no budget)
+FULL_SYMBOLIC = QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False)
 
 
 CSE_SOURCE = """
@@ -219,17 +223,17 @@ class TestStatementConcatenation:
         fused = translate_function(eval_program, eval_function_name)
         apply_statement_concatenation(fused.system)
         for translation in (plain, fused):
-            checker = ModelChecker(translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+            checker = ModelChecker(translation, FULL_SYMBOLIC)
             result = checker.find_test_data_for_block(target)
             assert result.verdict is Verdict.REACHABLE
         # and the fused model needs fewer steps
         plain_steps = (
-            ModelChecker(plain, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+            ModelChecker(plain, FULL_SYMBOLIC)
             .find_test_data_for_block(target)
             .statistics.steps
         )
         fused_steps = (
-            ModelChecker(fused, ModelCheckerOptions(engine=EngineKind.SYMBOLIC))
+            ModelChecker(fused, FULL_SYMBOLIC)
             .find_test_data_for_block(target)
             .statistics.steps
         )
@@ -266,9 +270,7 @@ class TestOptimizationPipeline:
         for name, config in TABLE2_CONFIGURATIONS:
             model = build_optimized_model(eval_program, eval_function_name, config)
             target = find_target_block(model.translation.cfg)
-            checker = ModelChecker(
-                model.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
-            )
+            checker = ModelChecker(model.translation, FULL_SYMBOLIC)
             result = checker.find_test_data_for_block(target)
             assert result.verdict is Verdict.REACHABLE, name
 
@@ -280,9 +282,7 @@ class TestOptimizationPipeline:
             eval_program, eval_function_name, OptimizationConfig.cfg_preserving()
         )
         target = find_target_block(model.translation.cfg)
-        checker = ModelChecker(
-            model.translation, ModelCheckerOptions(engine=EngineKind.SYMBOLIC)
-        )
+        checker = ModelChecker(model.translation, FULL_SYMBOLIC)
         result = checker.find_test_data_for_block(target)
         assert result.verdict is Verdict.REACHABLE
         board = EvaluationBoard(eval_program)

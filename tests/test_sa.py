@@ -13,7 +13,7 @@ import pytest
 
 from repro.cfg import EdgeKind, build_cfg
 from repro.cfg.paths import enumerate_paths
-from repro.mc import ModelChecker, ModelCheckerOptions, Verdict
+from repro.mc import ModelChecker, Verdict
 from repro.mc.property import GoalBuilder
 from repro.mc.query import QueryBudget, QueryEngine, QueryEngineOptions
 from repro.minic import parse_and_analyze
@@ -284,7 +284,7 @@ def _assert_static_claims_hold(analyzed, function_name: str) -> int:
     model = build_optimized_model(
         analyzed, function_name, OptimizationConfig.cfg_preserving()
     )
-    checker = ModelChecker(model.translation, ModelCheckerOptions())
+    checker = ModelChecker(model.translation, QueryEngineOptions(slicing=False))
     checked = 0
     for block_id in sorted(result.unreachable_blocks):
         if block_id not in model.translation.block_location:
