@@ -18,8 +18,8 @@ The package is organised in layers (see ``DESIGN.md`` for the full map):
     program segments under a path bound *b*, instrumentation-point placement
     and the instrumentation/measurement cost model.
 ``repro.analysis``
-    dataflow analyses (liveness, reaching definitions, value ranges, control
-    dependence) shared by the optimisations.
+    dataflow analyses (liveness, reaching definitions, control dependence)
+    shared by the optimisations; value ranges come from ``repro.sa``.
 ``repro.transsys`` / ``repro.optim`` / ``repro.solver`` / ``repro.mc``
     the "C to SAL" translation, the six state-space optimisations of the
     paper, a finite-domain constraint solver and the model-checking engines

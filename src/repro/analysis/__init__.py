@@ -1,4 +1,11 @@
-"""Dataflow analyses shared by the state-space optimisations and the pipeline."""
+"""Dataflow analyses shared by the state-space optimisations and the pipeline.
+
+Liveness and reaching definitions run on the indexed-bitset engine
+(:mod:`repro.analysis.bitset`); :mod:`repro.analysis.reference` keeps their
+frozenset originals, solved by a textbook worklist, as the test oracle.  The
+interval analysis that sizes model-checker state variables is not here: it is
+the sound fixpoint of :mod:`repro.sa.feasibility`.
+"""
 
 from __future__ import annotations
 
@@ -14,14 +21,6 @@ from .bitset import (
     cfg_definition_index,
     iter_bits,
 )
-from .dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    Direction,
-    set_intersection,
-    set_union,
-    solve,
-)
 from .liveness import (
     LivenessResult,
     block_liveness,
@@ -29,7 +28,6 @@ from .liveness import (
     statement_liveness,
     unused_variables,
 )
-from .ranges import RangeAnalysisResult, RangeAnalyzer, RangeEnvironment, analyze_ranges
 from .reaching import Definition, ReachingResult, reaching_definitions
 from .relevance import (
     RelevanceResult,
@@ -38,9 +36,12 @@ from .relevance import (
     irrelevant_statements,
 )
 from .reference import (
-    analyze_ranges_reference,
+    DataflowProblem,
+    DataflowResult,
+    Direction,
     block_liveness_reference,
     reaching_definitions_reference,
+    set_union,
     solve_reference,
 )
 from .usedef import (
@@ -61,7 +62,6 @@ __all__ = [
     "VariableInterner",
     "bitset_block_liveness",
     "bitset_reaching_definitions",
-    "analyze_ranges_reference",
     "block_liveness_reference",
     "cfg_bitset_index",
     "cfg_definition_index",
@@ -72,18 +72,12 @@ __all__ = [
     "DataflowProblem",
     "DataflowResult",
     "Direction",
-    "set_intersection",
     "set_union",
-    "solve",
     "LivenessResult",
     "block_liveness",
     "live_range_conflicts",
     "statement_liveness",
     "unused_variables",
-    "RangeAnalysisResult",
-    "RangeAnalyzer",
-    "RangeEnvironment",
-    "analyze_ranges",
     "Definition",
     "ReachingResult",
     "reaching_definitions",

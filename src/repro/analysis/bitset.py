@@ -1,7 +1,7 @@
-"""Indexed-bitset dataflow engine.
+"""Indexed-bitset dataflow engine: the one solver of liveness and reaching definitions.
 
-The generic framework in :mod:`repro.analysis.dataflow` represents facts as
-frozensets of variable-name strings; every join re-hashes every string and
+The reference framework in :mod:`repro.analysis.reference` represents facts
+as frozensets of variable-name strings; every join re-hashes every string and
 every equality check compares sets element-wise.  On an industrial-size CFG
 (the paper's ~857-block TargetLink function) that dominates the analysis
 time.  This module interns the variables (and, for reaching definitions, the

@@ -14,10 +14,10 @@ Two granularities are provided:
   (needed by the interference-graph construction of the optimisation).
 
 The fixpoint runs on the indexed bitset engine
-(:mod:`repro.analysis.bitset`): variable names are interned to bit positions
-once per CFG and the transfer is a handful of integer operations.  The
-public result type stays frozensets of names; the original frozenset
-implementation lives on as
+(:mod:`repro.analysis.bitset`), the only solver used outside the tests:
+variable names are interned to bit positions once per CFG and the transfer is
+a handful of integer operations.  The public result type stays frozensets of
+names; the original frozenset implementation lives on as
 :func:`repro.analysis.reference.block_liveness_reference` and the two are
 cross-checked bit-for-bit by the test suite.
 """

@@ -12,10 +12,12 @@ The analysis works at statement granularity; definition sites are identified
 by ``(block id, statement index)``.
 
 Definition sites are interned to bit positions once per CFG and the fixpoint
-runs as integer bitmask operations (:mod:`repro.analysis.bitset`); the
-def-use chain walk also stays in mask space until the final conversion to the
-public frozenset-of-:class:`Definition` result.  The frozenset reference
-implementation lives in :mod:`repro.analysis.reference` for cross-checking.
+runs as integer bitmask operations (:mod:`repro.analysis.bitset`, the only
+solver used outside the tests); the def-use chain walk also stays in mask
+space until the final conversion to the public frozenset-of-:class:`Definition`
+result.  The frozenset reference implementation, solved by
+:func:`repro.analysis.reference.solve_reference`, lives in
+:mod:`repro.analysis.reference` for cross-checking.
 """
 
 from __future__ import annotations

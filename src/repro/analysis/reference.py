@@ -1,11 +1,11 @@
 """Frozenset reference implementations of the hot dataflow analyses.
 
 These are verbatim preservations of the original (pre-bitset) algorithms:
-a textbook list worklist with ``pop(0)`` and linear membership scans, facts
-as frozensets of names / :class:`Definition` sites, and use/def sets
-recomputed per call.  They exist as **ground truth**: the property tests
-cross-check the bitset engine (``tests/test_perf_bitset.py``) and the
-range analysis (``tests/test_analysis.py``) against these implementations
+a small generic dataflow framework (:class:`DataflowProblem`) solved by a
+textbook list worklist with ``pop(0)`` and linear membership scans, facts as
+frozensets of names / :class:`Definition` sites, and use/def sets recomputed
+per call.  They exist as **ground truth**: the property tests cross-check the
+bitset engine (``tests/test_perf_bitset.py``) against these implementations
 bit-for-bit.
 
 Nothing in the production pipeline should import this module for analysis
@@ -14,15 +14,80 @@ results; use :mod:`repro.analysis.liveness` / :mod:`repro.analysis.reaching`.
 
 from __future__ import annotations
 
-from collections import deque
+import enum
+from dataclasses import dataclass
+from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
-from .dataflow import DataflowProblem, DataflowResult, Direction, set_union
 from ..cfg.graph import ControlFlowGraph
-from ..minic.symbols import FunctionSymbolTable
 from .liveness import LivenessResult
-from .ranges import RangeAnalysisResult, RangeAnalyzer, RangeEnvironment
 from .reaching import Definition, ReachingResult
 from .usedef import block_condition_uses, block_use_def, statement_use_def
+
+NodeT = TypeVar("NodeT", bound=Hashable)
+FactT = TypeVar("FactT")
+
+
+class Direction(enum.Enum):
+    FORWARD = "forward"
+    BACKWARD = "backward"
+
+
+@dataclass
+class DataflowProblem(Generic[NodeT, FactT]):
+    """Description of one dataflow analysis instance.
+
+    Attributes
+    ----------
+    nodes:
+        All graph nodes.
+    successors:
+        Forward successor function (the solver inverts it for backward
+        problems).
+    direction:
+        Forward or backward.
+    boundary:
+        Fact at the entry (forward) or exit (backward) node(s).
+    initial:
+        Initial fact of every other node.
+    join:
+        Combine the facts flowing into a node.
+    transfer:
+        Per-node transfer function: ``transfer(node, in_fact) -> out_fact``.
+    equals:
+        Fact equality (defaults to ``==``).
+    """
+
+    nodes: list[NodeT]
+    successors: Callable[[NodeT], Iterable[NodeT]]
+    direction: Direction
+    boundary_nodes: list[NodeT]
+    boundary: FactT
+    initial: FactT
+    join: Callable[[list[FactT]], FactT]
+    transfer: Callable[[NodeT, FactT], FactT]
+    equals: Callable[[FactT, FactT], bool] = lambda a, b: a == b
+    max_iterations: int = 10_000
+
+
+@dataclass
+class DataflowResult(Generic[NodeT, FactT]):
+    """Fixed-point facts: value *entering* and *leaving* each node.
+
+    For backward problems ``in_facts`` is the fact at node entry in program
+    order (i.e. the analysis result usually reported as ``live-in``).
+    """
+
+    in_facts: dict[NodeT, FactT]
+    out_facts: dict[NodeT, FactT]
+    iterations: int
+
+
+def set_union(facts: list[frozenset]) -> frozenset:
+    """Join for may-analyses over sets."""
+    result: frozenset = frozenset()
+    for fact in facts:
+        result |= fact
+    return result
 
 
 def solve_reference(problem: DataflowProblem) -> DataflowResult:
@@ -84,16 +149,9 @@ def solve_reference(problem: DataflowProblem) -> DataflowResult:
 
 
 def liveness_problem(cfg: ControlFlowGraph) -> DataflowProblem:
-    """The liveness instance as a generic frozenset dataflow problem.
-
-    ``predecessors``/``order`` come from the CFG's cached accessors; the
-    seed solver (:func:`solve_reference`) never reads those fields, so the
-    ground-truth comparison is unaffected, while the engineered solver uses
-    them to skip map inversion and seed the worklist in flow order.
-    """
+    """The liveness instance as a generic frozenset dataflow problem."""
     use_defs = {block.block_id: block_use_def(block) for block in cfg.blocks()}
     successor_map = cfg.successor_map()
-    predecessor_map = cfg.predecessor_map()
 
     def successors(block_id: int) -> tuple[int, ...]:
         return successor_map[block_id]
@@ -111,8 +169,6 @@ def liveness_problem(cfg: ControlFlowGraph) -> DataflowProblem:
         initial=frozenset(),
         join=set_union,
         transfer=transfer,
-        predecessors=lambda block_id: predecessor_map[block_id],
-        order=cfg.backward_reverse_postorder(),
     )
 
 
@@ -151,7 +207,6 @@ def reaching_problem(cfg: ControlFlowGraph) -> tuple[DataflowProblem, list[Defin
         gen_kill[block.block_id] = (frozenset(gen.values()), frozenset(kill))
 
     successor_map = cfg.successor_map()
-    predecessor_map = cfg.predecessor_map()
 
     def successors(block_id: int) -> tuple[int, ...]:
         return successor_map[block_id]
@@ -169,8 +224,6 @@ def reaching_problem(cfg: ControlFlowGraph) -> tuple[DataflowProblem, list[Defin
         initial=frozenset(),
         join=set_union,
         transfer=transfer,
-        predecessors=lambda block_id: predecessor_map[block_id],
-        order=cfg.reverse_postorder(),
     )
     return problem, definitions
 
@@ -202,65 +255,3 @@ def reaching_definitions_reference(cfg: ControlFlowGraph) -> ReachingResult:
     return ReachingResult(
         reach_in=reach_in, reach_out=reach_out, definitions=definitions, uses=uses
     )
-
-
-# ---------------------------------------------------------------------- #
-# interval (value-range) analysis
-# ---------------------------------------------------------------------- #
-class _ReferenceRangeAnalyzer(RangeAnalyzer):
-    """Seed-era interval fixpoint: entry-seeded FIFO over ``out_edges``.
-
-    The transfer functions, joins and widening are shared with the production
-    :class:`~repro.analysis.ranges.RangeAnalyzer`; only the iteration
-    strategy is the original one (worklist seeded with the entry block only,
-    adjacency re-derived from the edge objects on every visit).
-    """
-
-    def run(self) -> RangeAnalysisResult:
-        names = set(self._defaults)
-        entry_env: dict[int, RangeEnvironment] = {}
-        initial = RangeEnvironment(ranges=dict(self._defaults))
-        entry_env[self._cfg.entry.block_id] = initial
-
-        update_counts: dict[tuple[int, str], int] = {}
-        worklist = deque([self._cfg.entry.block_id])
-        pending = {self._cfg.entry.block_id}
-        out_env: dict[int, RangeEnvironment] = {}
-        iterations = 0
-        while worklist:
-            iterations += 1
-            if iterations > 50 * max(1, len(self._cfg)):
-                break  # widening guarantees this is unreachable, but be safe
-            block_id = worklist.popleft()
-            pending.discard(block_id)
-            env_in = entry_env.get(block_id)
-            if env_in is None:
-                continue
-            env_out = self._transfer(block_id, env_in.copy())
-            if block_id in out_env and out_env[block_id] == env_out:
-                continue
-            out_env[block_id] = env_out
-            for edge in self._cfg.out_edges(block_id):
-                successor = edge.target
-                incoming = env_out
-                if successor in entry_env:
-                    joined = entry_env[successor].join(incoming, names, self._defaults)
-                    joined = self._widen(successor, entry_env[successor], joined, update_counts)
-                    if joined == entry_env[successor]:
-                        continue
-                    entry_env[successor] = joined
-                else:
-                    entry_env[successor] = incoming.copy()
-                if successor not in pending:
-                    pending.add(successor)
-                    worklist.append(successor)
-
-        global_ranges = self._global_ranges(names)
-        return RangeAnalysisResult(global_ranges=global_ranges, block_entry=entry_env)
-
-
-def analyze_ranges_reference(
-    cfg: ControlFlowGraph, table: FunctionSymbolTable
-) -> RangeAnalysisResult:
-    """Seed implementation of :func:`repro.analysis.ranges.analyze_ranges`."""
-    return _ReferenceRangeAnalyzer(cfg, table).run()

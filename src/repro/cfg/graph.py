@@ -165,8 +165,8 @@ class CfgError(Exception):
 def depth_first_postorder(roots: Iterable, successors: dict) -> list:
     """Iterative depth-first postorder over a dict adjacency from *roots*.
 
-    Generic over node type (the dataflow solver reuses it for arbitrary flow
-    graphs); nodes unreachable from *roots* are not visited.
+    Used in both flow directions (successor or predecessor adjacency);
+    nodes unreachable from *roots* are not visited.
     """
     seen: set = set()
     postorder: list = []

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..analysis.ranges import analyze_ranges
 from ..cfg.builder import build_cfg
 from ..minic.pretty import print_program
 from ..minic.semantic import AnalyzedProgram, analyze_program
 from ..minic.parser import parse_program
+from ..sa.feasibility import analyze_feasibility
 from ..transsys.translate import (
     TranslationOptions,
     TranslationResult,
@@ -223,12 +223,14 @@ def build_optimized_model(
         )
 
     if config.variable_range_analysis:
-        table = current.table(function_name)
-        ranges = analyze_ranges(cfg, table)
-        options = replace(options, variable_ranges=dict(ranges.global_ranges))
+        # 3.2.4: size every state variable by the hull of the values it can
+        # hold, from the same sound, wrap-aware fixpoint that proves branches
+        # infeasible (repro.sa)
+        ranges = analyze_feasibility(cfg, current.table(function_name)).state_ranges
+        options = replace(options, variable_ranges=ranges)
         total_bits = sum(
             rng.bits()
-            for name, rng in ranges.global_ranges.items()
+            for name, rng in ranges.items()
             if name not in options.excluded_variables
         )
         notes.append(f"variable range analysis: {total_bits} data bits after narrowing")

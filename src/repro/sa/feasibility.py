@@ -1,4 +1,4 @@
-"""Sound branch-feasibility analysis over mini-C CFGs.
+"""Sound interval analysis over mini-C CFGs: branch feasibility and state ranges.
 
 The model checker answers reachability questions exactly but at solver cost.
 This module settles a useful subset of those questions *statically*: a forward
@@ -8,10 +8,13 @@ unreachable, and the :class:`StaticPrefilter` turns those proofs into
 call and, by construction, verdicts identical to what the model checker would
 return (the differential suite in ``tests/test_sa.py`` enforces this).
 
-Soundness is the contract, so the evaluator here is deliberately *not*
-:class:`repro.analysis.ranges.RangeAnalyzer` (whose clamping is tuned for
-state-variable sizing, not truth): every arithmetic result is checked against
-the expression's fixed-width type and widened to the full type range whenever
+The same fixpoint is the paper's variable range analysis (Section 3.2.4): its
+final pass collects the hull of every value stored into each variable, and
+:attr:`FeasibilityResult.state_ranges` sizes the model checker's state
+variables from it.  This is the only interval domain of the reproduction.
+
+Soundness is the contract: every arithmetic result is checked against the
+expression's fixed-width type and widened to the full type range whenever
 two's-complement wrap-around is possible, mirroring exactly how
 :mod:`repro.hw.interpreter` wraps each subexpression.  Function calls havoc
 every global (callees share globals), side-effecting conditions are never used
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from collections import deque
 from collections.abc import Iterable
 
-from ..analysis.ranges import RangeEnvironment, variable_defaults
+from ..analysis.liveness import block_liveness
 from ..cfg.graph import (
     BasicBlock,
     ControlFlowGraph,
@@ -51,7 +54,7 @@ from ..minic.ast_nodes import (
     UnaryOp,
     RELATIONAL_OPERATORS,
 )
-from ..minic.folding import apply_binary, assigned_variables, has_calls
+from ..minic.folding import apply_binary, assigned_variables, fold_expr, has_calls
 from ..minic.symbols import FunctionSymbolTable, SymbolKind
 from ..minic.types import IntRange
 
@@ -73,6 +76,34 @@ _NEGATED_OP = {
     "==": "!=",
     "!=": "==",
 }
+
+
+def variable_defaults(table: FunctionSymbolTable) -> dict[str, IntRange]:
+    """Default interval of every variable: declared (pragma) range or type range."""
+    defaults: dict[str, IntRange] = {}
+    for name, symbol in table.variables.items():
+        declared = symbol.declared_range
+        defaults[name] = declared if declared is not None else symbol.ctype.value_range()
+    return defaults
+
+
+@dataclass
+class RangeEnvironment:
+    """A mapping from variable names to intervals (missing = type range)."""
+
+    ranges: dict[str, IntRange] = field(default_factory=dict)
+
+    def copy(self) -> "RangeEnvironment":
+        return RangeEnvironment(ranges=dict(self.ranges))
+
+    def join(self, other: "RangeEnvironment", keys: set[str],
+             defaults: dict[str, IntRange]) -> "RangeEnvironment":
+        joined: dict[str, IntRange] = {}
+        for key in keys:
+            mine = self.ranges.get(key, defaults[key])
+            theirs = other.ranges.get(key, defaults[key])
+            joined[key] = mine.union(theirs)
+        return RangeEnvironment(ranges=joined)
 
 
 @dataclass(frozen=True)
@@ -107,6 +138,8 @@ class FeasibilityResult:
     infeasible_edges: frozenset[tuple[int, int, str]]
     #: sound interval environment at the entry of every reachable block
     block_entry: dict[int, RangeEnvironment]
+    #: domain of every variable as a model-checker state variable
+    state_ranges: dict[str, IntRange]
     constant_branches: tuple[ConstantBranch, ...] = ()
     events: tuple[EvalEvent, ...] = ()
 
@@ -479,6 +512,9 @@ class FeasibilityAnalyzer:
         self._events: list[EvalEvent] = []
         self._seen_events: set[tuple[str, int]] = set()
         self._constant_branches: list[ConstantBranch] = []
+        #: hull of every value stored into each variable; collected by the
+        #: final pass only (``None`` while iterating)
+        self._stored: dict[str, IntRange] | None = None
 
     # ------------------------------------------------------------------ #
     def run(self) -> FeasibilityResult:
@@ -526,8 +562,10 @@ class FeasibilityAnalyzer:
         # final sound pass: environments are at their largest now, so any edge
         # still contradictory is contradictory for every execution; this pass
         # also records the diagnostic events (div-by-zero, overflow, constant
-        # branches) against the *final* environments only.
+        # branches) and the stored-value hulls against the *final*
+        # environments only.
         self._evaluator.recorder = self._note_event
+        self._stored = {}
         infeasible: set[tuple[int, int, str]] = set()
         for block_id, env_in in entry_env.items():
             block = self._cfg.block(block_id)
@@ -536,6 +574,8 @@ class FeasibilityAnalyzer:
                 if env_edge is None:
                     infeasible.add((edge.source, edge.target, edge.kind.value))
         self._evaluator.recorder = None
+        state_ranges = self._state_ranges(self._stored)
+        self._stored = None
 
         reachable = frozenset(entry_env)
         unreachable = frozenset(
@@ -548,11 +588,62 @@ class FeasibilityAnalyzer:
             unreachable_blocks=unreachable,
             infeasible_edges=frozenset(infeasible),
             block_entry=entry_env,
+            state_ranges=state_ranges,
             constant_branches=tuple(self._constant_branches),
             events=tuple(self._events),
         )
 
     # ------------------------------------------------------------------ #
+    def _state_ranges(self, stored: dict[str, IntRange]) -> dict[str, IntRange]:
+        """Per-variable domain used to size the model's state variables.
+
+        * analysis inputs keep their declared (pragma) range or type range;
+        * variables that may be read before being written (live at function
+          entry) keep their default range too -- their uninitialised value is
+          part of the state space;
+        * every other variable gets the hull of the values it is stored (plus
+          its static initialiser), which is exactly the information the
+          paper's variable range analysis feeds back into the model.
+        """
+        entry_successors = self._cfg.successors(self._cfg.entry)
+        live_at_entry: frozenset[str] = frozenset()
+        if entry_successors:
+            live_at_entry = block_liveness(self._cfg).live_in.get(
+                entry_successors[0].block_id, frozenset()
+            )
+
+        ranges: dict[str, IntRange] = {}
+        for name, default in self._defaults.items():
+            if self._table.variables[name].is_input or name in live_at_entry:
+                ranges[name] = default
+                continue
+            hull = stored.get(name)
+            initial = self._static_initial(name)
+            if initial is not None:
+                hull = initial if hull is None else hull.union(initial)
+            if hull is None:
+                # never stored and never read before written: one value is
+                # enough to represent it
+                hull = IntRange(0, 0)
+            clamped = hull.intersect(default)
+            ranges[name] = clamped if clamped is not None else default
+        return ranges
+
+    def _static_initial(self, name: str) -> IntRange | None:
+        decl = self._table.variables[name].decl
+        if decl is None:
+            return None
+        init = getattr(decl, "init", None)
+        if init is None:
+            return IntRange(0, 0)
+        folded = fold_expr(init)
+        if isinstance(folded, IntLiteral):
+            return IntRange(folded.value, folded.value)
+        if isinstance(folded, BoolLiteral):
+            value = int(folded.value)
+            return IntRange(value, value)
+        return None
+
     def _note_event(self, event: EvalEvent) -> None:
         key = (event.kind, event.node_id)
         if key in self._seen_events:
@@ -640,16 +731,17 @@ class FeasibilityAnalyzer:
     def _store(self, name: str, value: IntRange) -> IntRange:
         """Value interval after storing into *name* (wraps at its type)."""
         limit = self._type_ranges.get(name)
-        if limit is None:
-            return value
-        if value.lo >= limit.lo and value.hi <= limit.hi:
-            return value
-        return limit
+        if limit is not None and not (limit.lo <= value.lo and value.hi <= limit.hi):
+            value = limit
+        if self._stored is not None:
+            known = self._stored.get(name)
+            self._stored[name] = value if known is None else known.union(value)
+        return value
 
     def _havoc_globals(self, env: RangeEnvironment) -> None:
         """A call may write any global: widen them all to their type range."""
         for name in self._globals:
-            env.ranges[name] = self._type_ranges[name]
+            env.ranges[name] = self._store(name, self._type_ranges[name])
 
     # ------------------------------------------------------------------ #
     # edge feasibility
@@ -672,7 +764,7 @@ class FeasibilityAnalyzer:
             for name in assigned_variables(condition):
                 fallback = self._type_ranges.get(name)
                 if fallback is not None:
-                    havoced.ranges[name] = fallback
+                    havoced.ranges[name] = self._store(name, fallback)
             if has_calls(condition):
                 self._havoc_globals(havoced)
             return [(edge, havoced.copy()) for edge in edges]

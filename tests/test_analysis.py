@@ -5,8 +5,6 @@ from __future__ import annotations
 from repro.analysis import (
     Direction,
     DataflowProblem,
-    analyze_ranges,
-    analyze_ranges_reference,
     analyze_relevance,
     block_liveness,
     block_use_def,
@@ -14,12 +12,13 @@ from repro.analysis import (
     live_range_conflicts,
     reaching_definitions,
     set_union,
-    solve,
+    solve_reference,
     statement_use_def,
     unused_variables,
 )
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
+from repro.sa import analyze_feasibility
 
 
 def build(source: str, name: str = "f"):
@@ -41,7 +40,7 @@ class TestDataflowFramework:
             join=set_union,
             transfer=lambda node, fact: fact | {f"n{node}"},
         )
-        result = solve(problem)
+        result = solve_reference(problem)
         assert "start" in result.out_facts[4]
         assert "n2" in result.out_facts[4] or "n3" in result.out_facts[4]
 
@@ -58,7 +57,7 @@ class TestDataflowFramework:
             join=set_union,
             transfer=lambda node, fact: fact,
         )
-        result = solve(problem)
+        result = solve_reference(problem)
         assert "end" in result.out_facts[1]
 
 
@@ -169,72 +168,50 @@ class TestReachingDefinitions:
 
 
 class TestRangeAnalysis:
+    """State-variable ranges (Section 3.2.4) from the sound sa fixpoint."""
+
+    @staticmethod
+    def state_ranges(analyzed, cfg, name: str = "f"):
+        return analyze_feasibility(cfg, analyzed.table(name)).state_ranges
+
     def test_input_range_from_pragma(self):
         analyzed, cfg = build(
             "#pragma input u\n#pragma range u 0 9\nint u; int r; "
             "void f(void) { r = u + 1; }"
         )
-        result = analyze_ranges(cfg, analyzed.table("f"))
-        assert result.global_ranges["u"].hi == 9
-        assert result.global_ranges["r"].hi <= 10
+        ranges = self.state_ranges(analyzed, cfg)
+        assert ranges["u"].hi == 9
+        assert ranges["r"].hi <= 10
 
     def test_constant_assignment_narrows_range(self):
         analyzed, cfg = build("int flag; void f(void) { flag = 0; if (flag) { flag = 1; } }")
-        result = analyze_ranges(cfg, analyzed.table("f"))
-        assert result.global_ranges["flag"].hi <= 1
-        assert result.bits_for("flag") == 1
+        ranges = self.state_ranges(analyzed, cfg)
+        assert ranges["flag"].hi <= 1
+        assert ranges["flag"].bits() == 1
 
     def test_boolean_comparison_is_one_bit(self):
         analyzed, cfg = build(
             "#pragma input u\n#pragma range u 0 100\nint u; int b; "
             "void f(void) { b = u > 50; }"
         )
-        result = analyze_ranges(cfg, analyzed.table("f"))
-        assert result.bits_for("b") == 1
+        assert self.state_ranges(analyzed, cfg)["b"].bits() == 1
 
     def test_range_never_exceeds_type(self):
         analyzed, cfg = build("UInt8 x; void f(void) { x = x + 200; }")
-        result = analyze_ranges(cfg, analyzed.table("f"))
-        assert result.global_ranges["x"].hi <= 255
-        assert result.global_ranges["x"].lo >= 0
+        ranges = self.state_ranges(analyzed, cfg)
+        assert ranges["x"].hi <= 255
+        assert ranges["x"].lo >= 0
 
     def test_loop_widening_terminates(self, small_loop_program):
         function = small_loop_program.program.function("accumulate")
         cfg = build_cfg(function)
-        result = analyze_ranges(cfg, small_loop_program.table("accumulate"))
-        assert "total" in result.global_ranges
+        assert "total" in self.state_ranges(small_loop_program, cfg, "accumulate")
 
     def test_total_state_bits_helper(self):
         analyzed, cfg = build("int a; int b; void f(void) { a = 1; b = 0; if (b) { a = 2; } }")
-        result = analyze_ranges(cfg, analyzed.table("f"))
-        assert result.total_state_bits(["a", "b"]) <= 32
-
-
-class TestRangeAnalysisReferenceCrossCheck:
-    """The cached-RPO fixpoint must match the seed-era iteration exactly."""
-
-    @staticmethod
-    def assert_equal_results(analyzed, function_name: str) -> None:
-        cfg = build_cfg(analyzed.program.function(function_name))
-        table = analyzed.table(function_name)
-        optimised = analyze_ranges(cfg, table)
-        reference = analyze_ranges_reference(cfg, table)
-        assert optimised.global_ranges == reference.global_ranges
-        assert set(optimised.block_entry) == set(reference.block_entry)
-        for block_id, env in optimised.block_entry.items():
-            assert env == reference.block_entry[block_id], f"block {block_id}"
-
-    def test_branching_program(self, branching_program):
-        self.assert_equal_results(branching_program, "classify")
-
-    def test_loop_program_with_widening(self, small_loop_program):
-        self.assert_equal_results(small_loop_program, "accumulate")
-
-    def test_figure1(self, figure1):
-        self.assert_equal_results(figure1, "main")
-
-    def test_wiper_case_study(self, wiper_code, wiper_function_name):
-        self.assert_equal_results(wiper_code.analyzed, wiper_function_name)
+        ranges = self.state_ranges(analyzed, cfg)
+        # `if (b)` is dead, so a only ever holds 1 and b only 0
+        assert sum(ranges[name].bits() for name in ("a", "b")) == 2
 
 
 class TestRelevance:

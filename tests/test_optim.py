@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cfg import build_cfg
+from repro.hw import Interpreter
 from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
 from repro.minic import parse_and_analyze, print_program
 from repro.optim import (
@@ -18,6 +21,7 @@ from repro.optim import (
     dead_variable_set,
     find_substitutable_temporaries,
 )
+from repro.testgen.inputs import InputSpace
 from repro.transsys import translate_function
 from repro.workloads.optimisation_eval import (
     CONTROL_FLOW_IRRELEVANT,
@@ -301,3 +305,97 @@ class TestOptimizationPipeline:
     def test_unknown_single_optimisation_raises(self):
         with pytest.raises(ValueError):
             OptimizationConfig.only("turbo_mode")
+
+
+
+WRAPPING_STORE = """
+#pragma input a
+#pragma range a 100 200
+UInt8 a; Int8 t; int r;
+void f(void) {
+    t = a;
+    if (t < 0) { r = 1; } else { r = 2; }
+}
+"""
+
+CONDITION_STORE = """
+#pragma input a
+#pragma range a 100 200
+UInt8 a; Int8 u; int r;
+void f(void) {
+    if ((u = a) < 0) { r = 1; } else { r = 2; }
+}
+"""
+
+CALLEE_STORE = """
+#pragma input a
+#pragma range a 0 3
+UInt8 a; Int8 g; int r;
+void set_g(void) { g = 0 - 5; }
+void f(void) {
+    g = 1;
+    if (a > 1) { set_g(); }
+    if (g < 0) { r = 1; } else { r = 2; }
+}
+"""
+
+
+class TestVariableRangeSoundness:
+    """Every value the board stores fits the model domain of its variable.
+
+    The variable range analysis (Section 3.2.4) shrinks each state variable
+    of the cfg-preserving model to the hull of the values it can hold; a
+    domain that misses a value the board produces makes the model checker
+    reason about a different program.  Each program runs on every input of
+    its space.  Call-chain functions are left out: the board's final
+    environment is flat, so a callee's local shadows a caller's variable of
+    the same name.
+    """
+
+    @staticmethod
+    def runs_with_final_values_in_domains(
+        analyzed, function_name: str, modelled: frozenset[str] = frozenset()
+    ) -> int:
+        """Run every input; *modelled* is kept out of dead-variable elimination."""
+        model = build_optimized_model(
+            analyzed,
+            function_name,
+            OptimizationConfig.cfg_preserving(),
+            keep_variables=modelled,
+        )
+        domains = {name: var.domain for name, var in model.system.variables.items()}
+        assert modelled <= set(domains)
+        ranges = InputSpace.from_program(analyzed, function_name).ranges()
+        board = Interpreter(analyzed)
+        runs = 0
+        for values in itertools.product(
+            *(range(rng.lo, rng.hi + 1) for rng in ranges.values())
+        ):
+            inputs = dict(zip(ranges, values))
+            final = board.run(function_name, inputs).final_environment
+            for name, domain in domains.items():
+                assert final[name] in domain, (name, final[name], domain, inputs)
+            runs += 1
+        return runs
+
+    def test_store_that_wraps_at_the_variable_type(self):
+        # the board stores -128..-56 into t for a in 128..200
+        analyzed = parse_and_analyze(WRAPPING_STORE)
+        runs = self.runs_with_final_values_in_domains(analyzed, "f", frozenset({"t"}))
+        assert runs == 101
+
+    def test_store_inside_a_branch_condition(self):
+        analyzed = parse_and_analyze(CONDITION_STORE)
+        runs = self.runs_with_final_values_in_domains(analyzed, "f", frozenset({"u"}))
+        assert runs == 101
+
+    def test_global_written_by_a_callee(self):
+        analyzed = parse_and_analyze(CALLEE_STORE)
+        runs = self.runs_with_final_values_in_domains(analyzed, "f", frozenset({"g"}))
+        assert runs == 4
+
+    def test_wiper_on_its_whole_input_space(self, wiper_code, wiper_function_name):
+        runs = self.runs_with_final_values_in_domains(
+            wiper_code.analyzed, wiper_function_name
+        )
+        assert runs == 108

@@ -4,9 +4,7 @@ The heart of this module is the property-style cross-check: randomized CFGs
 are generated from a small statement grammar and the bitset implementations
 of liveness and reaching definitions are compared bit-for-bit against the
 frozenset reference implementations preserved in
-:mod:`repro.analysis.reference`.  A regression test additionally pins down
-that the reverse-postorder worklist never takes more fixpoint iterations
-than the seed's textbook ordering.
+:mod:`repro.analysis.reference`.
 """
 
 from __future__ import annotations
@@ -25,11 +23,8 @@ from repro.analysis import (
     iter_bits,
     reaching_definitions,
     reaching_definitions_reference,
-    solve,
-    solve_reference,
 )
 from repro.analysis.bitset import VariableInterner
-from repro.analysis.reference import liveness_problem, reaching_problem
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
 from repro.perf import PerfRegistry
@@ -108,48 +103,11 @@ def test_bitset_reaching_equals_reference(seed: int):
     assert optimised.uses == reference.uses
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_rpo_worklist_iterations_do_not_grow(seed: int):
-    """The engineered solver must never iterate more than the seed solver."""
-    cfg = random_cfg(seed)
-    for problem in (liveness_problem(cfg), reaching_problem(cfg)[0]):
-        reference = solve_reference(problem)
-        optimised = solve(problem)
-        assert optimised.in_facts == reference.in_facts
-        assert optimised.out_facts == reference.out_facts
-        assert optimised.iterations <= reference.iterations
-
-
 def test_bitset_fixpoint_visits_each_block_once_on_acyclic_cfg():
     # loop-free CFG in reverse postorder: one visit per block suffices
     cfg = random_cfg(4711)
     assert bitset_block_liveness(cfg).iterations == len(cfg)
     assert bitset_reaching_definitions(cfg).iterations == len(cfg)
-
-
-def test_solver_honours_explicit_order_and_predecessors():
-    # diamond 1 -> {2, 3} -> 4 with explicit adjacency in both directions
-    from repro.analysis import DataflowProblem, Direction, set_union
-
-    edges = {1: [2, 3], 2: [4], 3: [4], 4: []}
-    reverse = {1: [], 2: [1], 3: [1], 4: [2, 3]}
-    problem = DataflowProblem(
-        nodes=[4, 3, 2, 1],  # deliberately not in flow order
-        successors=lambda n: edges[n],
-        direction=Direction.FORWARD,
-        boundary_nodes=[1],
-        boundary=frozenset({"start"}),
-        initial=frozenset(),
-        join=set_union,
-        transfer=lambda node, fact: fact | {f"n{node}"},
-        predecessors=lambda n: reverse[n],
-        order=[1, 2, 3, 4],
-    )
-    result = solve(problem)
-    assert result.out_facts[4] == frozenset({"start", "n1", "n2", "n3", "n4"})
-    # acyclic graph seeded in RPO: one visit per node
-    assert result.iterations == 4
 
 
 def test_stale_statement_append_is_caught_by_fingerprint():
