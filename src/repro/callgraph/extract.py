@@ -48,10 +48,6 @@ class FunctionCalls:
     def name(self) -> str:
         return self.function.name
 
-    @property
-    def total_sites(self) -> int:
-        return sum(self.sites.values())
-
 
 def _analyse_definition(
     definition: FunctionDef, global_names: frozenset[str]

@@ -433,13 +433,6 @@ class ControlFlowGraph:
             raise CfgError("graph contains a cycle not tagged with BACK edges")
         return order
 
-    def is_acyclic_ignoring_back_edges(self) -> bool:
-        try:
-            self.topological_order()
-        except CfgError:
-            return False
-        return True
-
     def validate(self) -> None:
         """Check structural invariants; raise :class:`CfgError` on violation."""
         if self.entry.statements:

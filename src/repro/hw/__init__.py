@@ -10,7 +10,6 @@ from .cost_model import (
     uniform_cost_model,
 )
 from .interpreter import (
-    BlockEvent,
     BranchEvent,
     ExecutionError,
     Interpreter,
@@ -26,7 +25,6 @@ __all__ = [
     "HCS12_COST_MODEL",
     "CostModel",
     "uniform_cost_model",
-    "BlockEvent",
     "BranchEvent",
     "ExecutionError",
     "Interpreter",

@@ -38,7 +38,7 @@ class PointReading:
 
     point: InstrumentationPoint
     cycles: int
-    #: index into the block trace at which the point fired (stable ordering)
+    #: index into the run's ``trace`` at which the point fired (stable ordering)
     trace_index: int
 
 
@@ -128,14 +128,13 @@ class EvaluationBoard:
         """
         run = self.run(function_name, inputs)
         readings: list[PointReading] = []
-        for index, event in enumerate(run.block_trace):
-            for point in plan.triggers.get(event.block_id, ()):
-                readings.append(PointReading(point=point, cycles=event.cycles, trace_index=index))
+        triggers, stamps = plan.triggers, run.stamps
+        for index, block_id in enumerate(run.trace):
+            for point in triggers.get(block_id, ()):
+                readings.append(PointReading(point=point, cycles=stamps[index], trace_index=index))
         for point in plan.end_of_function_points:
             readings.append(
-                PointReading(
-                    point=point, cycles=run.total_cycles, trace_index=len(run.block_trace)
-                )
+                PointReading(point=point, cycles=run.total_cycles, trace_index=len(run.trace))
             )
         readings.sort(key=lambda r: (r.trace_index, r.point.point_id))
         return InstrumentedRun(run=run, readings=readings)

@@ -131,7 +131,7 @@ class CompiledBlock:
         #: (closure, is a return statement) per statement
         self.statements: tuple[tuple[Value, bool], ...] = ()
         self.kind = JUMP
-        #: JUMP / RETURN: the single out edge and (JUMP) where it leads
+        #: JUMP: the single out edge and where it leads
         self.successor: Successor | None = None
         self.condition: Value | None = None
         #: BRANCH: (edge, next block, branch cycles) per outcome
@@ -228,7 +228,6 @@ class _Compiler:
             if len(edges) != 1:
                 return
             compiled.kind = RETURN
-            compiled.successor = (edges[0], None)
             cycles += cost.return_cost
         elif block is cfg.exit:
             compiled.kind = EXIT

@@ -6,11 +6,11 @@ HCS12 on the paper's evaluation board accumulates cycles in its counter
 register.  Besides the final cycle count it records everything the
 surrounding tooling needs:
 
-* a *block trace* -- ``(block id, cycle count at block entry)`` events, which
-  the measurement subsystem converts into per-segment execution times using
-  the instrumentation plan;
-* the *edge trace* -- which CFG edges were taken, used for path-coverage
-  accounting by the test-data generators; and
+* the *trace* -- the id of every block entered, in execution order, and the
+  *stamps* -- the cycle count at each of those entries; the measurement
+  subsystem converts the pair into per-segment execution times using the
+  instrumentation plan, and the test-data generators match the trace
+  against their path targets; and
 * *branch events* with objective branch distances (Tracey-style), which the
   genetic algorithm uses as its fitness signal.
 
@@ -29,9 +29,9 @@ against, field for field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..cfg.builder import build_all_cfgs
 from ..cfg.graph import ControlFlowGraph, Edge, EdgeKind, TerminatorKind
@@ -63,6 +63,7 @@ from .compiler import (
     RETURN,
     SWITCH,
     CompiledFunction,
+    _type_wrapper,
     compile_function,
 )
 from .cost_model import CostModel, HCS12_COST_MODEL
@@ -80,16 +81,7 @@ class ExecutionError(Exception):
     """Raised for runtime errors (division by zero, step-limit exceeded, ...)."""
 
 
-@dataclass
-class BlockEvent:
-    """One block-entry event of the executed trace."""
-
-    block_id: int
-    cycles: int
-
-
-@dataclass
-class BranchEvent:
+class BranchEvent(NamedTuple):
     """Outcome and branch distances of one executed two-way branch.
 
     ``distance_true``/``distance_false`` are objective distances ("how far was
@@ -105,8 +97,7 @@ class BranchEvent:
     distance_false: float
 
 
-@dataclass
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     """Outcome of one executed switch dispatch."""
 
     block_id: int
@@ -114,8 +105,17 @@ class SwitchEvent:
     taken_edge: Edge
 
 
+#: ``BranchEvent`` from one ``(block_id, outcome, distance_true,
+#: distance_false)`` tuple, without the keyword-argument constructor
+_branch_event = partial(tuple.__new__, BranchEvent)
+
+
 class RunResult(NamedTuple):
     """Everything observed during one run of the top-level function.
+
+    ``trace`` holds the id of every block the top-level function entered, in
+    execution order, and ``stamps`` the cycle counter at each entry
+    (``stamps[i]`` belongs to ``trace[i]``).  Callees run unrecorded.
 
     Immutable: a memoising :class:`~repro.hw.board.EvaluationBoard` hands the
     same result to every caller that runs the same input vector, so the
@@ -126,19 +126,11 @@ class RunResult(NamedTuple):
     inputs: Mapping[str, int]
     total_cycles: int
     return_value: int | None
-    block_trace: tuple[BlockEvent, ...]
-    edge_trace: tuple[Edge, ...]
+    trace: tuple[int, ...]
+    stamps: tuple[int, ...]
     branch_events: tuple[BranchEvent, ...]
     switch_events: tuple[SwitchEvent, ...]
     final_environment: Mapping[str, int]
-
-    @property
-    def executed_blocks(self) -> list[int]:
-        return [event.block_id for event in self.block_trace]
-
-    @property
-    def executed_edge_keys(self) -> list[tuple[int, int, str]]:
-        return [(edge.source, edge.target, edge.kind.value) for edge in self.edge_trace]
 
 
 class Interpreter:
@@ -169,9 +161,9 @@ class Interpreter:
         self._stubbed = set(stub_functions)
         #: function name -> its compiled CFG, built on the function's first run
         self._compiled: dict[str, CompiledFunction] = {}
-        #: (global environment before inputs, global name -> declared type),
-        #: built on the first run
-        self._globals: tuple[dict[str, int], dict[str, CType]] | None = None
+        #: (global environment before inputs, global name -> wrap function
+        #: of its declared type), built on the first run
+        self._globals: tuple[dict[str, int], dict[str, Callable[[int], int]]] | None = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -194,7 +186,7 @@ class Interpreter:
         or zero.  Parameters of the top-level function may also be supplied
         through ``inputs`` by name.
         """
-        return self._run(function_name, inputs, reference=False)
+        return self._run(function_name, inputs, False)
 
     def run_reference(
         self,
@@ -207,7 +199,7 @@ class Interpreter:
         same errors on the same runs; it is kept for the tests that check
         exactly that.
         """
-        return self._run(function_name, inputs, reference=True)
+        return self._run(function_name, inputs, True)
 
     def _run(
         self, function_name: str, inputs: dict[str, int] | None, reference: bool
@@ -217,7 +209,7 @@ class Interpreter:
             environment = self._initial_environment(inputs)
         else:
             environment = self._environment_for(inputs)
-        state = _RunState(cost=self._cost, max_steps=self._max_steps, reference=reference)
+        state = _RunState(self._cost, self._max_steps, reference)
         function = self._program.function(function_name)
 
         # top-level parameters come from the inputs mapping (default 0)
@@ -225,19 +217,18 @@ class Interpreter:
             value = inputs.get(param.name, 0)
             environment[param.name] = param.param_type.wrap(value)
 
-        return_value = self._execute_function(
-            function_name, environment, state, record=True
-        )
+        return_value = self._execute_function(function_name, environment, state, True)
+        # positional: keyword arguments would add about 0.5 µs to every run
         return RunResult(
-            function_name=function_name,
-            inputs=MappingProxyType(inputs),
-            total_cycles=state.cycles,
-            return_value=return_value,
-            block_trace=tuple(state.block_trace),
-            edge_trace=tuple(state.edge_trace),
-            branch_events=tuple(state.branch_events),
-            switch_events=tuple(state.switch_events),
-            final_environment=MappingProxyType(environment),
+            function_name,
+            MappingProxyType(inputs),
+            state.cycles,
+            return_value,
+            tuple(state.trace),
+            tuple(state.stamps),
+            tuple(state.branch_events),
+            tuple(state.switch_events),
+            MappingProxyType(environment),
         )
 
     # ------------------------------------------------------------------ #
@@ -259,17 +250,18 @@ class Interpreter:
         return environment
 
     def _environment_for(self, inputs: dict[str, int]) -> dict[str, int]:
-        """:meth:`_initial_environment` from globals evaluated once per board."""
+        """:meth:`_initial_environment` from globals evaluated, and each
+        global's wrap function built, once per board."""
         if self._globals is None:
-            types: dict[str, CType] = {}
+            wraps: dict[str, Callable[[int], int]] = {}
             for decl in self._program.globals:
-                types.setdefault(decl.name, decl.var_type)
-            self._globals = (self._initial_environment({}), types)
-        initial, types = self._globals
-        environment = dict(initial)
+                wraps.setdefault(decl.name, _type_wrapper(decl.var_type))
+            self._globals = (self._initial_environment({}), wraps)
+        initial, wraps = self._globals
+        environment = initial.copy()
         for name, value in inputs.items():
-            ctype = types.get(name)
-            environment[name] = value if ctype is None else ctype.wrap(value)
+            wrap = wraps.get(name)
+            environment[name] = value if wrap is None else wrap(value)
         return environment
 
     def _evaluate_static(self, expr: Expr) -> int:
@@ -312,7 +304,8 @@ class Interpreter:
                 self.cfg(function_name), self._cost, self._defined - self._stubbed
             )
         max_steps = state.max_steps
-        enter, take = state.block_trace.append, state.edge_trace.append
+        enter, stamp = state.trace.append, state.stamps.append
+        branch_events = state.branch_events.append
         block = code.entry
         return_value: int | None = None
         while True:
@@ -330,7 +323,8 @@ class Interpreter:
                 continue
             state.steps = steps + block.fixed_steps
             if record:
-                enter(BlockEvent(block.block_id, state.cycles))
+                enter(block.block_id)
+                stamp(state.cycles)
             state.cycles += block.cycles
             try:
                 for statement, is_return in block.statements:
@@ -340,11 +334,11 @@ class Interpreter:
                 kind = block.kind
                 if kind == BRANCH:
                     outcome = block.condition(environment, state) != 0
-                    edge, target, cycles = block.on_true if outcome else block.on_false
+                    _, target, cycles = block.on_true if outcome else block.on_false
                     state.cycles += cycles
                     if record:
-                        state.branch_events.append(
-                            BranchEvent(block.block_id, outcome, *block.distances(environment))
+                        branch_events(
+                            _branch_event((block.block_id, outcome) + block.distances(environment))
                         )
                 elif kind == SWITCH:
                     value = block.condition(environment, state)
@@ -358,21 +352,16 @@ class Interpreter:
                     state.cycles += cycles
                     if record:
                         state.switch_events.append(SwitchEvent(block.block_id, value, edge))
-                elif kind == RETURN:
-                    if record:
-                        take(block.successor[0])
-                    return return_value
-                elif kind == EXIT:
+                elif kind == RETURN or kind == EXIT:
                     return return_value
                 else:
-                    edge, target = block.successor
+                    target = block.successor[1]
             except KeyError as exc:
                 raise ExecutionError(f"read of unbound variable {exc.args[0]!r}") from None
-            if record:
-                take(edge)
             if target is None:
                 if record:
-                    enter(BlockEvent(code.exit_id, state.cycles))
+                    enter(code.exit_id)
+                    stamp(state.cycles)
                 return return_value
             block = target
 
@@ -404,7 +393,8 @@ class Interpreter:
         """Run one block step by step: (next block or None on return, return value)."""
         state.step()
         if record:
-            state.block_trace.append(BlockEvent(block.block_id, state.cycles))
+            state.trace.append(block.block_id)
+            state.stamps.append(state.cycles)
         for stmt in block.statements:
             result = self._execute_statement(stmt, environment, state)
             if isinstance(stmt, ReturnStmt):
@@ -413,9 +403,7 @@ class Interpreter:
         terminator = block.terminator
         if terminator.kind is TerminatorKind.RETURN:
             state.cycles += self._cost.return_cost
-            edge = self._single_edge(cfg, block)
-            if record:
-                state.edge_trace.append(edge)
+            self._single_edge(cfg, block)  # raises unless there is exactly one
             return None, return_value
         if block is cfg.exit:
             return None, return_value
@@ -427,12 +415,11 @@ class Interpreter:
             edge = self._execute_switch(cfg, block, environment, state, record)
         else:  # pragma: no cover - defensive
             raise ExecutionError(f"unknown terminator {terminator.kind}")
-        if record:
-            state.edge_trace.append(edge)
         next_block = cfg.block(edge.target)
         if next_block is cfg.exit:
             if record:
-                state.block_trace.append(BlockEvent(next_block.block_id, state.cycles))
+                state.trace.append(next_block.block_id)
+                state.stamps.append(state.cycles)
             return None, return_value
         return next_block, return_value
 
@@ -453,15 +440,8 @@ class Interpreter:
         outcome = value != 0
         state.cycles += self._cost.branch_taken if outcome else self._cost.branch_not_taken
         if record:
-            distance_true, distance_false = self._branch_distances(condition, environment)
-            state.branch_events.append(
-                BranchEvent(
-                    block_id=block.block_id,
-                    outcome=outcome,
-                    distance_true=distance_true,
-                    distance_false=distance_false,
-                )
-            )
+            distances = self._branch_distances(condition, environment)
+            state.branch_events.append(BranchEvent(block.block_id, outcome, *distances))
         wanted = EdgeKind.TRUE if outcome else EdgeKind.FALSE
         # loop back-edges may carry the TRUE direction for do-while loops
         for edge in cfg.out_edges(block):
@@ -497,9 +477,7 @@ class Interpreter:
                 f"switch block {block.block_id}: no case matches value {value} and no default"
             )
         if record:
-            state.switch_events.append(
-                SwitchEvent(block_id=block.block_id, value=value, taken_edge=chosen)
-            )
+            state.switch_events.append(SwitchEvent(block.block_id, value, chosen))
         return chosen
 
     # ------------------------------------------------------------------ #
@@ -727,20 +705,25 @@ class Interpreter:
         return ctype.wrap(value)
 
 
-@dataclass
 class _RunState:
     """Mutable execution state shared across nested function calls."""
 
-    cost: CostModel
-    max_steps: int
-    #: run every function on the walker alone (:meth:`Interpreter.run_reference`)
-    reference: bool = False
-    cycles: int = 0
-    steps: int = 0
-    block_trace: list[BlockEvent] = field(default_factory=list)
-    edge_trace: list[Edge] = field(default_factory=list)
-    branch_events: list[BranchEvent] = field(default_factory=list)
-    switch_events: list[SwitchEvent] = field(default_factory=list)
+    __slots__ = (
+        "cost", "max_steps", "reference", "cycles", "steps",
+        "trace", "stamps", "branch_events", "switch_events",
+    )
+
+    def __init__(self, cost: CostModel, max_steps: int, reference: bool = False):
+        self.cost = cost
+        self.max_steps = max_steps
+        #: run every function on the walker alone (:meth:`Interpreter.run_reference`)
+        self.reference = reference
+        self.cycles = 0
+        self.steps = 0
+        self.trace: list[int] = []
+        self.stamps: list[int] = []
+        self.branch_events: list[BranchEvent] = []
+        self.switch_events: list[SwitchEvent] = []
 
     def step(self) -> None:
         self.steps += 1

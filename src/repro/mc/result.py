@@ -107,10 +107,6 @@ class CheckStatistics:
     #: "symbolic:full"); filled by the query planner
     engines_tried: tuple[str, ...] = ()
 
-    @property
-    def memory_kib(self) -> float:
-        return self.memory_bytes / 1024.0
-
 
 @dataclass
 class CheckResult:
@@ -126,10 +122,6 @@ class CheckResult:
     @property
     def reachable(self) -> bool:
         return self.verdict is Verdict.REACHABLE
-
-    @property
-    def proven_unreachable(self) -> bool:
-        return self.verdict is Verdict.UNREACHABLE
 
     @property
     def budget_exhausted(self) -> bool:

@@ -39,10 +39,6 @@ class SegmentStatistics:
     worst_inputs: dict[str, int] = field(default_factory=dict)
 
     @property
-    def mean_cycles(self) -> float:
-        return self.total_cycles / self.observations if self.observations else 0.0
-
-    @property
     def observed_path_count(self) -> int:
         return len(self.paths)
 
@@ -80,9 +76,6 @@ class MeasurementDatabase:
 
     def statistics(self, segment_id: int) -> SegmentStatistics | None:
         return self._stats.get(segment_id)
-
-    def all_statistics(self) -> dict[int, SegmentStatistics]:
-        return dict(self._stats)
 
     def max_cycles(self, segment_id: int) -> int | None:
         """Worst observed execution time of a segment (``None`` if unmeasured)."""

@@ -95,7 +95,7 @@ class MeasurementRunner:
         """Pair entry/exit readings into per-segment execution times."""
         measurements: list[SegmentMeasurement] = []
         readings = instrumented.readings
-        block_trace = instrumented.run.block_trace
+        trace = instrumented.run.trace
         # one copy of the vector, shared by every measurement of this run
         inputs = dict(inputs)
         for index, reading in enumerate(readings):
@@ -116,10 +116,11 @@ class MeasurementRunner:
                     break
             if exit_reading is None:
                 continue
+            inside = segment.block_ids
             path_blocks = tuple(
-                event.block_id
-                for event in block_trace[reading.trace_index : exit_reading.trace_index]
-                if event.block_id in segment.block_ids
+                block_id
+                for block_id in trace[reading.trace_index : exit_reading.trace_index]
+                if block_id in inside
             )
             measurements.append(
                 SegmentMeasurement(

@@ -99,9 +99,6 @@ class FunctionSymbolTable:
         except KeyError as exc:
             raise SemanticError(f"unknown variable {name!r}") from exc
 
-    def input_symbols(self) -> list[Symbol]:
-        return [self.variables[name] for name in self.inputs]
-
 
 def build_global_scope(
     globals_: list[GlobalDecl], functions: list[FunctionDef], externals: list[str]

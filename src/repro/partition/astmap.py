@@ -60,14 +60,6 @@ class AstBlockMap:
         return mapping
 
     # ------------------------------------------------------------------ #
-    def block_of_statement(self, stmt: Stmt) -> int | None:
-        """Block containing *stmt* (``None`` for unreachable/empty stmts)."""
-        return self.statement_block.get(stmt.node_id)
-
-    def block_of_branch(self, stmt: Node) -> int | None:
-        """Block evaluating the condition of a branching statement."""
-        return self.terminator_block.get(stmt.node_id)
-
     def blocks_of_subtree(self, node: Node) -> set[int]:
         """All blocks holding statements or branch conditions of *node*'s subtree.
 

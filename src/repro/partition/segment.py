@@ -82,14 +82,6 @@ class ProgramSegment:
     def is_single_block(self) -> bool:
         return len(self.block_ids) == 1
 
-    def entry_edges(self, cfg: ControlFlowGraph) -> list[Edge]:
-        """CFG edges entering the segment from outside."""
-        return [
-            edge
-            for edge in cfg.in_edges(self.entry_block)
-            if edge.source not in self.block_ids
-        ]
-
     def exit_edges(self, cfg: ControlFlowGraph) -> list[Edge]:
         """CFG edges leaving the segment."""
         edges: list[Edge] = []
@@ -98,10 +90,6 @@ class ProgramSegment:
                 if edge.target not in self.block_ids:
                     edges.append(edge)
         return edges
-
-    def is_structured(self, cfg: ControlFlowGraph) -> bool:
-        """True for an SPS (single exit edge) in the paper's terminology."""
-        return len(self.exit_edges(cfg)) <= 1
 
     def validate(self, cfg: ControlFlowGraph) -> None:
         """Check the PS invariants of Section 2.1 against *cfg*.
@@ -175,12 +163,6 @@ class PartitionResult:
             if segment.contains_block(block_id):
                 return segment
         return None
-
-    def covered_blocks(self) -> set[int]:
-        covered: set[int] = set()
-        for segment in self.segments:
-            covered |= segment.block_ids
-        return covered
 
     def segments_within(self, block_ids: set[int] | frozenset) -> list[ProgramSegment]:
         """Segments whose every block lies in *block_ids*.

@@ -73,9 +73,11 @@ class AnalyzerConfig:
     max_steps_per_run: int = 1_000_000
     #: run the sound static-analysis pass (``repro.sa``): branch-feasibility
     #: prefiltering of model-checking queries, static loop-bound inference
-    #: and program diagnostics.  Verdicts and bounds are identical either
-    #: way -- the pass only removes provably-useless solver work and
-    #: tightens provably-exact loop bounds.
+    #: and program diagnostics.  The pass is meant to remove solver work and
+    #: skip genetic searches, not to move bounds.  Controllers 11/2/5 get the
+    #: same bounds either way, but no test checks that in general.  The
+    #: model checker's own unsound verdicts are pinned as strict xfails in
+    #: ``tests/test_soundness_repros.py``.
     static_analysis: bool = True
 
 

@@ -17,6 +17,11 @@ The GA here is the standard search-based-testing setup:
 
 The GA runs per target path; the hybrid driver gives it a budget and falls
 back to model checking for whatever remains uncovered.
+
+The selection and variation operators draw with ``rng.random()`` and
+``getrandbits`` rejection loops that consume exactly what ``random.sample``,
+``randint`` and ``choice`` consume, so a seed gives the same searches as
+the stdlib formulation (``tests/test_testgen.py::TestStreamIdentity``).
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import ceil, log
 from operator import attrgetter
 
 from ..hw.board import EvaluationBoard
 from ..hw.interpreter import RunResult
 from ..resilience import injector_armed
-from .inputs import InputSpace
-from .targets import CoverageTracker, PathTarget, block_ids
+from .inputs import InputSpace, draw_below
+from .targets import CoverageTracker, PathTarget
 
 
 @dataclass
@@ -70,7 +76,7 @@ class GeneticOutcome:
     evaluations: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Individual:
     vector: dict[str, int]
     fitness: float = float("inf")
@@ -135,30 +141,28 @@ class GeneticTestDataGenerator:
             if individual.fitness == 0.0:
                 return self._finish(outcome, individual)
 
-        for generation in range(options.max_generations):
+        space, rng, tournament = self._space, self._rng, self._tournament
+        for _ in range(options.max_generations):
             self.statistics.generations += 1
             population.sort(key=_by_fitness)
             next_population: list[_Individual] = population[: options.elitism]
             while len(next_population) < options.population_size:
-                parent_a = self._tournament(population)
-                parent_b = self._tournament(population)
-                if self._rng.random() < options.crossover_rate:
-                    child_vector = self._space.crossover(
-                        parent_a.vector, parent_b.vector, self._rng
-                    )
+                parent_a = tournament(population)
+                parent_b = tournament(population)
+                if rng.random() < options.crossover_rate:
+                    child_vector = space.crossover(parent_a.vector, parent_b.vector, rng)
                 else:
                     child_vector = dict(parent_a.vector)
                 # parents are in range and in variable order, and crossover
                 # and mutation keep both, so a child needs no clamp
                 child = _Individual(
-                    vector=self._space.mutate(child_vector, self._rng, options.mutation_rate)
+                    vector=space.mutate(child_vector, rng, options.mutation_rate)
                 )
                 self._evaluate(child, target, coverage, outcome, scored, matched)
                 if child.fitness == 0.0:
                     return self._finish(outcome, child)
                 next_population.append(child)
             population = next_population
-            del generation
         population.sort(key=_by_fitness)
         outcome.best_fitness = population[0].fitness if population else float("inf")
         return outcome
@@ -177,10 +181,37 @@ class GeneticTestDataGenerator:
         return population
 
     def _tournament(self, population: list[_Individual]) -> _Individual:
-        contenders = self._rng.sample(
-            population, min(self._options.tournament_size, len(population))
-        )
-        return min(contenders, key=_by_fitness)
+        """The fittest of ``rng.sample(population, tournament_size)``.
+
+        Draws what ``random.Random.sample`` draws, and the first of equally
+        fit contenders wins, as with ``min``.
+        """
+        n = len(population)
+        k = min(self._options.tournament_size, n)
+        getrandbits = self._rng.getrandbits
+        best: _Individual | None = None
+        if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+            # draw_below(n) inlined; sample() redraws an index picked before
+            bits = n.bit_length()
+            picked: list[int] = []
+            for _ in range(k):
+                index = getrandbits(bits)
+                while index >= n or index in picked:
+                    index = getrandbits(bits)
+                picked.append(index)
+                contender = population[index]
+                if best is None or contender.fitness < best.fitness:
+                    best = contender
+            return best
+        # sample() picks from a shrinking pool: position -> index moved there
+        moved: dict[int, int] = {}
+        for remaining in range(n, n - k, -1):
+            j = draw_below(getrandbits, remaining)
+            contender = population[moved.get(j, j)]
+            moved[j] = moved.get(remaining - 1, remaining - 1)
+            if best is None or contender.fitness < best.fitness:
+                best = contender
+        return best
 
     def _finish(self, outcome: GeneticOutcome, winner: _Individual) -> GeneticOutcome:
         outcome.covered = True
@@ -205,10 +236,9 @@ class GeneticTestDataGenerator:
         fitness = scored.get(key) if scored is not None else None
         if fitness is None:
             run = self._board.run(self._function, individual.vector)
-            trace = block_ids(run)
-            fitness = self._fitness(run, trace, target, matched)
+            fitness = self._fitness(run, run.trace, target, matched)
             if coverage is not None:
-                coverage.record_trace(trace, run.inputs)
+                coverage.record_trace(run.trace, run.inputs)
             if scored is not None:
                 scored[key] = fitness
         self.statistics.evaluations += 1
@@ -225,7 +255,7 @@ class GeneticTestDataGenerator:
         distance of the decision where execution left the guidance path
         provides the fine-grained gradient (Tracey-style objective).
         """
-        return self._fitness(run, block_ids(run), target, {})
+        return self._fitness(run, run.trace, target, {})
 
     def _fitness(
         self,
@@ -263,8 +293,9 @@ class GeneticTestDataGenerator:
         and, when a ``case`` edge leads to the same successor, its labels.
         """
         key = target.key
-        if key in self._guidance_cache:
-            return self._guidance_cache[key]
+        cached = self._guidance_cache.get(key)
+        if cached is not None:
+            return cached
         cfg = self._board.cfg(self._function)
         from ..cfg.graph import EdgeKind
 

@@ -23,15 +23,45 @@ class InputVariable:
     name: str
     value_range: IntRange
 
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.value_range.lo, self.value_range.hi)
+
+def draw_below(getrandbits, n: int) -> int:
+    """A uniform integer in ``[0, n)``, drawn as ``random.Random`` draws it.
+
+    This is CPython's ``Random._randbelow``, which ``randrange``,
+    ``randint``, ``choice`` and ``sample`` call: ``getrandbits`` of
+    ``n.bit_length()`` bits until the value is below ``n``.  Calling it with
+    ``rng.getrandbits`` consumes the same stream as those wrappers.
+    """
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
+#: the +/- 1..4 nudges of :meth:`InputSpace.mutate`, in draw order
+_NUDGES = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 
 @dataclass
 class InputSpace:
-    """The set of input variables and their ranges."""
+    """The set of input variables and their ranges.
+
+    :meth:`random_vector`, :meth:`mutate` and :meth:`crossover` draw with
+    ``rng.random()`` and :func:`draw_below` only, and consume exactly the
+    values their ``randint``/``choice`` formulation consumed, so a seed
+    gives the same vectors (``tests/test_testgen.py::TestStreamIdentity``).
+    """
 
     variables: list[InputVariable] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        #: per variable: (name, lo, hi, values in [lo, hi], largest jump)
+        self._genes: list[tuple[str, int, int, int, int]] = []
+        for variable in self.variables:
+            lo, hi = variable.value_range.lo, variable.value_range.hi
+            size = hi - lo + 1
+            self._genes.append((variable.name, lo, hi, size, max(1, size // 16)))
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -66,14 +96,18 @@ class InputSpace:
         return total
 
     def random_vector(self, rng: random.Random) -> dict[str, int]:
-        return {variable.name: variable.sample(rng) for variable in self.variables}
+        """One uniform value per variable (``rng.randint(lo, hi)`` each)."""
+        getrandbits = rng.getrandbits
+        return {
+            name: lo + draw_below(getrandbits, size)
+            for name, lo, _, size, _ in self._genes
+        }
 
     def clamp(self, vector: dict[str, int]) -> dict[str, int]:
-        clamped: dict[str, int] = {}
-        for variable in self.variables:
-            value = vector.get(variable.name, variable.value_range.lo)
-            clamped[variable.name] = variable.value_range.clamp(value)
-        return clamped
+        return {
+            name: min(hi, max(lo, vector.get(name, lo)))
+            for name, lo, hi, _, _ in self._genes
+        }
 
     def mutate(
         self, vector: dict[str, int], rng: random.Random, mutation_rate: float = 0.3
@@ -86,31 +120,28 @@ class InputSpace:
         gradient close the final gap to an equality condition).
         """
         mutated = dict(vector)
-        for variable in self.variables:
-            if rng.random() >= mutation_rate:
+        uniform, getrandbits = rng.random, rng.getrandbits
+        for name, lo, hi, size, span in self._genes:
+            if uniform() >= mutation_rate:
                 continue
-            choice = rng.random()
-            if choice < 1.0 / 3.0:
-                mutated[variable.name] = variable.sample(rng)
-            elif choice < 2.0 / 3.0:
-                span = max(1, variable.value_range.size() // 16)
-                delta = rng.randint(-span, span)
-                mutated[variable.name] = variable.value_range.clamp(
-                    mutated[variable.name] + delta
-                )
+            flavour = uniform()
+            if flavour < 1.0 / 3.0:
+                mutated[name] = lo + draw_below(getrandbits, size)
+                continue
+            if flavour < 2.0 / 3.0:
+                delta = draw_below(getrandbits, 2 * span + 1) - span
             else:
-                delta = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-                mutated[variable.name] = variable.value_range.clamp(
-                    mutated[variable.name] + delta
-                )
+                delta = _NUDGES[draw_below(getrandbits, 8)]
+            value = mutated[name] + delta
+            mutated[name] = hi if value > hi else lo if value < lo else value
         return mutated
 
     def crossover(
         self, left: dict[str, int], right: dict[str, int], rng: random.Random
     ) -> dict[str, int]:
         """Uniform crossover of two vectors."""
-        child: dict[str, int] = {}
-        for variable in self.variables:
-            source = left if rng.random() < 0.5 else right
-            child[variable.name] = source.get(variable.name, variable.value_range.lo)
-        return child
+        uniform = rng.random
+        return {
+            name: (left if uniform() < 0.5 else right).get(name, lo)
+            for name, lo, _, _, _ in self._genes
+        }

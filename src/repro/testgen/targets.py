@@ -6,9 +6,10 @@ such path: the block sequence through one program segment, together with the
 CFG edges that realise it (the model-checking generator needs the edges, the
 coverage bookkeeping needs the blocks).
 
-:class:`CoverageTracker` matches executed runs against the targets using the
-same block-sequence extraction as the measurement subsystem, so "covered"
-always means "a measurement for this segment path exists".
+:class:`CoverageTracker` matches each run's block ``trace`` against the
+targets using the same block-sequence extraction as the measurement
+subsystem, so "covered" always means "a measurement for this segment path
+exists".
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class CoverageTracker:
     # ------------------------------------------------------------------ #
     def record_run(self, run: RunResult) -> list[PathTarget]:
         """Record one executed run; return the targets it covered for the first time."""
-        return self.record_trace(block_ids(run), run.inputs)
+        return self.record_trace(run.trace, run.inputs)
 
     def record_trace(
         self, trace: tuple[int, ...], inputs: Mapping[str, int]
@@ -162,11 +163,6 @@ class CoverageTracker:
 
     def covering_vector(self, target: PathTarget) -> dict[str, int] | None:
         return self.covered.get(target.key)
-
-
-def block_ids(run: RunResult) -> tuple[int, ...]:
-    """The block-id trace of *run*, in execution order."""
-    return tuple([event.block_id for event in run.block_trace])
 
 
 def _first_traversal(

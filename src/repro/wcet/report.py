@@ -35,8 +35,11 @@ class WcetReport:
     #: callee summary or the pessimistic unknown-call constant
     summarised_call_sites: int = 0
     #: model-checking query-engine counters (planned/sliced/prefix_hits/
-    #: budget_exhausted/...); budget-exhausted targets stay
-    #: uncovered, so their segments keep the pessimistic static charge
+    #: budget_exhausted/...).  A budget-exhausted target stays uncovered.
+    #: Its segment gets the static charge only when no path of it was
+    #: measured; otherwise the path is left out of the bound, which is
+    #: unsound (``tests/test_soundness_repros.py`` pins a repro as a strict
+    #: xfail)
     mc_diagnostics: dict[str, int] = field(default_factory=dict)
     #: True when injected faults forced part of the analysis onto the static
     #: pessimisation route; the bound is sound but coarser than a clean run's

@@ -182,7 +182,7 @@ class TestOptimisationEvalWorkload:
             EVAL_FUNCTION_NAME,
             {"sensor_temp": 100, "sensor_rpm": 60, "sensor_load": 90},
         )
-        assert target in run.executed_blocks
+        assert target in run.trace
 
     def test_missing_marker_call_raises(self):
         analyzed = optimisation_eval_program()

@@ -150,9 +150,8 @@ class TestCycleAccounting:
 
     def test_block_trace_cycles_monotone(self, figure1):
         board = EvaluationBoard(figure1)
-        trace = board.run("main", {"i": 0}).block_trace
-        cycles = [event.cycles for event in trace]
-        assert cycles == sorted(cycles)
+        stamps = board.run("main", {"i": 0}).stamps
+        assert list(stamps) == sorted(stamps)
 
     def test_external_call_cost_included(self):
         with_call = board_for("void f(void) { helper(); }").run("f").total_cycles
@@ -165,19 +164,21 @@ class TestTracesAndEvents:
         board = EvaluationBoard(figure1)
         run = board.run("main", {"i": 1})
         cfg = board.cfg("main")
-        executed = run.executed_blocks
+        executed = run.trace
         assert executed[0] == cfg.entry.block_id
         assert executed[-1] == cfg.exit.block_id
         # i=1 skips the then-branches
         assert 5 not in executed and 10 not in executed
 
     def test_edge_trace_connects_blocks(self, figure1):
+        # every pair of consecutive trace entries is a CFG edge
         board = EvaluationBoard(figure1)
-        run = board.run("main", {"i": 0})
-        for edge, (source, target) in zip(
-            run.edge_trace, zip(run.executed_blocks, run.executed_blocks[1:])
-        ):
-            assert edge.source == source and edge.target == target
+        cfg = board.cfg("main")
+        for inputs in ({"i": 0}, {"i": 1}):
+            run = board.run("main", inputs)
+            assert len(run.trace) == len(run.stamps) > 2
+            for source, target in zip(run.trace, run.trace[1:]):
+                assert target in {edge.target for edge in cfg.out_edges(source)}
 
     def test_branch_events_have_zero_distance_for_taken_outcome(self, figure1):
         board = EvaluationBoard(figure1)
@@ -224,7 +225,7 @@ class TestInstrumentedRuns:
         partition = partition_function(figure1.program.function("main"), 2, figure1_cfg)
         plan = build_instrumentation_plan(partition, figure1_cfg)
         instrumented = board.run_instrumented("main", {"i": 0}, plan)
-        executed = set(instrumented.run.executed_blocks)
+        executed = set(instrumented.run.trace)
         for segment in partition.segments:
             if segment.entry_block in executed:
                 assert instrumented.readings_for_segment(segment.segment_id)
@@ -268,8 +269,8 @@ class TestBoardMemo:
             for vector in self.VECTORS:
                 memoised, expected = board.run("f", vector), fresh.run("f", vector)
                 assert memoised.total_cycles == expected.total_cycles
-                assert memoised.block_trace == expected.block_trace
-                assert memoised.edge_trace == expected.edge_trace
+                assert memoised.trace == expected.trace
+                assert memoised.stamps == expected.stamps
                 assert memoised.branch_events == expected.branch_events
                 assert memoised.switch_events == expected.switch_events
                 assert dict(memoised.final_environment) == dict(
@@ -287,7 +288,7 @@ class TestBoardMemo:
         result = board_for(self.SOURCE).run("f", {"a": 6, "m": 3})
         assert result.branch_events and result.switch_events
         with pytest.raises(AttributeError):
-            result.block_trace.append(result.block_trace[0])
+            result.trace.append(result.trace[0])
         with pytest.raises(TypeError):
             result.final_environment["out"] = 0
         with pytest.raises(TypeError):

@@ -10,7 +10,10 @@ returned.  The tests then check
   MODEL_CHECKING vector covers its target when replayed on a fresh board;
 * the sa skip: the genetic phase searches no target whose path the static
   analysis proved infeasible, each skipped target ends with exactly one
-  INFEASIBLE report, and no other search is lost.
+  INFEASIBLE report, and no other search is lost;
+* the work: on the controllers, the board runs and genetic evaluations of
+  each analysis are pinned, so a change meant to make them cheaper cannot
+  quietly change how many there are.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import pytest
 
 import repro.pipeline.analyzer as analyzer_module
-from repro.hw import EvaluationBoard
+from repro.hw import EvaluationBoard, Interpreter
 from repro.pipeline import AnalyzerConfig
 from repro.project import Project, ProjectScheduler, ResultCache
 from repro.testgen import (
@@ -65,6 +68,13 @@ SEARCHES = {
     "controller_5": (13, 16, 22),
 }
 
+#: controller -> (``Interpreter.run`` calls, genetic evaluations) of its analysis
+WORK = {
+    "controller_11": (15780, 15622),
+    "controller_2": (11136, 10906),
+    "controller_5": (6911, 6559),
+}
+
 
 @dataclass
 class Generation:
@@ -79,6 +89,8 @@ class Generation:
     uncovered_at_genetic_start: set = field(default_factory=set)
     searched: list = field(default_factory=list)
     suite: object = None
+    #: ``Interpreter.run`` calls from this generator's creation until the next
+    board_runs: int = 0
 
 
 def record_generations(sources: dict[str, str], **config) -> list[Generation]:
@@ -86,6 +98,7 @@ def record_generations(sources: dict[str, str], **config) -> list[Generation]:
     generations: list[Generation] = []
     board_options: dict[int, dict] = {}
     by_generator: dict[int, Generation] = {}
+    created: list[Generation] = []
 
     class RecordingBoard(EvaluationBoard):
         def __init__(self, analyzed, **options):
@@ -96,12 +109,14 @@ def record_generations(sources: dict[str, str], **config) -> list[Generation]:
     genetic_phase = HybridTestDataGenerator._genetic_phase
     generate = HybridTestDataGenerator.generate
     search = GeneticTestDataGenerator.search
+    interpreter_run = Interpreter.run
 
     def init_spy(self, analyzed, function_name, board, partition, cfg, options=None):
         hybrid_init(self, analyzed, function_name, board, partition, cfg, options)
         by_generator[id(self)] = Generation(
             analyzed, function_name, partition, cfg, board_options[id(board)]
         )
+        created.append(by_generator[id(self)])
 
     def genetic_phase_spy(self, coverage, suite):
         generation = by_generator[id(self)]
@@ -121,12 +136,17 @@ def record_generations(sources: dict[str, str], **config) -> list[Generation]:
         generations[-1].searched.append(target.key)
         return search(self, target, *args, **kwargs)
 
+    def run_spy(self, *args, **kwargs):
+        created[-1].board_runs += 1
+        return interpreter_run(self, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analyzer_module, "EvaluationBoard", RecordingBoard)
         patch.setattr(HybridTestDataGenerator, "__init__", init_spy)
         patch.setattr(HybridTestDataGenerator, "_genetic_phase", genetic_phase_spy)
         patch.setattr(HybridTestDataGenerator, "generate", generate_spy)
         patch.setattr(GeneticTestDataGenerator, "search", search_spy)
+        patch.setattr(Interpreter, "run", run_spy)
         report = ProjectScheduler(
             Project.from_sources(sources),
             config=AnalyzerConfig(**config),
@@ -212,6 +232,13 @@ def test_skips_lose_no_other_search(recorded, workload):
         searches += len(searched)
         skips += len(skipped)
     assert (searches, skips) == SEARCHES[workload][:2]
+
+
+@pytest.mark.parametrize("workload", sorted(WORK))
+def test_board_runs_and_genetic_evaluations_are_pinned(recorded, workload):
+    (generation,) = recorded[workload]
+    runs = (generation.board_runs, generation.suite.genetic_evaluations)
+    assert runs == WORK[workload]
 
 
 def test_call_chain_searches_only_targets_sa_cannot_prove(recorded):

@@ -142,7 +142,7 @@ class TestWitnessConsistency:
             if result.verdict is not Verdict.REACHABLE:
                 continue
             run = board.run(eval_function_name, result.counterexample.inputs)
-            assert block.block_id in run.executed_blocks
+            assert block.block_id in run.trace
             checked += 1
         assert checked >= len(cfg.real_blocks()) - 2
 

@@ -202,7 +202,7 @@ class TestSlicedUnslicedAgree:
                 run = board.run(
                     function_name, dict(sliced_result.counterexample.inputs)
                 )
-                assert block.block_id in run.executed_blocks, (
+                assert block.block_id in run.trace, (
                     f"sliced witness for block {block.block_id} does not "
                     "replay on the interpreter"
                 )
@@ -246,7 +246,7 @@ class TestSlicedUnslicedAgree:
                     run = board.run(
                         "classify", dict(sliced_result.counterexample.inputs)
                     )
-                    executed = run.executed_blocks
+                    executed = run.trace
                     pairs = list(zip(executed, executed[1:]))
                     assert (edge.source, edge.target) in pairs
 

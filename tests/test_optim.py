@@ -291,7 +291,7 @@ class TestOptimizationPipeline:
         assert result.verdict is Verdict.REACHABLE
         board = EvaluationBoard(eval_program)
         run = board.run(eval_function_name, result.counterexample.inputs)
-        assert target in run.executed_blocks
+        assert target in run.trace
 
     def test_describe_and_notes(self, eval_program, eval_function_name):
         model = build_optimized_model(

@@ -116,9 +116,8 @@ def test_interpreter_is_deterministic_and_counts_cycles(seed: int, u: int, v: in
     first = board.run("f", {"u": u, "v": v})
     second = board.run("f", {"u": u, "v": v})
     assert first.total_cycles == second.total_cycles > 0
-    assert first.executed_blocks == second.executed_blocks
-    cycles = [event.cycles for event in first.block_trace]
-    assert cycles == sorted(cycles)
+    assert first.trace == second.trace
+    assert list(first.stamps) == sorted(first.stamps)
 
 
 # --------------------------------------------------------------------------- #

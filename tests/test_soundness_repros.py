@@ -1,0 +1,118 @@
+"""Known soundness bugs, pinned as strict expected failures.
+
+Each program below makes the analyzer report a WCET bound that the board
+exceeds at a known input vector.  Every input space is wider than the
+20,000-vector exhaustive limit, so no end-to-end run happens and each wrong
+report still says ``is_safe()``.  The tests assert the property that should
+hold, ``bound >= board cycles at the witness``, and are marked
+``xfail(strict=True, raises=AssertionError)``: the fix for a bug turns its
+test into an unexpected pass, which fails the suite until the marker goes,
+and a crash is not mistaken for the known failure.  The ``reason`` names the
+ROADMAP direction that fixes the bug.  Do not loosen these tests or change
+their programs or witnesses to make a failure disappear.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.hw import EvaluationBoard
+from repro.mc.query import QueryBudget, QueryEngineOptions
+from repro.minic import parse_and_analyze
+from repro.pipeline import AnalyzerConfig
+from repro.pipeline.analyzer import WcetAnalyzer
+from repro.testgen import HybridOptions
+
+
+def _additions(variable: str, count: int) -> str:
+    """``v = v + 1; ... v = v + count;``: a long, cycle-heavy block."""
+    return " ".join(f"{variable} = {variable} + {k};" for k in range(1, count + 1))
+
+
+def _bound_and_cycles(source: str, witness: dict[str, int], config=None):
+    analyzed = parse_and_analyze(source)
+    report = WcetAnalyzer(analyzed, "f", config or AnalyzerConfig()).analyze()
+    cycles = EvaluationBoard(analyzed).run("f", witness).total_cycles
+    return report.wcet_bound_cycles, cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 1(b): a budget-exhausted path in a partly "
+    "measured segment is dropped instead of charged statically",
+)
+def test_budget_exhausted_path_is_charged():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; Int16 r;
+    void f(void) {{ r = 0;
+      if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }}
+    """
+    config = AnalyzerConfig(
+        hybrid=HybridOptions(
+            model_checking=QueryEngineOptions(budget=QueryBudget(max_steps=10))
+        )
+    )
+    # a = 3221 takes the inner branch: 204 cycles, the board's maximum
+    bound, cycles = _bound_and_cycles(source, {"a": 3221}, config)
+    assert bound >= cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(a): the model checker reads a call to a "
+    "defined callee as 0 and ignores the globals it writes",
+)
+def test_callee_global_writes_are_modelled():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; Int16 g = 0; Int16 out = 0;
+    void set_flag(void) {{ g = 5; }}
+    void f(void) {{ Int16 t = 0; set_flag();
+      if (g == 5) {{ if ((a * 37) % 1000 == 123) {{ {_additions("t", 12)} out = t; }}
+                    else {{ out = 1; }} }} else {{ out = 2; }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 29127})
+    assert bound >= cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(b): the model checker's stores do not wrap "
+    "to the variable's type",
+)
+def test_stores_wrap_in_the_model():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    Int16 a; Int16 t; Int16 r;
+    void f(void) {{ t = a * 3; r = 0;
+      if (t < 0) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 20487})
+    assert bound >= cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(c): the solver's interval evaluation clamps "
+    "a narrowing cast instead of wrapping it",
+)
+def test_narrowing_casts_wrap_in_the_solver():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    #pragma input b
+    #pragma range b 0 3
+    UInt16 a; UInt8 b; Int16 r;
+    void f(void) {{ r = 0;
+      if ((Int8)a < 0) {{ if ((a % 97) == 20 && (a % 89) == 17 && b == 1) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 3221, "b": 1})
+    assert bound >= cycles

@@ -9,6 +9,7 @@ import pytest
 from repro.cfg import build_cfg
 from repro.hw import EvaluationBoard
 from repro.minic import parse_and_analyze
+from repro.minic.types import IntRange
 from repro.partition import partition_function
 from repro.testgen import (
     CoverageSource,
@@ -18,6 +19,7 @@ from repro.testgen import (
     HybridOptions,
     HybridTestDataGenerator,
     InputSpace,
+    InputVariable,
     ModelCheckingTestDataGenerator,
     RandomTestDataGenerator,
     TargetStatus,
@@ -104,6 +106,109 @@ class TestInputSpace:
         assert space.names == ["p"] and space.ranges()["p"].hi == 255
 
 
+def _stdlib_mutate(space, vector, rng, mutation_rate):
+    """``InputSpace.mutate`` written with ``randint`` and ``choice``."""
+    mutated = dict(vector)
+    for variable in space.variables:
+        lo, hi = variable.value_range.lo, variable.value_range.hi
+        if rng.random() >= mutation_rate:
+            continue
+        choice = rng.random()
+        if choice < 1.0 / 3.0:
+            mutated[variable.name] = rng.randint(lo, hi)
+            continue
+        if choice < 2.0 / 3.0:
+            span = max(1, variable.value_range.size() // 16)
+            delta = rng.randint(-span, span)
+        else:
+            delta = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        mutated[variable.name] = min(hi, max(lo, mutated[variable.name] + delta))
+    return mutated
+
+
+def _stdlib_crossover(space, left, right, rng):
+    return {
+        variable.name: (left if rng.random() < 0.5 else right).get(
+            variable.name, variable.value_range.lo
+        )
+        for variable in space.variables
+    }
+
+
+class TestStreamIdentity:
+    """The GA's draws against the stdlib calls they replace.
+
+    Each operator must return what the ``randint``/``choice``/``sample``
+    version returns and leave the generator in the same state, so every
+    search sees the same vectors.
+    """
+
+    SPACE = InputSpace(
+        variables=[
+            InputVariable(name, IntRange(lo, hi))
+            for name, lo, hi in (
+                ("fixed", 7, 7),
+                ("pair", 0, 1),
+                ("small", -3, 12),
+                ("odd", 5, 37),
+                ("wide", 0, 30000),
+                ("signed", -32768, 32767),
+                ("huge", -(2**39), 2**41),
+            )
+        ]
+    )
+
+    def test_random_vector_mutate_and_crossover(self):
+        space = self.SPACE
+        for seed in range(300):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            vector = space.random_vector(mine)
+            expected = {
+                variable.name: theirs.randint(variable.value_range.lo, variable.value_range.hi)
+                for variable in space.variables
+            }
+            assert vector == expected
+            for rate in (0.3, 0.9, 1.0):
+                other = space.random_vector(mine)
+                expected_other = space.random_vector(theirs)
+                for _ in range(4):
+                    vector = space.mutate(vector, mine, rate)
+                    expected = _stdlib_mutate(space, expected, theirs, rate)
+                    assert vector == expected and list(vector) == list(expected)
+                vector = space.crossover(vector, other, mine)
+                expected = _stdlib_crossover(space, expected, expected_other, theirs)
+                assert vector == expected and list(vector) == list(expected)
+                assert mine.getstate() == theirs.getstate()
+
+    def test_crossover_of_partial_parents_reads_the_lower_bound(self):
+        child = self.SPACE.crossover({}, {}, random.Random(0))
+        assert child == {v.name: v.value_range.lo for v in self.SPACE.variables}
+
+    def test_tournament_matches_sample_and_min(self):
+        from operator import attrgetter
+
+        from repro.testgen.genetic import _Individual
+
+        ties = random.Random(99)
+        for population_size in range(1, 65):
+            for tournament_size in range(1, 9):
+                seed = 100 * population_size + tournament_size
+                options = GeneticOptions(tournament_size=tournament_size, seed=seed)
+                generator = GeneticTestDataGenerator(None, "f", InputSpace(), options)
+                reference = random.Random(seed)
+                # few distinct fitnesses, so the first of equals must win
+                population = [
+                    _Individual({}, float(ties.randrange(3))) for _ in range(population_size)
+                ]
+                k = min(tournament_size, population_size)
+                for _ in range(3):
+                    expected = min(
+                        reference.sample(population, k), key=attrgetter("fitness")
+                    )
+                    assert generator._tournament(population) is expected
+                assert generator._rng.getstate() == reference.getstate()
+
+
 class TestTargetsAndCoverage:
     def test_targets_cover_every_segment_path(self, needle):
         _, cfg, partition, _, _ = needle
@@ -142,7 +247,7 @@ def _reference_record_run(tracker, covered, run):
     and each new key is matched by a linear search over the targets.
     """
     newly = []
-    executed = run.executed_blocks
+    executed = run.trace
     for segment in tracker.partition.segments:
         inside = []
         started = False
@@ -184,7 +289,7 @@ class TestSinglePassCoverage:
         for vector in vectors:
             run = board.run(function, vector)
             assert tracker.record_run(run) == _reference_record_run(tracker, covered, run)
-            executed = run.executed_blocks
+            executed = run.trace
             repeated_entries += sum(
                 executed.count(segment.entry_block) > 1 for segment in partition.segments
             )
@@ -270,7 +375,7 @@ class TestGeneticGenerator:
         outcome = generator.search(target, coverage=tracker)
         assert outcome.covered
         run = board.run("f", outcome.vector)
-        assert target.blocks[0] in run.executed_blocks
+        assert target.blocks[0] in run.trace
 
     def test_fitness_zero_iff_path_taken(self, needle):
         analyzed, cfg, partition, board, space = needle
@@ -280,7 +385,7 @@ class TestGeneticGenerator:
         deep_block = max(b.block_id for b in cfg.real_blocks())
         for target in targets:
             fitness = generator.fitness(hit_run, target)
-            if set(target.blocks) <= set(hit_run.executed_blocks):
+            if set(target.blocks) <= set(hit_run.trace):
                 assert fitness == 0.0
             else:
                 assert fitness > 0.0
@@ -396,7 +501,6 @@ class TestPerTraceMemos:
 
         from repro.pipeline.analyzer import WcetAnalyzer
         from repro.testgen.genetic import _matched_prefix
-        from repro.testgen.targets import block_ids
         from repro.workloads.targetlink import generate_small_application
 
         record_trace = CoverageTracker.record_trace
@@ -425,7 +529,7 @@ class TestPerTraceMemos:
             finally:
                 fresh_scoring = False
             guidance, _ = generator._guidance(target)
-            matched = _matched_prefix(guidance, block_ids(run))
+            matched = _matched_prefix(guidance, run.trace)
             at_switch = 0 < matched < len(guidance) and any(
                 event.block_id == guidance[matched - 1] for event in run.switch_events
             )
@@ -447,7 +551,7 @@ class TestPerTraceMemos:
         tracker = recorded.trackers[0]
         covered: dict = {}
         for trace, inputs, newly in recorded.traces:
-            run = SimpleNamespace(executed_blocks=list(trace), inputs=inputs)
+            run = SimpleNamespace(trace=tuple(trace), inputs=inputs)
             assert newly == _reference_record_run(tracker, covered, run)
         assert list(tracker.covered.items()) == list(covered.items())
         # most runs repeat an earlier trace, so most were skipped
@@ -474,7 +578,7 @@ class TestModelCheckingGenerator:
         outcome = generator.generate_for_target(deep_target)
         assert outcome.status is TargetStatus.COVERED
         run = board.run("f", outcome.vector)
-        assert deep_target.blocks[0] in run.executed_blocks
+        assert deep_target.blocks[0] in run.trace
         assert outcome.vector["key"] == 1234 and outcome.vector["level"] > 90
 
     def test_detects_infeasible_paths(self, figure1, figure1_cfg):
