@@ -68,6 +68,10 @@ class _PathState:
     trace: list[int] = field(default_factory=list)
     progress: int = 0
     visits: dict[int, int] = field(default_factory=dict)
+    #: expression nodes of the symbolic environment values and of the
+    #: constraints, carried along the path for the memory estimate
+    environment_nodes: int = 0
+    constraint_nodes: int = 0
 
 
 class SymbolicEngine:
@@ -114,6 +118,7 @@ class SymbolicEngine:
             location=self._system.initial_location,
             environment=initial_env,
             constraints=[],
+            environment_nodes=sum(map(_node_count, initial_env.values())),
         )
         if goal.is_trivially_reached_at(root.location):
             witness = self._solve_witness(root, stats, deadline)
@@ -141,17 +146,10 @@ class SymbolicEngine:
                 stats.stop_reason = "paths"
                 break
             peak_stack = max(peak_stack, len(stack) + 1)
-            symbolic_bytes = sum(
-                expression_node_count(value) * 24
-                for value in state.environment.values()
-                if not isinstance(value, int)
-            )
-            constraint_bytes = sum(
-                expression_node_count(c.expr) * 24 for c in state.constraints
-            )
+            expression_bytes = 24 * (state.environment_nodes + state.constraint_nodes)
             stats.memory_bytes = max(
                 stats.memory_bytes,
-                peak_stack * state_bytes + symbolic_bytes + constraint_bytes + solver_stats_peak,
+                peak_stack * state_bytes + expression_bytes + solver_stats_peak,
             )
 
             if len(state.trace) >= self._options.max_depth:
@@ -160,13 +158,15 @@ class SymbolicEngine:
                 continue
 
             for transition in reversed(outgoing.get(state.location, ())):
-                guard_value = self._evaluate_guard(transition.guard, state.environment)
-                if guard_value is False:
+                guard = self._evaluate_guard(transition.guard, state.environment)
+                if guard is False:
                     continue
                 new_constraints = state.constraints
-                if guard_value is None:
-                    symbolic_guard = substitute(transition.guard, state.environment)
-                    new_constraints = state.constraints + [Constraint(symbolic_guard)]
+                constraint_nodes = state.constraint_nodes
+                if guard is not True:
+                    constraint = Constraint(guard)
+                    new_constraints = state.constraints + [constraint]
+                    constraint_nodes += constraint.node_count
                     if self._options.eager_guard_checks:
                         feasible, solver_peak = self._satisfiable(
                             new_constraints, stats, deadline
@@ -175,10 +175,15 @@ class SymbolicEngine:
                         if not feasible:
                             continue
                 new_env = dict(state.environment)
+                environment_nodes = state.environment_nodes
                 if transition.updates:
                     snapshot = state.environment
                     for name, expr in transition.updates:
                         new_env[name] = self._apply_update(expr, snapshot)
+                    for name in {name for name, _ in transition.updates}:
+                        environment_nodes += _node_count(new_env[name]) - _node_count(
+                            snapshot.get(name, 0)
+                        )
                 new_progress = goal.progress_after(transition, state.progress)
                 new_trace = state.trace + [transition_index[id(transition)]]
                 successor = _PathState(
@@ -188,6 +193,8 @@ class SymbolicEngine:
                     trace=new_trace,
                     progress=new_progress,
                     visits=dict(state.visits),
+                    environment_nodes=environment_nodes,
+                    constraint_nodes=constraint_nodes,
                 )
                 successor.visits[transition.target] = (
                     successor.visits.get(transition.target, 0) + 1
@@ -226,8 +233,8 @@ class SymbolicEngine:
     @staticmethod
     def _evaluate_guard(
         guard: Expr | None, environment: dict[str, Expr | int]
-    ) -> bool | None:
-        """Concrete guard value if determinable, else ``None`` (symbolic)."""
+    ) -> bool | Expr:
+        """Concrete guard value if determinable, else the symbolic guard."""
         if guard is None:
             return True
         folded = substitute(guard, environment)
@@ -235,7 +242,7 @@ class SymbolicEngine:
             return folded.value != 0
         if isinstance(folded, BoolLiteral):
             return bool(folded.value)
-        return None
+        return folded
 
     def _solver(
         self, constraints: list[Constraint], deadline: float | None
@@ -304,6 +311,11 @@ class SymbolicEngine:
         return CheckResult(
             verdict=Verdict.REACHABLE, counterexample=counterexample, statistics=stats
         )
+
+
+def _node_count(value: Expr | int) -> int:
+    """Expression nodes of an environment value (a constant stores none)."""
+    return 0 if isinstance(value, int) else expression_node_count(value)
 
 
 def _symbol(name: str) -> Expr:

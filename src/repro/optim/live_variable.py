@@ -40,10 +40,6 @@ class LiveVariableReport:
     removed_unused: list[str] = field(default_factory=list)
     merged: dict[str, str] = field(default_factory=dict)  # variable -> representative
 
-    @property
-    def variables_saved(self) -> int:
-        return len(self.removed_unused) + len(self.merged)
-
 
 def _reads_and_writes(function: FunctionDef) -> tuple[set[str], set[str]]:
     """Names read (as identifiers) and written (assignment/decl-init targets)."""

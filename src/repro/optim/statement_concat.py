@@ -35,12 +35,6 @@ class ConcatenationReport:
     transitions_after: int = 0
     fusions: int = 0
 
-    @property
-    def reduction_ratio(self) -> float:
-        if self.transitions_before == 0:
-            return 1.0
-        return self.transitions_after / self.transitions_before
-
 
 def _reads(transition: Transition) -> set[str]:
     names: set[str] = set()

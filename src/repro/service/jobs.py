@@ -354,14 +354,6 @@ class JobQueue:
         with self._lock:
             return len(self._pending)
 
-    @property
-    def running_job(self) -> ServiceJob | None:
-        with self._lock:
-            for job in self._jobs.values():
-                if job.state is ServiceJobState.RUNNING:
-                    return job
-        return None
-
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
         while True:

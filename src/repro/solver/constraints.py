@@ -5,18 +5,25 @@ Constraint filtering uses interval evaluation (definitely satisfied /
 definitely violated / unknown) and a modest amount of bounds propagation for
 the comparison shapes that dominate path constraints of generated control code
 (``x == c``, ``state <= 3``, ``(sel == 2) && (pos != 0)``, ...).
+
+Both filtering and propagation are pure functions of the domains of the
+constraint's own variables, so each constraint memoises them, keyed by the
+tuple of those domains.  The memo lives on the constraint: the symbolic
+engine extends a path condition by sharing its parent's constraint objects,
+so every solve along one search path reuses the answers of the solves before
+it, and the memo is freed with the path.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..minic.ast_nodes import BinaryOp, Expr, Identifier, UnaryOp
 from ..minic.folding import expression_variables
 from ..minic.pretty import print_expression
 from .domain import Domain, EmptyDomainError
-from .expression import concrete_eval, interval_eval
+from .expression import concrete_eval, expression_node_count, interval_eval
 
 
 class Satisfaction(enum.Enum):
@@ -37,20 +44,35 @@ class Constraint:
 
     expr: Expr
     description: str = ""
+    #: number of nodes of ``expr`` (the solver's memory proxy)
+    node_count: int = field(init=False, repr=False, compare=False)
+    _variables: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: the variables, in the order their domains form a memo key
+    _key_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: domains of the variables -> narrowed domains, or the conflict message
+    _propagations: dict = field(init=False, repr=False, compare=False)
+    _statuses: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        variables = frozenset(expression_variables(self.expr))
+        object.__setattr__(self, "node_count", expression_node_count(self.expr))
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_key_names", tuple(sorted(variables)))
+        object.__setattr__(self, "_propagations", {})
+        object.__setattr__(self, "_statuses", {})
 
     def variables(self) -> frozenset[str]:
-        return frozenset(expression_variables(self.expr))
+        return self._variables
 
     def check(self, assignment: dict[str, int]) -> bool:
         return concrete_eval(self.expr, assignment) != 0
 
     def status(self, domains: dict[str, Domain]) -> Satisfaction:
-        interval = interval_eval(self.expr, domains)
-        if interval.lo == 0 and interval.hi == 0:
-            return Satisfaction.VIOLATED
-        if interval.lo > 0 or interval.hi < 0:
-            return Satisfaction.SATISFIED
-        return Satisfaction.UNKNOWN
+        key = tuple(map(domains.get, self._key_names))
+        status = self._statuses.get(key)
+        if status is None:
+            status = self._statuses[key] = _interval_status(self.expr, domains)
+        return status
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.description or print_expression(self.expr)
@@ -67,10 +89,18 @@ class Constraint:
         negated comparisons and disjunctions whose one side is already
         impossible; everything else is left to search.
         """
+        key = tuple(map(domains.get, self._key_names))
         try:
-            return self._propagate_expr(self.expr, domains)
-        except EmptyDomainError as exc:
-            raise PropagationConflict(str(exc)) from exc
+            narrowed = self._propagations[key]
+        except KeyError:
+            try:
+                narrowed = self._propagate_expr(self.expr, domains)
+            except EmptyDomainError as exc:
+                narrowed = str(exc)
+            self._propagations[key] = narrowed
+        if isinstance(narrowed, str):
+            raise PropagationConflict(narrowed)
+        return dict(narrowed)
 
     def _propagate_expr(
         self, expr: Expr, domains: dict[str, Domain]
@@ -83,8 +113,8 @@ class Constraint:
                 changed.update(self._propagate_expr(expr.right, merged))
                 return changed
             if expr.op == "||":
-                left_status = Constraint(expr.left).status(domains)
-                right_status = Constraint(expr.right).status(domains)
+                left_status = _interval_status(expr.left, domains)
+                right_status = _interval_status(expr.right, domains)
                 if left_status is Satisfaction.VIOLATED:
                     return self._propagate_expr(expr.right, domains)
                 if right_status is Satisfaction.VIOLATED:
@@ -171,6 +201,16 @@ class Constraint:
         if narrowed == domain:
             return {}
         return {name: narrowed}
+
+
+def _interval_status(expr: Expr, domains: dict[str, Domain]) -> Satisfaction:
+    """Whether ``expr != 0`` holds for all, none or some values of *domains*."""
+    interval = interval_eval(expr, domains)
+    if interval.lo == 0 and interval.hi == 0:
+        return Satisfaction.VIOLATED
+    if interval.lo > 0 or interval.hi < 0:
+        return Satisfaction.SATISFIED
+    return Satisfaction.UNKNOWN
 
 
 _MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}

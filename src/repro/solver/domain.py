@@ -98,9 +98,6 @@ class Domain:
             return Domain(self.lo, self.hi - 1, self._trim_excluded(self.lo, self.hi - 1))
         return Domain(self.lo, self.hi, self.excluded | {value})
 
-    def intersect_range(self, rng: IntRange) -> "Domain":
-        return self.restrict_bounds(rng.lo, rng.hi)
-
     def assign(self, value: int) -> "Domain":
         if value not in self:
             raise EmptyDomainError(f"value {value} not in domain")

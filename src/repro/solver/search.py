@@ -6,7 +6,11 @@ of constraints (path conditions), decide satisfiability and produce a model.
 
 The search is a classic propagate-and-branch loop:
 
-1. run every constraint's bounds propagation to a fixed point,
+1. run the constraints' bounds propagation in round-robin rounds until a
+   round narrows nothing, or for at most 50 rounds; a constraint runs in a
+   round only if one of its variables changed since it last ran (at a child
+   node: the branched variable, plus whatever the round cap left dirty at
+   the parent),
 2. if some constraint is definitely violated, backtrack,
 3. if every variable is fixed, check the constraints concretely,
 4. otherwise pick the unfixed variable with the smallest domain and branch --
@@ -21,13 +25,13 @@ exactly the quantities the state-space optimisations reduce.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
 from ..minic.types import IntRange
 from .constraints import Constraint, PropagationConflict, Satisfaction
-from .domain import Domain, EmptyDomainError
-from .expression import expression_node_count
+from .domain import Domain
 
 
 class SolverLimitReached(Exception):
@@ -69,6 +73,8 @@ class Solution:
 #: value-enumeration threshold: domains up to this size are enumerated,
 #: larger ones are bisected
 _ENUMERATION_LIMIT = 16
+#: propagation rounds per search node
+_MAX_ROUNDS = 50
 
 
 class ConstraintSolver:
@@ -92,22 +98,13 @@ class ConstraintSolver:
         self.statistics = SolverStatistics()
 
     # ------------------------------------------------------------------ #
-    # problem construction
-    # ------------------------------------------------------------------ #
-    def add_constraint(self, constraint: Constraint) -> None:
-        self._constraints.append(constraint)
-
-    def domains(self) -> dict[str, Domain]:
-        return dict(self._domains)
-
-    # ------------------------------------------------------------------ #
     # solving
     # ------------------------------------------------------------------ #
     def solve(self, extra_constraints: list[Constraint] | None = None) -> Solution | None:
         """Return a satisfying assignment or ``None`` when unsatisfiable.
 
-        ``extra_constraints`` are added for this call only (the symbolic
-        engine reuses one solver instance for many path-condition queries).
+        ``extra_constraints`` are added to the solver's constraints for this
+        call only.
         """
         constraints = self._constraints + list(extra_constraints or [])
         started = time.perf_counter()
@@ -117,10 +114,21 @@ class ConstraintSolver:
         constraint_bytes = _constraint_bytes(constraints)
         call_stats.peak_memory_bytes = _domain_bytes(self._domains) + constraint_bytes
         deadline = started + self._time_limit if self._time_limit is not None else None
+        watchers: dict[str, list[int]] = {}
+        for index, constraint in enumerate(constraints):
+            for name in constraint.variables():
+                watchers.setdefault(name, []).append(index)
+        run = _Run(
+            constraints=constraints,
+            watchers={name: frozenset(indices) for name, indices in watchers.items()},
+            constraint_bytes=constraint_bytes,
+            stats=call_stats,
+            deadline=deadline,
+        )
 
         try:
             assignment = self._search(
-                dict(self._domains), constraints, constraint_bytes, 0, call_stats, deadline
+                dict(self._domains), frozenset(range(len(constraints))), None, None, 0, run
             )
         finally:
             call_stats.time_seconds = time.perf_counter() - started
@@ -138,21 +146,28 @@ class ConstraintSolver:
     def _search(
         self,
         domains: dict[str, Domain],
-        constraints: list[Constraint],
-        constraint_bytes: int,
+        dirty: frozenset[int],
+        statuses: list[Satisfaction] | None,
+        branched: str | None,
         depth: int,
-        stats: SolverStatistics,
-        deadline: float | None,
+        run: "_Run",
     ) -> dict[str, int] | None:
+        """Search below one node.
+
+        *dirty* holds the indices of the constraints to propagate first;
+        *statuses* are the parent's constraint statuses (``None`` at the
+        root) and *branched* the variable the parent split to make this node.
+        """
+        stats = run.stats
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         if stats.nodes > self._max_nodes:
             raise SolverLimitReached(f"exceeded {self._max_nodes} search nodes")
-        if deadline is not None and time.perf_counter() > deadline:
+        if run.deadline is not None and time.perf_counter() > run.deadline:
             raise SolverLimitReached("solver time limit exceeded")
 
         try:
-            domains = self._propagate(domains, constraints, stats)
+            domains, changed, still_dirty = self._propagate(domains, dirty, run)
         except PropagationConflict:
             stats.conflicts += 1
             return None
@@ -160,18 +175,30 @@ class ConstraintSolver:
         # depth + 1 copies of the domain store plus the constraints
         stats.peak_memory_bytes = max(
             stats.peak_memory_bytes,
-            (depth + 1) * _domain_bytes(domains) + constraint_bytes,
+            (depth + 1) * _domain_bytes(domains) + run.constraint_bytes,
         )
 
-        # check filtering status
-        pending: list[Constraint] = []
-        for constraint in constraints:
-            status = constraint.status(domains)
+        # check filtering status; a constraint none of whose variables
+        # changed since the parent node keeps the parent's status
+        constraints = run.constraints
+        if statuses is None:
+            statuses = [Satisfaction.UNKNOWN] * len(constraints)
+            stale = range(len(constraints))
+        else:
+            statuses = list(statuses)
+            changed.add(branched)
+            stale = set().union(*(run.watchers.get(name, ()) for name in changed))
+        for index in stale:
+            status = constraints[index].status(domains)
             if status is Satisfaction.VIOLATED:
                 stats.conflicts += 1
                 return None
-            if status is Satisfaction.UNKNOWN:
-                pending.append(constraint)
+            statuses[index] = status
+        pending = [
+            constraint
+            for constraint, status in zip(constraints, statuses)
+            if status is Satisfaction.UNKNOWN
+        ]
 
         unfixed = [name for name, domain in domains.items() if not domain.is_singleton()]
         if not unfixed:
@@ -191,56 +218,78 @@ class ConstraintSolver:
 
         # choose the unfixed variable with the smallest domain among those
         # occurring in pending constraints (fail-first heuristic)
-        constrained = set()
-        for constraint in pending:
-            constrained |= constraint.variables()
+        constrained = set().union(*(constraint.variables() for constraint in pending))
         candidates = [name for name in unfixed if name in constrained] or unfixed
         variable = min(candidates, key=lambda name: domains[name].size())
         domain = domains[variable]
+        # a child propagates the constraints on the variable it branched on,
+        # and those the round cap left dirty here
+        child_dirty = still_dirty | run.watchers.get(variable, frozenset())
 
         if domain.size() <= _ENUMERATION_LIMIT:
-            for value in domain.iter_values():
-                child = dict(domains)
-                child[variable] = Domain.singleton(value)
-                result = self._search(
-                    child, constraints, constraint_bytes, depth + 1, stats, deadline
-                )
-                if result is not None:
-                    return result
-            return None
-        # bisection for large domains
-        for half in domain.split():
+            children = [Domain.singleton(value) for value in domain.iter_values()]
+        else:
+            # bisection for large domains
+            children = domain.split()
+        for narrowed in children:
             child = dict(domains)
-            child[variable] = half
-            result = self._search(
-                child, constraints, constraint_bytes, depth + 1, stats, deadline
-            )
+            child[variable] = narrowed
+            result = self._search(child, child_dirty, statuses, variable, depth + 1, run)
             if result is not None:
                 return result
         return None
 
     def _propagate(
-        self,
-        domains: dict[str, Domain],
-        constraints: list[Constraint],
-        stats: SolverStatistics,
-    ) -> dict[str, Domain]:
+        self, domains: dict[str, Domain], dirty: frozenset[int], run: "_Run"
+    ) -> tuple[dict[str, Domain], set[str], frozenset[int]]:
+        """Round-robin bounds propagation, capped at ``_MAX_ROUNDS`` rounds.
+
+        Each round runs the constraints in list order, but only those a
+        variable of which changed since they last ran (or that are in
+        *dirty*); any other would return nothing.  Returns the narrowed
+        domains, the names of the variables that changed, and the constraints
+        still dirty when the cap stopped the rounds.
+        """
         domains = dict(domains)
-        changed = True
+        constraints = run.constraints
+        watchers = run.watchers
+        stats = run.stats
+        changed: set[str] = set()
+        queue = sorted(dirty)
         rounds = 0
-        while changed and rounds < 50:
-            changed = False
+        while queue and rounds < _MAX_ROUNDS:
             rounds += 1
-            for constraint in constraints:
+            queued = set(queue)
+            next_round: set[int] = set()
+            while queue:
+                index = heapq.heappop(queue)
                 stats.propagations += 1
-                try:
-                    narrowed = constraint.propagate(domains)
-                except EmptyDomainError as exc:  # pragma: no cover - wrapped below
-                    raise PropagationConflict(str(exc)) from exc
-                if narrowed:
-                    domains.update(narrowed)
-                    changed = True
-        return domains
+                narrowed = constraints[index].propagate(domains)
+                if not narrowed:
+                    continue
+                domains.update(narrowed)
+                changed.update(narrowed)
+                for name in narrowed:
+                    for other in watchers[name]:
+                        if other <= index:
+                            next_round.add(other)
+                        elif other not in queued:
+                            queued.add(other)
+                            heapq.heappush(queue, other)
+            queue = sorted(next_round)
+        return domains, changed, frozenset(queue)
+
+
+@dataclass
+class _Run:
+    """What one :meth:`ConstraintSolver.solve` call shares across its nodes."""
+
+    constraints: list[Constraint]
+    #: variable name -> indices of the constraints over it
+    watchers: dict[str, frozenset[int]]
+    constraint_bytes: int
+    stats: SolverStatistics
+    deadline: float | None
 
 
 # ---------------------------------------------------------------------- #
@@ -261,4 +310,4 @@ def _domain_bytes(domains: dict[str, Domain]) -> int:
 
 def _constraint_bytes(constraints: list[Constraint]) -> int:
     """Bytes of the stored constraint expressions."""
-    return sum(32 * expression_node_count(constraint.expr) for constraint in constraints)
+    return sum(32 * constraint.node_count for constraint in constraints)

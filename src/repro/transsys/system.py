@@ -135,16 +135,9 @@ class TransitionSystem:
         """Bits of the full state vector (data + program counter)."""
         return self.state_bits() + self.pc_bits()
 
-    def state_space_size_log2(self) -> float:
-        """log2 |D| -- the size of the (unreachable-included) state space."""
-        return float(self.total_state_bits())
-
     def initial_state_bits(self) -> int:
         """Bits of freedom in the initial state (log2 |D_I|)."""
         return sum(variable.bits for variable in self.free_variables())
-
-    def transition_count(self) -> int:
-        return len(self.transitions)
 
     def summary(self) -> dict[str, int]:
         return {

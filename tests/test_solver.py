@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.minic.folding import expression_variables
 from repro.minic.parser import parse_expression
 from repro.minic.types import IntRange
 from repro.solver import (
@@ -17,6 +20,8 @@ from repro.solver import (
     interval_eval,
     substitute,
 )
+from repro.solver.constraints import PropagationConflict
+from repro.solver.search import _ENUMERATION_LIMIT
 
 
 class TestDomain:
@@ -235,15 +240,15 @@ class _RecordingSolver(ConstraintSolver):
         self.nodes_seen: list[tuple[int, dict[str, Domain]]] = []
         self._depth = 0
 
-    def _search(self, domains, constraints, constraint_bytes, depth, stats, deadline):
+    def _search(self, domains, dirty, statuses, branched, depth, run):
         self.searches += 1
         self._depth = depth
-        return super()._search(domains, constraints, constraint_bytes, depth, stats, deadline)
+        return super()._search(domains, dirty, statuses, branched, depth, run)
 
-    def _propagate(self, domains, constraints, stats):
+    def _propagate(self, domains, dirty, run):
         # a node propagates before it branches, so ``_depth`` is its own
-        propagated = super()._propagate(domains, constraints, stats)
-        self.nodes_seen.append((self._depth, propagated))
+        propagated = super()._propagate(domains, dirty, run)
+        self.nodes_seen.append((self._depth, propagated[0]))
         return propagated
 
 
@@ -318,3 +323,247 @@ class TestSolverAccounting:
         bounds += [(-(2**31), 2**31 - 1), (0, 2**32 - 1), (-(2**15), 2**15 - 1), (0, 2**63)]
         for lo, hi in bounds:
             assert Domain(lo, hi).bits() == IntRange(lo, hi).bits(), (lo, hi)
+
+
+# ---------------------------------------------------------------------- #
+# incremental propagation against the round-robin reference
+# ---------------------------------------------------------------------- #
+def _reference_status(expr, domains):
+    interval = interval_eval(expr, domains)
+    if interval.lo == 0 and interval.hi == 0:
+        return Satisfaction.VIOLATED
+    if interval.lo > 0 or interval.hi < 0:
+        return Satisfaction.SATISFIED
+    return Satisfaction.UNKNOWN
+
+
+class _ReferenceSolver:
+    """The solver without memos or dirty rounds.
+
+    Every node runs every constraint's uncached propagation in every round
+    (at most 50) and re-evaluates every constraint's status.  It records
+    what :class:`_RecordingSolver` records, plus the node statistics.
+    """
+
+    def __init__(self, domains, constraints, max_nodes):
+        self.domains = dict(domains)
+        self.constraints = list(constraints)
+        self.max_nodes = max_nodes
+        self.nodes_seen: list[tuple[int, dict[str, Domain]]] = []
+        self.nodes = self.conflicts = self.max_depth = 0
+        self.peak = _reference_memory_estimate(self.domains, self.constraints, 1)
+
+    def solve(self):
+        return self._search(dict(self.domains), 0)
+
+    def _search(self, domains, depth):
+        self.nodes += 1
+        self.max_depth = max(self.max_depth, depth)
+        if self.nodes > self.max_nodes:
+            raise SolverLimitReached("node cap")
+        try:
+            domains = self._propagate(domains)
+        except EmptyDomainError:
+            self.conflicts += 1
+            return None
+        self.nodes_seen.append((depth, domains))
+        self.peak = max(
+            self.peak, _reference_memory_estimate(domains, self.constraints, depth + 1)
+        )
+        pending = []
+        for constraint in self.constraints:
+            status = _reference_status(constraint.expr, domains)
+            if status is Satisfaction.VIOLATED:
+                self.conflicts += 1
+                return None
+            if status is Satisfaction.UNKNOWN:
+                pending.append(constraint)
+        unfixed = [name for name, domain in domains.items() if not domain.is_singleton()]
+        if not unfixed:
+            assignment = {name: domain.single_value() for name, domain in domains.items()}
+            if all(concrete_eval(c.expr, assignment) != 0 for c in pending):
+                return assignment
+            self.conflicts += 1
+            return None
+        if not pending:
+            return {name: next(domain.iter_values()) for name, domain in domains.items()}
+        constrained = set()
+        for constraint in pending:
+            constrained |= expression_variables(constraint.expr)
+        candidates = [name for name in unfixed if name in constrained] or unfixed
+        variable = min(candidates, key=lambda name: domains[name].size())
+        domain = domains[variable]
+        if domain.size() <= _ENUMERATION_LIMIT:
+            children = [Domain.singleton(value) for value in domain.iter_values()]
+        else:
+            children = domain.split()
+        for narrowed in children:
+            result = self._search({**domains, variable: narrowed}, depth + 1)
+            if result is not None:
+                return result
+        return None
+
+    def _propagate(self, domains):
+        domains = dict(domains)
+        changed = True
+        rounds = 0
+        while changed and rounds < 50:
+            changed = False
+            rounds += 1
+            for constraint in self.constraints:
+                narrowed = constraint._propagate_expr(constraint.expr, domains)
+                if narrowed:
+                    domains.update(narrowed)
+                    changed = True
+        return domains
+
+
+def _outcome(solve):
+    try:
+        solution = solve()
+    except SolverLimitReached:
+        return "limit"
+    if isinstance(solution, dict) or solution is None:
+        return solution
+    return solution.assignment
+
+
+def _assert_matches_reference(solver, outcome):
+    """*solver* (a :class:`_RecordingSolver` that ran once) against the reference."""
+    reference = _ReferenceSolver(
+        solver._domains, solver._constraints, solver._max_nodes
+    )
+    assert outcome == _outcome(reference.solve)
+    assert solver.nodes_seen == reference.nodes_seen
+    stats = solver.statistics
+    assert (stats.nodes, stats.conflicts, stats.max_depth, stats.peak_memory_bytes) == (
+        reference.nodes, reference.conflicts, reference.max_depth, reference.peak
+    )
+
+
+class _DifferentialSolver(_RecordingSolver):
+    """A recording solver that keeps the outcome of its (single) solve."""
+
+    instances: list["_DifferentialSolver"] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._time_limit = None  # a deadline would cut the two searches at different nodes
+        self.outcome = "not run"
+        _DifferentialSolver.instances.append(self)
+
+    def solve(self, extra_constraints=None):
+        assert not extra_constraints
+        self.outcome = "limit"
+        solution = super().solve()
+        self.outcome = None if solution is None else solution.assignment
+        return solution
+
+
+@pytest.fixture
+def differential_solvers(monkeypatch):
+    """Make the symbolic engine solve with :class:`_DifferentialSolver`."""
+    from repro.mc import symbolic
+
+    _DifferentialSolver.instances = []
+    monkeypatch.setattr(symbolic, "ConstraintSolver", _DifferentialSolver)
+    yield _DifferentialSolver.instances
+    _DifferentialSolver.instances = []
+
+
+class TestIncrementalPropagation:
+    """Memoised, dirty-round propagation visits the reference's nodes.
+
+    The assignment, and the propagated domains at every search node, must
+    equal those of :class:`_ReferenceSolver`.
+    """
+
+    CAP_VARIABLES = {"x": IntRange(0, 60000), "y": IntRange(0, 60000), "w": IntRange(0, 3)}
+
+    def test_cap_then_branch_carries_the_dirty_constraints(self):
+        # x < y and y < x narrow each other by one per round, so the root
+        # stops at the 50-round cap; the children branch on w and must go
+        # on propagating x and y
+        constraints = [
+            Constraint(parse_expression(text))
+            for text in ("x < y", "y < x", "w != 1", "w != 2")
+        ]
+        solver = _RecordingSolver(self.CAP_VARIABLES, constraints, max_nodes=200)
+        outcome = _outcome(solver.solve)
+        assert solver.nodes_seen[0][1]["x"] == Domain(100, 59901)
+        assert solver.nodes_seen[1][1]["x"] == Domain(200, 59801)
+        _assert_matches_reference(solver, outcome)
+
+    def test_a_constraint_that_narrows_its_own_variables_runs_again(self):
+        # one run of the conjunction narrows x and y by two; the next run,
+        # on its own output, narrows them again
+        constraints = [
+            Constraint(parse_expression(text))
+            for text in ("x < y && y < x", "w != 1 && w != 2")
+        ]
+        solver = _RecordingSolver(self.CAP_VARIABLES, constraints, max_nodes=200)
+        outcome = _outcome(solver.solve)
+        assert solver.nodes_seen[0][1]["x"] == Domain(100, 59901)
+        _assert_matches_reference(solver, outcome)
+
+    def test_memo_is_keyed_by_every_variable(self):
+        constraint = Constraint(parse_expression("a < b"))
+        for b_hi in (4, 6, 4):
+            domains = {"a": Domain(0, 10), "b": Domain(1, b_hi)}
+            assert constraint.propagate(domains) == {"a": Domain(0, b_hi - 1)}
+            assert constraint.status(domains) is Satisfaction.UNKNOWN
+        domains = {"a": Domain(0, 10), "b": Domain(11, 12)}
+        assert constraint.status(domains) is Satisfaction.SATISFIED
+        for _ in range(2):
+            with pytest.raises(PropagationConflict):
+                constraint.propagate({"a": Domain(5, 10), "b": Domain(0, 4)})
+
+    #: constraint shapes over a, b, c for the seeded random problems
+    SHAPES = (
+        "a + b > c", "a != b", "a < b && b < c", "a * 2 < b + 3 || c == {k}",
+        "!(a == {k})", "b - c >= {k}", "a % 5 == {k} % 5", "c", "!(b > {k})",
+        "(a == {k}) || (b == {k})",
+    )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_random_problems(self, seed):
+        rng = random.Random(seed)
+        width = rng.choice((7, 40, 3000))
+        variables = {name: IntRange(-width // 4, width) for name in "abc"}
+        constraints = [
+            Constraint(parse_expression(rng.choice(self.SHAPES).format(k=rng.randint(0, width))))
+            for _ in range(rng.randint(2, 5))
+        ]
+        solver = _RecordingSolver(variables, constraints, max_nodes=2000)
+        _assert_matches_reference(solver, _outcome(solver.solve))
+
+    def test_every_solve_of_a_controller_analysis(self, differential_solvers):
+        from repro.pipeline import WcetAnalyzer
+        from repro.workloads.targetlink import generate_small_application
+
+        application = generate_small_application(seed=11)
+        WcetAnalyzer(application.analyzed, application.function_name).analyze()
+        assert len(differential_solvers) > 100
+        for solver in differential_solvers:
+            _assert_matches_reference(solver, solver.outcome)
+
+    def test_every_solve_of_the_unoptimised_table2_model(self, differential_solvers):
+        from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
+        from repro.optim import TABLE2_CONFIGURATIONS, build_optimized_model
+        from repro.workloads.optimisation_eval import (
+            EVAL_FUNCTION_NAME,
+            find_target_block,
+            optimisation_eval_program,
+        )
+
+        name, config = TABLE2_CONFIGURATIONS[0]
+        assert name == "unoptimized"
+        model = build_optimized_model(optimisation_eval_program(), EVAL_FUNCTION_NAME, config)
+        checker = ModelChecker(
+            model.translation, QueryEngineOptions(engine=EngineKind.SYMBOLIC, slicing=False)
+        )
+        result = checker.find_test_data_for_block(find_target_block(model.translation.cfg))
+        assert result.verdict is Verdict.REACHABLE
+        assert differential_solvers
+        for solver in differential_solvers:
+            _assert_matches_reference(solver, solver.outcome)
