@@ -16,7 +16,7 @@ from .ast_nodes import Program
 from .calls import call_sites, called_names
 from .errors import LexerError, MiniCError, ParseError, SemanticError, SourceLocation
 from .folding import fold_expr
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_expression, parse_program
 from .pretty import PrettyPrinter, print_expression, print_program, print_statement
 from .semantic import AnalyzedProgram, analyze_program
@@ -48,7 +48,6 @@ __all__ = [
     "SemanticError",
     "SourceLocation",
     "fold_expr",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_expression",

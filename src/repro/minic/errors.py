@@ -15,12 +15,15 @@ All of them derive from :class:`MiniCError` and carry an optional
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a mini-C source text.
+
+    A named tuple, cheap to build, since every token and AST node carries
+    one; equality, ordering and hashing are those of the
+    ``(line, column, filename)`` tuple.
 
     Attributes
     ----------

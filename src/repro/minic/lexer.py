@@ -1,4 +1,4 @@
-"""Hand-written lexer for mini-C.
+"""Lexer for mini-C: one compiled regular expression, matched token by token.
 
 The lexer turns a source string into a list of :class:`~repro.minic.tokens.Token`
 objects.  It supports:
@@ -16,183 +16,121 @@ objects.  It supports:
   Pragma lines become :class:`TokenKind.PRAGMA` tokens carrying the raw body;
   any other preprocessor-style line (``#include``, ``#define`` of constants)
   is ignored so that TargetLink-style sources can be fed in unmodified.
+
+Each match of :data:`_TOKEN` consumes the whitespace and comments before one
+token and the token itself; ``lastgroup`` names the token's kind.  Line and
+column come from counting newlines in the consumed text.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexerError, SourceLocation
 from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
-_ESCAPES = {
-    "n": 10,
-    "t": 9,
-    "r": 13,
-    "0": 0,
-    "\\": 92,
-    "'": 39,
-    '"': 34,
-}
+_TOKEN = re.compile(
+    # whitespace and comments before the token
+    r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*(?P<glued>[A-Za-z_])?"
+    r"|(?P<directive>#[^\n]*)"
+    r"|(?P<char>')"
+    r"|(?P<comment>/\*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[\s\S]))"
+)
 
-
-class Lexer:
-    """Tokenise a mini-C source string."""
-
-    def __init__(self, source: str, filename: str = "<source>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-    def tokenize(self) -> list[Token]:
-        """Return the full token list, terminated by an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------ #
-    # scanning helpers
-    # ------------------------------------------------------------------ #
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self._source[self._pos : self._pos + count]
-        for ch in text:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return text
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n\f\v":
-                self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexerError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-                continue
-            return
-
-    # ------------------------------------------------------------------ #
-    # token scanners
-    # ------------------------------------------------------------------ #
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        location = self._location()
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, None, location)
-        if ch == "#":
-            return self._scan_directive(location)
-        if ch in _IDENT_START:
-            return self._scan_identifier(location)
-        if ch in _DIGITS:
-            return self._scan_number(location)
-        if ch == "'":
-            return self._scan_char(location)
-        for punct in PUNCTUATORS:
-            if self._source.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, location)
-        raise LexerError(f"unexpected character {ch!r}", location)
-
-    def _scan_directive(self, location: SourceLocation) -> Token:
-        line_chars: list[str] = []
-        while self._peek() and self._peek() != "\n":
-            line_chars.append(self._advance())
-        line = "".join(line_chars).strip()
-        if line.startswith("#pragma"):
-            body = line[len("#pragma") :].strip()
-            return Token(TokenKind.PRAGMA, body, location)
-        # #include / #define / other directives are ignored entirely.
-        return self._next_token()
-
-    def _scan_identifier(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        while self._peek() in _IDENT_CONT and self._peek():
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, location)
-
-    def _scan_number(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            chars.append(self._advance(2))
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                chars.append(self._advance())
-            text = "".join(chars)
-            if len(text) == 2:
-                raise LexerError("malformed hexadecimal literal", location)
-            value = int(text, 16)
-        else:
-            while self._peek() in _DIGITS and self._peek():
-                chars.append(self._advance())
-            text = "".join(chars)
-            if text.startswith("0") and len(text) > 1:
-                try:
-                    value = int(text, 8)
-                except ValueError as exc:
-                    raise LexerError(f"malformed octal literal {text!r}", location) from exc
-            else:
-                value = int(text, 10)
-        # swallow integer suffixes
-        while self._peek() in "uUlL" and self._peek():
-            self._advance()
-        if self._peek() in _IDENT_START and self._peek():
-            raise LexerError("identifier immediately after number literal", location)
-        return Token(TokenKind.NUMBER, value, location)
-
-    def _scan_char(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        ch = self._peek()
-        if not ch:
-            raise LexerError("unterminated character literal", location)
-        if ch == "\\":
-            self._advance()
-            escape = self._advance()
-            if escape not in _ESCAPES:
-                raise LexerError(f"unknown escape sequence \\{escape}", location)
-            value = _ESCAPES[escape]
-        else:
-            value = ord(self._advance())
-        if self._peek() != "'":
-            raise LexerError("unterminated character literal", location)
-        self._advance()
-        return Token(TokenKind.NUMBER, value, location)
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_NUMBER = TokenKind.NUMBER
+_PUNCT = TokenKind.PUNCT
+#: the named tuples' own ``__new__`` adds a Python call per token
+_new = tuple.__new__
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Convenience wrapper: tokenise *source* and return the token list."""
-    return Lexer(source, filename).tokenize()
+    """Tokenise *source* and return the token list, terminated by an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    count = source.count
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    counted = 0  # newlines before this offset are in ``line``
+    pos = 0
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        location = _new(SourceLocation, (line, start - line_start + 1, filename))
+        pos = m.end()
+        if kind == "ident":
+            text = m.group(kind)
+            append(_new(Token, (_KEYWORD if text in KEYWORDS else _IDENT, text, location)))
+        elif kind == "punct":
+            append(_new(Token, (_PUNCT, m.group(kind), location)))
+        elif kind == "number":
+            append(_new(Token, (_NUMBER, _number(m.group(kind), location), location)))
+        elif kind == "directive":
+            directive = m.group(kind).strip()
+            if directive.startswith("#pragma"):
+                body = directive[len("#pragma") :].strip()
+                append(Token(TokenKind.PRAGMA, body, location))
+            # #include / #define / other directives are ignored entirely.
+        elif kind == "char":
+            value, pos = _char_literal(source, start, location)
+            append(Token(_NUMBER, value, location))
+        elif kind == "eof":
+            append(Token(TokenKind.EOF, None, location))
+            return tokens
+        elif kind == "glued":
+            location = SourceLocation(line, m.start("number") - line_start + 1, filename)
+            _number(m.group("number"), location)
+            raise LexerError("identifier immediately after number literal", location)
+        elif kind == "comment":
+            raise LexerError("unterminated block comment", location)
+        else:
+            raise LexerError(f"unexpected character {m.group(kind)!r}", location)
+
+
+def _number(text: str, location: SourceLocation) -> int:
+    """The value of an integer literal (suffixes already stripped)."""
+    if text[:2] in ("0x", "0X"):
+        if len(text) == 2:
+            raise LexerError("malformed hexadecimal literal", location)
+        return int(text, 16)
+    if text[0] == "0" and len(text) > 1:
+        try:
+            return int(text, 8)
+        except ValueError as exc:
+            raise LexerError(f"malformed octal literal {text!r}", location) from exc
+    return int(text)
+
+
+def _char_literal(source: str, start: int, location: SourceLocation) -> tuple[int, int]:
+    """Decode the character literal at *start*: its value and end offset."""
+    pos = start + 1
+    ch = source[pos : pos + 1]
+    if not ch:
+        raise LexerError("unterminated character literal", location)
+    if ch == "\\":
+        escape = source[pos + 1 : pos + 2]
+        if escape not in _ESCAPES:
+            raise LexerError(f"unknown escape sequence \\{escape}", location)
+        value = _ESCAPES[escape]
+        pos += 2
+    else:
+        value = ord(ch)
+        pos += 1
+    if source[pos : pos + 1] != "'":
+        raise LexerError("unterminated character literal", location)
+    return value, pos + 1

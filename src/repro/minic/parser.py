@@ -54,8 +54,10 @@ from .ast_nodes import (
     UnaryOp,
     WhileStmt,
     BINARY_PRECEDENCE,
+    UNARY_OPERATORS,
 )
 from .errors import ParseError, SourceLocation
+from .folding import apply_unary
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 from .types import CType, IntRange, lookup_type
@@ -65,8 +67,14 @@ _TYPE_KEYWORDS = frozenset(
 )
 _QUALIFIER_KEYWORDS = frozenset({"const", "volatile", "static"})
 
-#: Maximum binary-operator precedence + 1, used by the precedence climber.
-_MAX_PRECEDENCE = max(BINARY_PRECEDENCE.values()) + 1
+#: Punctuators that assign; compound ones are desugared to ``=``.
+_ASSIGNMENT_OPERATORS = frozenset(
+    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+)
+
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_PUNCT = TokenKind.PUNCT
 
 
 class Parser:
@@ -80,11 +88,14 @@ class Parser:
         self._range_annotations: dict[str, IntRange] = {}
 
     # ------------------------------------------------------------------ #
-    # token helpers
+    # token helpers (the token list ends with EOF, which is never consumed,
+    # so the current token is always ``self._tokens[self._index]``)
     # ------------------------------------------------------------------ #
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._index]
+
+    def _lookahead(self, offset: int) -> Token:
+        return self._tokens[min(self._index + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -93,40 +104,47 @@ class Parser:
         return token
 
     def _check_punct(self, spelling: str) -> bool:
-        return self._peek().is_punct(spelling)
+        token = self._tokens[self._index]
+        return token.value == spelling and token.kind is _PUNCT
 
     def _check_keyword(self, word: str) -> bool:
-        return self._peek().is_keyword(word)
+        token = self._tokens[self._index]
+        return token.value == word and token.kind is _KEYWORD
 
     def _accept_punct(self, spelling: str) -> bool:
-        if self._check_punct(spelling):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.value == spelling and token.kind is _PUNCT:
+            self._index += 1
             return True
         return False
 
     def _accept_keyword(self, word: str) -> bool:
-        if self._check_keyword(word):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.value == word and token.kind is _KEYWORD:
+            self._index += 1
             return True
         return False
 
     def _expect_punct(self, spelling: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(spelling):
+        token = self._tokens[self._index]
+        if token.value != spelling or token.kind is not _PUNCT:
             raise ParseError(f"expected {spelling!r}, found {token.value!r}", token.location)
-        return self._advance()
+        self._index += 1
+        return token
 
     def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(word):
+        token = self._tokens[self._index]
+        if token.value != word or token.kind is not _KEYWORD:
             raise ParseError(f"expected keyword {word!r}, found {token.value!r}", token.location)
-        return self._advance()
+        self._index += 1
+        return token
 
     def _expect_identifier(self) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENT:
+        token = self._tokens[self._index]
+        if token.kind is not _IDENT:
             raise ParseError(f"expected identifier, found {token.value!r}", token.location)
-        return self._advance()
+        self._index += 1
+        return token
 
     # ------------------------------------------------------------------ #
     # pragmas
@@ -135,7 +153,7 @@ class Parser:
         """Consume and interpret any pragma tokens at the current position."""
         while self._peek().kind is TokenKind.PRAGMA:
             token = self._advance()
-            self._handle_pragma(str(token.value), token.location)
+            self._handle_pragma(token.value, token.location)
 
     def _handle_pragma(self, body: str, location: SourceLocation) -> None:
         parts = body.replace("(", " ").replace(")", " ").replace(",", " ").split()
@@ -172,15 +190,14 @@ class Parser:
             token.value in _TYPE_KEYWORDS or token.value in _QUALIFIER_KEYWORDS
         ):
             return True
-        if token.kind is TokenKind.IDENT and lookup_type(str(token.value)) is not None:
+        if token.kind is TokenKind.IDENT and lookup_type(token.value) is not None:
             # A typedef-style name (Int16, UInt8, ...) is only a type if it is
             # followed by an identifier -- otherwise it is a plain variable use.
-            nxt = self._peek(1)
+            nxt = self._lookahead(1)
             return nxt.kind is TokenKind.IDENT
         return False
 
     def _parse_type(self) -> CType:
-        token = self._peek()
         words: list[str] = []
         while True:
             token = self._peek()
@@ -188,13 +205,13 @@ class Parser:
                 self._advance()
                 continue
             if token.kind is TokenKind.KEYWORD and token.value in _TYPE_KEYWORDS:
-                words.append(str(self._advance().value))
+                words.append(self._advance().value)
                 continue
             break
         if not words:
             token = self._peek()
-            if token.kind is TokenKind.IDENT and lookup_type(str(token.value)) is not None:
-                words.append(str(self._advance().value))
+            if token.kind is TokenKind.IDENT and lookup_type(token.value) is not None:
+                words.append(self._advance().value)
         spelling = " ".join(words)
         ctype = lookup_type(spelling)
         if ctype is None:
@@ -211,7 +228,7 @@ class Parser:
             location = self._peek().location
             ctype = self._parse_type()
             name_token = self._expect_identifier()
-            name = str(name_token.value)
+            name = name_token.value
             if self._check_punct("("):
                 item = self._parse_function_or_prototype(ctype, name, location)
                 if item is not None:
@@ -250,7 +267,7 @@ class Parser:
                 init = self._parse_assignment_expr()
             decls.append(GlobalDecl(name=name, var_type=ctype, init=init, location=location))
             if self._accept_punct(","):
-                name = str(self._expect_identifier().value)
+                name = self._expect_identifier().value
                 continue
             self._expect_punct(";")
             return decls
@@ -262,13 +279,13 @@ class Parser:
         self._expect_punct("(")
         params: list[Parameter] = []
         if not self._check_punct(")"):
-            if self._check_keyword("void") and self._peek(1).is_punct(")"):
+            if self._check_keyword("void") and self._lookahead(1).is_punct(")"):
                 self._advance()
             else:
                 while True:
                     param_loc = self._peek().location
                     param_type = self._parse_type()
-                    param_name = str(self._expect_identifier().value)
+                    param_name = self._expect_identifier().value
                     params.append(
                         Parameter(name=param_name, param_type=param_type, location=param_loc)
                     )
@@ -341,7 +358,7 @@ class Parser:
     def _parse_declaration(self) -> Stmt:
         location = self._peek().location
         ctype = self._parse_type()
-        name = str(self._expect_identifier().value)
+        name = self._expect_identifier().value
         init: Expr | None = None
         if self._accept_punct("="):
             init = self._parse_assignment_expr()
@@ -350,7 +367,7 @@ class Parser:
         ]
         while self._accept_punct(","):
             extra_loc = self._peek().location
-            extra_name = str(self._expect_identifier().value)
+            extra_name = self._expect_identifier().value
             extra_init: Expr | None = None
             if self._accept_punct("="):
                 extra_init = self._parse_assignment_expr()
@@ -459,12 +476,6 @@ class Parser:
                 self._expect_punct(";")
         else:
             self._advance()
-        if init is not None and isinstance(init, DeclStmt):
-            pass
-        if init is not None and not isinstance(init, (DeclStmt, CompoundStmt, ExprStmt)):
-            raise ParseError("unsupported for-loop initialiser", token.location)
-        if isinstance(init, ExprStmt):
-            pass
         cond: Expr | None = None
         if not self._check_punct(";"):
             cond = self._parse_expression()
@@ -486,14 +497,13 @@ class Parser:
 
     def _parse_assignment_expr(self) -> Expr:
         left = self._parse_ternary_expr()
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and str(token.value).endswith("=") and str(
-            token.value
-        ) not in ("==", "!=", "<=", ">="):
-            op = str(self._advance().value)
+        token = self._tokens[self._index]
+        if token.value in _ASSIGNMENT_OPERATORS and token.kind is _PUNCT:
+            self._index += 1
             right = self._parse_assignment_expr()
             if not isinstance(left, Identifier):
                 raise ParseError("assignment target must be a variable", token.location)
+            op = token.value
             if op == "=":
                 value = right
             else:
@@ -514,100 +524,88 @@ class Parser:
         return cond
 
     def _parse_binary_expr(self, min_precedence: int) -> Expr:
-        if min_precedence >= _MAX_PRECEDENCE:
-            return self._parse_unary_expr()
-        left = self._parse_binary_expr(min_precedence + 1)
+        """Precedence climbing: fold operators binding at least *min_precedence*.
+
+        Every binary operator is left-associative, so the right operand only
+        takes operators that bind strictly tighter.
+        """
+        left = self._parse_unary_expr()
+        tokens = self._tokens
         while True:
-            token = self._peek()
-            op = str(token.value) if token.kind is TokenKind.PUNCT else ""
-            if BINARY_PRECEDENCE.get(op) != min_precedence:
+            token = tokens[self._index]
+            precedence = BINARY_PRECEDENCE.get(token.value, 0)
+            if precedence < min_precedence or token.kind is not _PUNCT:
                 return left
-            self._advance()
-            right = self._parse_binary_expr(min_precedence + 1)
-            left = BinaryOp(op=op, left=left, right=right, location=token.location)
+            self._index += 1
+            right = self._parse_binary_expr(precedence + 1)
+            left = BinaryOp(op=token.value, left=left, right=right, location=token.location)
 
     def _parse_unary_expr(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.value in ("-", "+", "!", "~"):
-            self._advance()
-            operand = self._parse_unary_expr()
-            return UnaryOp(op=str(token.value), operand=operand, location=token.location)
-        if token.is_punct("++") or token.is_punct("--"):
-            self._advance()
-            operand = self._parse_unary_expr()
-            if not isinstance(operand, Identifier):
-                raise ParseError("++/-- target must be a variable", token.location)
-            op = "+" if token.value == "++" else "-"
-            return AssignExpr(
-                target=operand,
-                value=BinaryOp(
-                    op=op,
-                    left=Identifier(name=operand.name, location=operand.location),
-                    right=IntLiteral(value=1, location=token.location),
-                    location=token.location,
-                ),
-                location=token.location,
-            )
-        return self._parse_postfix_expr()
-
-    def _parse_postfix_expr(self) -> Expr:
+        token = self._tokens[self._index]
+        if token.kind is _PUNCT:
+            if token.value in UNARY_OPERATORS:
+                self._index += 1
+                operand = self._parse_unary_expr()
+                return UnaryOp(op=token.value, operand=operand, location=token.location)
+            if token.value == "++" or token.value == "--":
+                self._index += 1
+                return self._increment(self._parse_unary_expr(), token)
         expr = self._parse_primary_expr()
         while True:
-            token = self._peek()
-            if token.is_punct("++") or token.is_punct("--"):
-                self._advance()
-                if not isinstance(expr, Identifier):
-                    raise ParseError("++/-- target must be a variable", token.location)
-                op = "+" if token.value == "++" else "-"
-                expr = AssignExpr(
-                    target=expr,
-                    value=BinaryOp(
-                        op=op,
-                        left=Identifier(name=expr.name, location=expr.location),
-                        right=IntLiteral(value=1, location=token.location),
-                        location=token.location,
-                    ),
-                    location=token.location,
-                )
-                continue
-            return expr
+            token = self._tokens[self._index]
+            if token.kind is not _PUNCT or (token.value != "++" and token.value != "--"):
+                return expr
+            self._index += 1
+            expr = self._increment(expr, token)
+
+    @staticmethod
+    def _increment(target: Expr, token: Token) -> AssignExpr:
+        """Desugar ``++``/``--`` (*token*) applied to *target*."""
+        if not isinstance(target, Identifier):
+            raise ParseError("++/-- target must be a variable", token.location)
+        return AssignExpr(
+            target=target,
+            value=BinaryOp(
+                op="+" if token.value == "++" else "-",
+                left=Identifier(name=target.name, location=target.location),
+                right=IntLiteral(value=1, location=token.location),
+                location=token.location,
+            ),
+            location=token.location,
+        )
 
     def _parse_primary_expr(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            return IntLiteral(value=int(token.value), location=token.location)  # type: ignore[arg-type]
-        if token.is_keyword("true"):
-            self._advance()
-            return BoolLiteral(value=True, location=token.location)
-        if token.is_keyword("false"):
-            self._advance()
-            return BoolLiteral(value=False, location=token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            name = str(token.value)
+        token = self._tokens[self._index]
+        kind = token.kind
+        if kind is _IDENT:
+            self._index += 1
             if self._check_punct("("):
-                return self._parse_call(name, token.location)
-            return Identifier(name=name, location=token.location)
-        if token.is_punct("("):
+                return self._parse_call(token.value, token.location)
+            return Identifier(name=token.value, location=token.location)
+        if kind is TokenKind.NUMBER:
+            self._index += 1
+            return IntLiteral(value=token.value, location=token.location)  # type: ignore[arg-type]
+        if kind is _KEYWORD and (token.value == "true" or token.value == "false"):
+            self._index += 1
+            return BoolLiteral(value=token.value == "true", location=token.location)
+        if kind is _PUNCT and token.value == "(":
             # Either a cast "(Int16) expr" or a parenthesised expression.
-            nxt = self._peek(1)
+            nxt = self._lookahead(1)
             is_cast = False
             if nxt.kind is TokenKind.KEYWORD and nxt.value in _TYPE_KEYWORDS and nxt.value != "void":
                 is_cast = True
             if (
                 nxt.kind is TokenKind.IDENT
-                and lookup_type(str(nxt.value)) is not None
-                and self._peek(2).is_punct(")")
+                and lookup_type(nxt.value) is not None
+                and self._lookahead(2).is_punct(")")
             ):
                 is_cast = True
+            self._index += 1
             if is_cast:
-                self._advance()
                 target_type = self._parse_type()
                 self._expect_punct(")")
                 operand = self._parse_unary_expr()
                 return CastExpr(target_type=target_type, operand=operand, location=token.location)
-            self._advance()
             expr = self._parse_expression()
             self._expect_punct(")")
             return expr
@@ -644,16 +642,7 @@ def _evaluate_constant(expr: Expr) -> int | None:
         return int(expr.value)
     if isinstance(expr, UnaryOp):
         value = _evaluate_constant(expr.operand)
-        if value is None:
-            return None
-        if expr.op == "-":
-            return -value
-        if expr.op == "+":
-            return value
-        if expr.op == "!":
-            return int(value == 0)
-        if expr.op == "~":
-            return ~value
+        return None if value is None else apply_unary(expr.op, value)
     if isinstance(expr, BinaryOp):
         left = _evaluate_constant(expr.left)
         right = _evaluate_constant(expr.right)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -13,7 +13,6 @@ class TokenKind(enum.Enum):
 
     IDENT = "identifier"
     NUMBER = "number"
-    CHAR = "char-literal"
     KEYWORD = "keyword"
     PUNCT = "punctuator"
     PRAGMA = "pragma"
@@ -56,75 +55,30 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character punctuators, longest first so the lexer can do maximal munch.
+#: Punctuators, longest first: the lexer tries them in this order, so the
+#: first that matches is the longest (maximal munch).
 PUNCTUATORS = (
-    "<<=",
-    ">>=",
-    "...",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "<<",
-    ">>",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "->",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
-    ":",
-    "?",
-    "=",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "!",
-    "&",
-    "|",
-    "^",
-    "~",
-    ".",
+    "<<=", ">>=", "...",
+    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "++", "--",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->",
+    "(", ")", "{", "}", "[", "]", ";", ",", ":", "?", "=",
+    "+", "-", "*", "/", "%", "<", ">", "!", "&", "|", "^", "~", ".",
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` holds the decoded payload: the identifier/keyword text, the
     integer value of a number literal, the punctuator spelling, or the pragma
     body for ``#pragma`` lines understood by the frontend (loop bounds and
-    input-variable annotations).
+    input-variable annotations).  A named tuple, like its location, so the
+    lexer builds one per token cheaply.
     """
 
     kind: TokenKind
     value: object
     location: SourceLocation
-
-    @property
-    def text(self) -> str:
-        """The token payload as text (for identifiers/keywords/punctuators)."""
-        return str(self.value)
 
     def is_punct(self, spelling: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == spelling

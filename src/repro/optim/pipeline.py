@@ -11,6 +11,7 @@ and each optimisation on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..cfg.builder import build_cfg
 from ..minic.pretty import print_program
@@ -117,15 +118,22 @@ class OptimizedModel:
 
     config: OptimizationConfig
     function_name: str
+    #: the program before optimisation
+    original: AnalyzedProgram
     analyzed: AnalyzedProgram
     translation: TranslationResult
     notes: list[str] = field(default_factory=list)
-    #: state-vector bits before/after (the headline number of Section 3.1)
-    unoptimized_state_bits: int = 0
 
     @property
     def system(self):
         return self.translation.system
+
+    @cached_property
+    def unoptimized_state_bits(self) -> int:
+        """State-vector bits before optimisation (the headline number of
+        Section 3.1); the unoptimised baseline is translated on first access."""
+        baseline = translate_function(self.original, self.function_name, TranslationOptions())
+        return baseline.system.total_state_bits()
 
     @property
     def state_bits(self) -> int:
@@ -249,19 +257,13 @@ def build_optimized_model(
             f"{concat_report.transitions_before} -> {concat_report.transitions_after}"
         )
 
-    baseline_bits = None
-    if config != OptimizationConfig.none():
-        baseline = translate_function(analyzed, function_name, TranslationOptions())
-        baseline_bits = baseline.system.total_state_bits()
     model = OptimizedModel(
         config=config,
         function_name=function_name,
+        original=analyzed,
         analyzed=current,
         translation=translation,
         notes=notes,
-        unoptimized_state_bits=baseline_bits
-        if baseline_bits is not None
-        else translation.system.total_state_bits(),
     )
     translation.system.annotations.append(f"optimisations: {config.describe()}")
     return model

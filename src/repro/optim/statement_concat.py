@@ -16,11 +16,13 @@ transitions ``A --t1--> B --t2--> C`` are fused into ``A --> C`` when
   execution of the combined updates equals sequential execution.
 
 Fusion is applied to a fixed point, so a run of *k* independent statements
-collapses into a single transition.
+collapses into a single transition, in one pass over the transitions.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from ..minic.folding import expression_variables
@@ -59,6 +61,17 @@ def _independent(first: Transition, second: Transition) -> bool:
     return True
 
 
+def _fusable(first: Transition, second: Transition) -> bool:
+    """Whether ``first`` into a middle location and ``second`` out of it fuse."""
+    return (
+        second.source != second.target
+        and first.source != first.target
+        and first.guard is None
+        and second.guard is None
+        and _independent(first, second)
+    )
+
+
 def apply_statement_concatenation(
     system: TransitionSystem,
 ) -> tuple[TransitionSystem, ConcatenationReport]:
@@ -67,45 +80,61 @@ def apply_statement_concatenation(
     The system is modified in place (and also returned, for pipeline
     convenience).  Labels and statement counts of fused transitions are
     concatenated so CFG provenance and step accounting stay meaningful.
+
+    The fusions are those of rescanning the list from the start after each
+    one, with the fused transition appended in place of its two parts: next
+    is always the middle location whose incoming transition comes first.  A
+    fusion changes no location's degree, so the candidate middles are fixed
+    up front.
     """
-    report = ConcatenationReport(transitions_before=len(system.transitions))
-    changed = True
-    while changed:
-        changed = False
-        incoming: dict[int, list[Transition]] = {}
-        outgoing: dict[int, list[Transition]] = {}
-        for transition in system.transitions:
-            outgoing.setdefault(transition.source, []).append(transition)
-            incoming.setdefault(transition.target, []).append(transition)
-        protected = {system.initial_location} | set(system.final_locations)
-        for first in list(system.transitions):
-            middle = first.target
-            if middle in protected:
-                continue
-            if len(incoming.get(middle, ())) != 1 or len(outgoing.get(middle, ())) != 1:
-                continue
-            second = outgoing[middle][0]
-            if second.source == second.target or first.source == middle:
-                continue
-            if first.guard is not None or second.guard is not None:
-                continue
-            if not _independent(first, second):
-                continue
-            fused = Transition(
-                source=first.source,
-                target=second.target,
-                guard=None,
-                updates=list(first.updates) + list(second.updates),
-                labels=tuple(dict.fromkeys(first.labels + second.labels)),
-                statement_count=first.statement_count + second.statement_count,
-            )
-            system.transitions.remove(first)
-            system.transitions.remove(second)
-            system.transitions.append(fused)
-            report.fusions += 1
-            changed = True
-            break  # adjacency maps are stale; rebuild and continue
-    report.transitions_after = len(system.transitions)
+    transitions = system.transitions
+    report = ConcatenationReport(transitions_before=len(transitions))
+    ins = Counter(transition.target for transition in transitions)
+    outs = Counter(transition.source for transition in transitions)
+    protected = {system.initial_location, *system.final_locations}
+    middles = {loc for loc in ins if ins[loc] == 1 and outs[loc] == 1} - protected
+    #: candidate middle -> (list position of its one incoming transition,
+    #: that transition); a fused transition's position is after every other
+    into = {t.target: (index, t) for index, t in enumerate(transitions) if t.target in middles}
+    out_of = {t.source: t for t in transitions if t.source in middles}
+    heap = [(rank, middle) for middle, (rank, _) in into.items()]
+    heapq.heapify(heap)
+    fused_in_order: list[Transition] = []
+    removed: set[int] = set()
+    while heap:
+        rank, middle = heapq.heappop(heap)
+        if middle not in into or into[middle][0] != rank:
+            continue  # fused already, or a stale entry
+        first, second = into[middle][1], out_of[middle]
+        if not _fusable(first, second):
+            continue
+        fused = Transition(
+            source=first.source,
+            target=second.target,
+            guard=None,
+            updates=list(first.updates) + list(second.updates),
+            labels=tuple(dict.fromkeys(first.labels + second.labels)),
+            statement_count=first.statement_count + second.statement_count,
+        )
+        fused_rank = len(transitions) + len(fused_in_order)
+        fused_in_order.append(fused)
+        removed.update((id(first), id(second)))
+        report.fusions += 1
+        del into[middle], out_of[middle]
+        # the fused transition reads and writes more than either part, so a
+        # neighbour that did not fuse before cannot fuse now; only the next
+        # middle's incoming position moves
+        if first.source in out_of:
+            out_of[first.source] = fused
+        if second.target in into:
+            into[second.target] = (fused_rank, fused)
+            heapq.heappush(heap, (fused_rank, second.target))
+    transitions[:] = [
+        transition
+        for transition in transitions + fused_in_order
+        if id(transition) not in removed
+    ]
+    report.transitions_after = len(transitions)
     system.annotations.append(
         f"statement concatenation: {report.transitions_before} -> "
         f"{report.transitions_after} transitions"

@@ -49,6 +49,7 @@ from ..project import (
     ProjectReport,
     ProjectScheduler,
     ResultCache,
+    SourceUnit,
     config_fingerprint,
 )
 from ..resilience import FaultPlan, RetryPolicy
@@ -229,6 +230,10 @@ class JobQueue:
         #: session name -> per-function transitive fingerprints of the
         #: session's most recent *completed* submission
         self._sessions: dict[str, dict[str, str]] = {}
+        #: the most recent submission's units by name; the next submission
+        #: reuses a unit whose source is unchanged instead of re-parsing it
+        #: (safe because nothing downstream mutates an analysed unit)
+        self._last_units: dict[str, SourceUnit] = {}
         self._next_id = 0
         self._thread: threading.Thread | None = None
         self._running = False
@@ -254,11 +259,22 @@ class JobQueue:
 
         Raises :class:`ProjectError` for unparsable units -- a *permanent*
         client error (HTTP 422), since resubmitting identical bad sources
-        can never succeed.
+        can never succeed.  Only the units whose source differs from the
+        previous submission's are parsed.
         """
         from ..callgraph.graph import CallGraph
 
-        project = Project.from_sources(sources)
+        with self._lock:
+            previous = self._last_units
+        units = []
+        for name, source in sources.items():
+            unit = previous.get(name)
+            if unit is None or unit.source != source:
+                unit = SourceUnit.from_source(name, source)
+            units.append(unit)
+        project = Project(units)
+        with self._lock:
+            self._last_units = {unit.name: unit for unit in units}
         graph = CallGraph.from_project(project)
         fingerprints = graph.transitive_fingerprints()
         return project_fingerprint(fingerprints, config), fingerprints, project

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..minic.types import IntRange
 from .constraints import Constraint, PropagationConflict, Satisfaction
@@ -112,7 +113,15 @@ class ConstraintSolver:
         # the constraints are fixed for the whole call, so only the domain
         # store's share of the memory estimate changes from node to node
         constraint_bytes = _constraint_bytes(constraints)
-        call_stats.peak_memory_bytes = _domain_bytes(self._domains) + constraint_bytes
+        domains = dict(self._domains)
+        root = _Inherited(
+            None,
+            sum(domain.bits() for domain in domains.values()),
+            [name for name, domain in domains.items() if not domain.is_singleton()],
+        )
+        call_stats.peak_memory_bytes = (
+            _store_bytes(root.domain_bits, len(domains)) + constraint_bytes
+        )
         deadline = started + self._time_limit if self._time_limit is not None else None
         watchers: dict[str, list[int]] = {}
         for index, constraint in enumerate(constraints):
@@ -128,7 +137,7 @@ class ConstraintSolver:
 
         try:
             assignment = self._search(
-                dict(self._domains), frozenset(range(len(constraints))), None, None, 0, run
+                domains, frozenset(range(len(constraints))), root, None, 0, run
             )
         finally:
             call_stats.time_seconds = time.perf_counter() - started
@@ -147,7 +156,7 @@ class ConstraintSolver:
         self,
         domains: dict[str, Domain],
         dirty: frozenset[int],
-        statuses: list[Satisfaction] | None,
+        inherited: "_Inherited",
         branched: str | None,
         depth: int,
         run: "_Run",
@@ -155,8 +164,8 @@ class ConstraintSolver:
         """Search below one node.
 
         *dirty* holds the indices of the constraints to propagate first;
-        *statuses* are the parent's constraint statuses (``None`` at the
-        root) and *branched* the variable the parent split to make this node.
+        *inherited* is what the parent hands down and *branched* the
+        variable the parent split to make this node (``None`` at the root).
         """
         stats = run.stats
         stats.nodes += 1
@@ -166,26 +175,38 @@ class ConstraintSolver:
         if run.deadline is not None and time.perf_counter() > run.deadline:
             raise SolverLimitReached("solver time limit exceeded")
 
+        start = domains
         try:
             domains, changed, still_dirty = self._propagate(domains, dirty, run)
         except PropagationConflict:
             stats.conflicts += 1
             return None
 
+        # only the variables propagation changed can alter the domain bits
+        # or leave the unfixed list
+        domain_bits = inherited.domain_bits + sum(
+            domains[name].bits() - start[name].bits() for name in changed
+        )
+        unfixed = inherited.unfixed
+        if changed:
+            unfixed = [
+                name for name in unfixed if name not in changed or not domains[name].is_singleton()
+            ]
+
         # depth + 1 copies of the domain store plus the constraints
         stats.peak_memory_bytes = max(
             stats.peak_memory_bytes,
-            (depth + 1) * _domain_bytes(domains) + run.constraint_bytes,
+            (depth + 1) * _store_bytes(domain_bits, len(domains)) + run.constraint_bytes,
         )
 
         # check filtering status; a constraint none of whose variables
         # changed since the parent node keeps the parent's status
         constraints = run.constraints
-        if statuses is None:
+        if inherited.statuses is None:
             statuses = [Satisfaction.UNKNOWN] * len(constraints)
             stale = range(len(constraints))
         else:
-            statuses = list(statuses)
+            statuses = list(inherited.statuses)
             changed.add(branched)
             stale = set().union(*(run.watchers.get(name, ()) for name in changed))
         for index in stale:
@@ -200,7 +221,6 @@ class ConstraintSolver:
             if status is Satisfaction.UNKNOWN
         ]
 
-        unfixed = [name for name, domain in domains.items() if not domain.is_singleton()]
         if not unfixed:
             assignment = {name: domain.single_value() for name, domain in domains.items()}
             for constraint in pending:
@@ -231,10 +251,17 @@ class ConstraintSolver:
         else:
             # bisection for large domains
             children = domain.split()
+        other_bits = domain_bits - domain.bits()
+        still_unfixed = [name for name in unfixed if name != variable]
         for narrowed in children:
             child = dict(domains)
             child[variable] = narrowed
-            result = self._search(child, child_dirty, statuses, variable, depth + 1, run)
+            inherit = _Inherited(
+                statuses,
+                other_bits + narrowed.bits(),
+                still_unfixed if narrowed.is_singleton() else unfixed,
+            )
+            result = self._search(child, child_dirty, inherit, variable, depth + 1, run)
             if result is not None:
                 return result
         return None
@@ -280,6 +307,17 @@ class ConstraintSolver:
         return domains, changed, frozenset(queue)
 
 
+class _Inherited(NamedTuple):
+    """What a search node hands down to its children."""
+
+    #: the parent's constraint statuses (``None`` at the root)
+    statuses: list[Satisfaction] | None
+    #: ``Domain.bits()`` summed over the node's starting domains
+    domain_bits: int
+    #: the node's starting variables that are not fixed, in store order
+    unfixed: list[str]
+
+
 @dataclass
 class _Run:
     """What one :meth:`ConstraintSolver.solve` call shares across its nodes."""
@@ -302,10 +340,9 @@ class _Run:
 # optimisations the same way SAL does.
 
 
-def _domain_bytes(domains: dict[str, Domain]) -> int:
-    """Bytes of one copy of the domain store."""
-    domain_bits = sum(domain.bits() for domain in domains.values())
-    return (domain_bits + 7) // 8 + 16 * len(domains)
+def _store_bytes(domain_bits: int, variables: int) -> int:
+    """Bytes of one copy of a store of *variables* domains of *domain_bits* bits."""
+    return (domain_bits + 7) // 8 + 16 * variables
 
 
 def _constraint_bytes(constraints: list[Constraint]) -> int:

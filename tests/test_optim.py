@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
 
+from repro.analysis.relevance import control_relevant_variables
 from repro.cfg import build_cfg
 from repro.hw import Interpreter
 from repro.mc import EngineKind, ModelChecker, QueryEngineOptions, Verdict
 from repro.minic import parse_and_analyze, print_program
 from repro.optim import (
+    ConcatenationReport,
     OptimizationConfig,
     TABLE2_CONFIGURATIONS,
     apply_dead_code_elimination,
@@ -21,8 +24,10 @@ from repro.optim import (
     dead_variable_set,
     find_substitutable_temporaries,
 )
+from repro.optim import pipeline
+from repro.optim.statement_concat import _independent
 from repro.testgen.inputs import InputSpace
-from repro.transsys import translate_function
+from repro.transsys import Transition, translate_function
 from repro.workloads.optimisation_eval import (
     CONTROL_FLOW_IRRELEVANT,
     EVAL_FUNCTION_NAME,
@@ -244,6 +249,115 @@ class TestStatementConcatenation:
         assert fused_steps < plain_steps
 
 
+def reference_concatenation(system):
+    """The rescan-after-every-fusion concatenation the one-pass version replaced."""
+    report = ConcatenationReport(transitions_before=len(system.transitions))
+    changed = True
+    while changed:
+        changed = False
+        incoming: dict[int, list[Transition]] = {}
+        outgoing: dict[int, list[Transition]] = {}
+        for transition in system.transitions:
+            outgoing.setdefault(transition.source, []).append(transition)
+            incoming.setdefault(transition.target, []).append(transition)
+        protected = {system.initial_location} | set(system.final_locations)
+        for first in list(system.transitions):
+            middle = first.target
+            if middle in protected:
+                continue
+            if len(incoming.get(middle, ())) != 1 or len(outgoing.get(middle, ())) != 1:
+                continue
+            second = outgoing[middle][0]
+            if second.source == second.target or first.source == middle:
+                continue
+            if first.guard is not None or second.guard is not None:
+                continue
+            if not _independent(first, second):
+                continue
+            fused = Transition(
+                source=first.source,
+                target=second.target,
+                guard=None,
+                updates=list(first.updates) + list(second.updates),
+                labels=tuple(dict.fromkeys(first.labels + second.labels)),
+                statement_count=first.statement_count + second.statement_count,
+            )
+            system.transitions.remove(first)
+            system.transitions.remove(second)
+            system.transitions.append(fused)
+            report.fusions += 1
+            changed = True
+            break
+    report.transitions_after = len(system.transitions)
+    system.annotations.append(
+        f"statement concatenation: {report.transitions_before} -> "
+        f"{report.transitions_after} transitions"
+    )
+    return system, report
+
+
+def _system_image(system) -> tuple:
+    return (
+        [
+            (t.source, t.target, t.guard, t.updates, t.labels, t.statement_count, t.describe())
+            for t in system.transitions
+        ],
+        list(system.annotations),
+    )
+
+
+class TestStatementConcatenationIdentity:
+    """The one-pass concatenation against the rescanning reference, on the
+    models the model checker builds for the pinned programs and on every
+    Table 2 configuration."""
+
+    @pytest.fixture()
+    def compared(self, monkeypatch):
+        compared: list[int] = []
+        one_pass = pipeline.apply_statement_concatenation
+
+        def compare(system):
+            reference = copy.deepcopy(system)
+            _, expected = reference_concatenation(reference)
+            result = one_pass(system)
+            assert result[1] == expected
+            assert _system_image(system) == _system_image(reference)
+            compared.append(expected.fusions)
+            return result
+
+        monkeypatch.setattr(pipeline, "apply_statement_concatenation", compare)
+        return compared
+
+    def test_table2_configurations(self, compared, eval_program, eval_function_name):
+        for _, config in TABLE2_CONFIGURATIONS:
+            build_optimized_model(eval_program, eval_function_name, config)
+        assert len(compared) == 2 and min(compared) > 0
+
+    def test_pinned_program_models(self, compared):
+        from repro.workloads.multi import generate_call_chain_workload
+        from repro.workloads.targetlink import generate_small_application
+        from repro.workloads.wiper import wiper_case_study
+
+        programs = [
+            parse_and_analyze(source)
+            for source in generate_call_chain_workload(2005).sources.values()
+        ]
+        programs.append(wiper_case_study().analyzed)
+        programs.extend(
+            generate_small_application(seed=seed).analyzed for seed in (11, 2, 5)
+        )
+        for analyzed in programs:
+            for function in analyzed.program.functions:
+                cfg = build_cfg(function)
+                build_optimized_model(
+                    analyzed,
+                    function.name,
+                    OptimizationConfig.cfg_preserving(),
+                    keep_variables=control_relevant_variables(cfg),
+                )
+        assert len(compared) > 10 and sum(compared) > 100
+
+
 class TestOptimizationPipeline:
     def test_configurations_list_matches_table2(self):
         names = [name for name, _ in TABLE2_CONFIGURATIONS]
@@ -301,6 +415,27 @@ class TestOptimizationPipeline:
         assert model.notes
         summary = model.summary()
         assert summary["configuration"] == model.config.describe()
+
+    def test_unoptimised_bits_are_translated_only_on_demand(
+        self, eval_program, eval_function_name, monkeypatch
+    ):
+        baseline = translate_function(eval_program, eval_function_name)
+        expected = baseline.system.total_state_bits()
+        translations: list[str] = []
+        translate = pipeline.translate_function
+
+        def counting(*args, **kwargs):
+            translations.append(args[1])
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "translate_function", counting)
+        for name, config in TABLE2_CONFIGURATIONS:
+            translations.clear()
+            model = build_optimized_model(eval_program, eval_function_name, config)
+            assert len(translations) == 1, name
+            assert model.unoptimized_state_bits == expected, name
+            assert model.unoptimized_state_bits == expected, name
+            assert len(translations) == 2, name
 
     def test_unknown_single_optimisation_raises(self):
         with pytest.raises(ValueError):

@@ -20,8 +20,10 @@ import threading
 import pytest
 
 from repro import obs
+from repro.minic import print_program
 from repro.pipeline import AnalyzerConfig
 from repro.project import Project, ProjectScheduler, ResultCache
+from repro.project import model as project_model
 from repro.resilience import FaultPlan
 from repro.service import (
     AnalysisServer,
@@ -362,6 +364,84 @@ def test_project_fingerprint_tracks_config_and_content():
     assert base == project_fingerprint(dict(reversed(list(fingerprints.items()))), config)
     assert base != project_fingerprint({"main:f": "aa", "main:g": "cc"}, config)
     assert base != project_fingerprint(fingerprints, quick_config(path_bound=3))
+
+
+# ---------------------------------------------------------------------- #
+# unit reuse across submissions
+# ---------------------------------------------------------------------- #
+#: two units; the edit touches only ``lib``
+TWO_UNITS_V1 = {
+    "app": "int helper(int v);\nint task(int a) { int r; r = helper(a); return r + 1; }\n",
+    "lib": "int helper(int v) { if (v > 2) { v = v - 1; } return v; }\n",
+}
+TWO_UNITS_V2 = dict(TWO_UNITS_V1, lib=TWO_UNITS_V1["lib"].replace("v - 1", "v - 2"))
+
+
+def _strip_provenance(payloads: list[dict]) -> str:
+    return json.dumps(
+        [
+            {
+                key: value
+                for key, value in payload.items()
+                if key not in ("from_cache", "retries", "fault_events")
+            }
+            for payload in payloads
+        ],
+        indent=2,
+    )
+
+
+def test_an_edit_parses_only_the_changed_unit(monkeypatch):
+    parsed: list[str] = []
+    original = project_model.parse_and_analyze
+
+    def counting(source, filename="<source>"):
+        parsed.append(filename)
+        return original(source, filename=filename)
+
+    monkeypatch.setattr(project_model, "parse_and_analyze", counting)
+    queue = JobQueue(config=quick_config())
+    first, _ = queue.submit(TWO_UNITS_V1)
+    assert sorted(parsed) == ["app", "lib"]
+    parsed.clear()
+    second, _ = queue.submit(TWO_UNITS_V2)
+    assert parsed == ["lib"]
+    assert second.project.unit("app") is first.project.unit("app")
+
+    fresh = JobQueue(config=quick_config()).fingerprint_submission(
+        TWO_UNITS_V2, quick_config()
+    )
+    assert (second.fingerprint, second.function_fingerprints) == fresh[:2]
+
+
+def test_a_reused_unit_is_unchanged_and_serves_a_fresh_report():
+    queue = JobQueue(config=quick_config())
+    queue.start()
+    try:
+        first, _ = queue.submit(TWO_UNITS_V1)
+        app = first.project.unit("app")
+        assert first.event.wait(120.0) and first.state is ServiceJobState.DONE
+        second, _ = queue.submit(TWO_UNITS_V2)
+        assert second.project.unit("app") is app
+        assert second.event.wait(120.0) and second.state is ServiceJobState.DONE
+    finally:
+        queue.stop()
+
+    # the previous job analysed ``app``; it still prints and fingerprints
+    # like a fresh parse
+    fresh = Project.from_sources(TWO_UNITS_V1)
+    assert print_program(app.analyzed.program) == print_program(
+        fresh.unit("app").analyzed.program
+    )
+    assert Project([app]).functions() == Project([fresh.unit("app")]).functions()
+
+    cold = ProjectScheduler(
+        Project.from_sources(TWO_UNITS_V2),
+        config=quick_config(),
+        cache=ResultCache.disabled(),
+    ).run()
+    served = json.loads(second.report_text)["functions"]
+    assert _strip_provenance(served) == _strip_provenance(cold.function_payloads())
 
 
 # ---------------------------------------------------------------------- #
