@@ -57,7 +57,7 @@ from .ast_nodes import (
     UNARY_OPERATORS,
 )
 from .errors import ParseError, SourceLocation
-from .folding import apply_unary
+from .folding import apply_binary, apply_unary
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 from .types import CType, IntRange, lookup_type
@@ -635,7 +635,13 @@ def _is_int(text: str) -> bool:
 
 
 def _evaluate_constant(expr: Expr) -> int | None:
-    """Best-effort compile-time evaluation used for case labels."""
+    """Compile-time evaluation of case labels, in the board's arithmetic.
+
+    Uses the operators the compiler and interpreter execute
+    (:func:`~repro.minic.folding.apply_binary`): masked shift counts, exact
+    truncating division.  ``None`` when *expr* is not a constant or cannot
+    be evaluated (division by zero).
+    """
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, BoolLiteral):
@@ -649,24 +655,10 @@ def _evaluate_constant(expr: Expr) -> int | None:
         if left is None or right is None:
             return None
         try:
-            return _APPLY_CONST[expr.op](left, right)
-        except (KeyError, ZeroDivisionError):
+            return apply_binary(expr.op, left, right)
+        except (ValueError, ZeroDivisionError):
             return None
     return None
-
-
-_APPLY_CONST = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: int(a / b) if b != 0 else None,
-    "%": lambda a, b: a - int(a / b) * b if b != 0 else None,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-}
 
 
 def parse_program(source: str, filename: str = "<source>") -> Program:

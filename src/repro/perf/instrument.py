@@ -125,6 +125,35 @@ class PerfRegistry:
                 stat = self._timers[name] = TimerStat()
             stat.record(seconds)
 
+    def merge(self, report: dict[str, Any]) -> None:
+        """Add another registry's :meth:`report` snapshot into this one.
+
+        Counters add; each timer combines as if its calls had been recorded
+        here (calls, totals and buckets add, min/max widen).  This is how a
+        process-pool worker's private registry reaches the parent's.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            for name, amount in report.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + amount
+            for name, other in report.get("timers", {}).items():
+                if not other["calls"]:
+                    continue
+                stat = self._timers.get(name)
+                if stat is None:
+                    stat = self._timers[name] = TimerStat()
+                if stat.calls == 0:
+                    stat.min_seconds = other["min_seconds"]
+                    stat.max_seconds = other["max_seconds"]
+                else:
+                    stat.min_seconds = min(stat.min_seconds, other["min_seconds"])
+                    stat.max_seconds = max(stat.max_seconds, other["max_seconds"])
+                stat.calls += other["calls"]
+                stat.total_seconds += other["total_seconds"]
+                for index, count in enumerate(other["histogram"]["counts"]):
+                    stat.buckets[index] += count
+
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
         """Context manager timing its body with ``time.perf_counter``."""

@@ -14,9 +14,9 @@ industrial WCET tool must:
   project call graph (:mod:`repro.callgraph`): callees are analysed before
   their callers and each completed callee's WCET bound is charged at the
   caller's call sites (callee summary reuse).  Waves run serially or on a
-  process pool (``workers=N``); results are bit-identical either way
-  because every pipeline phase is seeded by the :class:`AnalyzerConfig`
-  and callee bounds are fixed before a wave starts.  Pool failures fall
+  process pool (``workers=N``); results, injected faults and counters are
+  identical either way because every pipeline phase is seeded by the
+  :class:`AnalyzerConfig` and callee bounds are fixed before a wave starts.  Pool failures fall
   back to serial execution (with the reason recorded in the report)
   instead of failing the batch.
 * :mod:`repro.project.cache` -- :class:`ResultCache` persists per-function
@@ -52,9 +52,14 @@ API::
     print(report.to_text())
 
 The scheduler and cache record into the :mod:`repro.perf` registry
-(``project.jobs*``, ``project.cache.*``, timers ``project.schedule`` /
-``project.analyze_function``), so batch runs show up in perf reports like
-the dataflow hot paths do.
+(``project.jobs*``, ``project.scheduler.*``, ``project.cache.*``, timers
+``project.schedule``, ``project.analyze_function`` per executed job and
+``project.cache.lookup`` / ``project.cache.store``), so batch runs show up
+in perf reports like the dataflow hot paths do.  A job runs through one
+attempt function whether it runs in-process or on a pool worker; a worker
+records into a private registry that the scheduler merges back, so the
+analysis counters and timers (``hw.board.*``, ``mc.*``, ``sa.*``) of a
+pool run equal those of a serial one.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .. import obs, perf
 from ..mc.store import QueryStore, using_query_store
-from ..minic import parse_and_analyze
+from ..minic import AnalyzedProgram, parse_and_analyze
 from ..pipeline.analyzer import (
     AnalyzerConfig,
     WcetAnalyzer,
@@ -132,92 +132,118 @@ class AnalysisJob:
         return tuple(sorted(set(self.resolved_map.values())))
 
 
-def _execute_analysis(
+def _attempt(
+    analyzed: AnalyzedProgram,
+    unit_name: str,
+    function_name: str,
+    config: AnalyzerConfig,
+    callee_bounds: dict[str, int],
+    job_plan: FaultPlan | None,
+    job_timeout: float | None,
+    execute_spec: FaultSpec | None,
+) -> FunctionSummary:
+    """One analysis attempt of one function, serial or inside a pool worker.
+
+    ``job_plan`` carries only the job-internal fault sites (``mc.solve``,
+    ``interp.step``): every attempt evaluates them against a fresh injector
+    with its own hit counters, so what fires never depends on how jobs
+    interleave across workers.  ``execute_spec`` is the scheduler-decided
+    ``job.execute`` fault of this attempt (a pure function of plan seed, job
+    name and attempt number): ``raise`` crashes the attempt, ``delay``
+    sleeps before the analysis, inside the attempt's deadline.  Without a
+    plan, a timeout or a spec no resilience context is activated at all.
+    """
+    started = time.perf_counter()
+    injector = FaultInjector(job_plan) if job_plan is not None else None
+    deadline = Deadline(job_timeout) if job_timeout else None
+    with contextlib.ExitStack() as stack:
+        if injector is not None or deadline is not None or execute_spec is not None:
+            stack.enter_context(
+                activate(ResilienceContext(injector=injector, deadline=deadline))
+            )
+        if execute_spec is not None and execute_spec.kind is FaultKind.RAISE:
+            raise InjectedFault("job.execute", "injected job crash", 1)
+        if execute_spec is not None and execute_spec.kind is FaultKind.DELAY:
+            time.sleep(execute_spec.delay_ms / 1000.0)
+        report = WcetAnalyzer(
+            analyzed, function_name, config, callee_bounds=callee_bounds
+        ).analyze()
+    summary = FunctionSummary.from_report(unit_name, config.partitioner, report)
+    perf.record_time("project.analyze_function", time.perf_counter() - started)
+    return summary
+
+
+def _pool_attempt(
     unit_name: str,
     source: str,
     function_name: str,
     config: AnalyzerConfig,
     callee_bounds: dict[str, int],
-    fault_plan: FaultPlan | None = None,
-    job_timeout_seconds: float | None = None,
-    inject_job_fault: bool = False,
-    trace: dict | None = None,
-    query_cache_dir: str | None = None,
-) -> tuple[dict, float, list]:
-    """Analyse one function from its unit source.
+    job_plan: FaultPlan | None,
+    job_timeout: float | None,
+    execute_spec: FaultSpec | None,
+    trace: dict | None,
+    query_cache_dir: str | None,
+) -> tuple[dict | Exception, dict, list]:
+    """:func:`_attempt` inside a process-pool worker.
 
-    Returns ``(summary dict, seconds, span events)``.  Module-level so it
-    pickles into process-pool workers; the worker re-parses the unit from
-    source, which keeps the inter-process payload to plain strings plus the
-    (picklable, dataclass-only) config, bound mapping and fault sub-plan.
-    ``fault_plan`` carries only the job-internal sites (``mc.solve``,
-    ``interp.step``): each job evaluates them against a fresh injector with
-    its own hit counters, so what fires never depends on how jobs interleave
-    across workers.  ``inject_job_fault`` is the scheduler-decided
-    ``job.execute`` crash (a pure function of plan seed, job name and
-    attempt number, shipped as a flag for the same reason).
+    Returns ``(summary dict or the attempt's exception, perf report, span
+    events)``.  Module-level so it
+    pickles; the worker re-parses the unit from source, which keeps the
+    inter-process payload to plain strings plus picklable dataclasses.  The
+    worker records counters and timers into a private registry and spans
+    into a private tracer; the scheduler merges both back into its own, so a
+    pool run accounts the same work a serial run does.
 
     ``trace`` is the serialised span handshake
-    (``{"trace_id", "parent_id", "max_events"}``): the worker records its
-    spans into a private tracer under that parent and returns the events,
-    which the scheduler merges back into its own tracer -- the cross-process
-    half of the end-to-end trace tree.  ``None`` (untraced run) costs
-    nothing and returns an empty event list.
+    (``{"trace_id", "parent_id", "max_events"}``): the worker's spans hang
+    under that parent -- the cross-process half of the end-to-end trace
+    tree.  ``None`` (untraced run) returns an empty event list.
 
     ``query_cache_dir`` (the scheduler's cache root) re-opens the shared
     persistent model-checking query store inside the worker: verdicts and
     witnesses flow through the same crash-safe, flock-serialised files the
-    serial path uses, so pool runs populate and profit from the store
-    identically.  Replay failures quarantine the entry on disk in-place;
-    the worker keeps no other store state worth shipping back.
+    serial path uses.
     """
-    started = time.perf_counter()
-    injector = (
-        FaultInjector(fault_plan)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    deadline = Deadline(job_timeout_seconds) if job_timeout_seconds else None
+    registry = perf.PerfRegistry()
     tracer: obs.Tracer | None = None
-    with contextlib.ExitStack() as stack:
-        if trace is not None:
-            tracer = obs.Tracer(max_events=trace.get("max_events"))
-            stack.enter_context(
-                obs.using_tracer(
-                    tracer,
-                    obs.SpanContext(
-                        trace_id=trace["trace_id"], span_id=trace["parent_id"]
-                    ),
-                )
-            )
-            stack.enter_context(
-                obs.span("project.job", function=function_name, worker="pool")
-            )
-        if query_cache_dir is not None:
-            stack.enter_context(
-                using_query_store(QueryStore(ResultCache(query_cache_dir)))
-            )
-        analyzed = parse_and_analyze(source, filename=unit_name)
-        if injector is None and deadline is None and not inject_job_fault:
-            report = WcetAnalyzer(
-                analyzed, function_name, config, callee_bounds=callee_bounds
-            ).analyze()
-        else:
-            with activate(
-                ResilienceContext(injector=injector, deadline=deadline)
-            ):
-                if inject_job_fault:
-                    raise InjectedFault(
-                        "job.execute", "injected job crash", 1
+    try:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(perf.using_registry(registry))
+            if trace is not None:
+                tracer = obs.Tracer(max_events=trace.get("max_events"))
+                stack.enter_context(
+                    obs.using_tracer(
+                        tracer,
+                        obs.SpanContext(
+                            trace_id=trace["trace_id"], span_id=trace["parent_id"]
+                        ),
                     )
-                report = WcetAnalyzer(
-                    analyzed, function_name, config, callee_bounds=callee_bounds
-                ).analyze()
-        summary = FunctionSummary.from_report(
-            unit_name, config.partitioner, report
-        )
+                )
+                stack.enter_context(
+                    obs.span("project.job", function=function_name, worker="pool")
+                )
+            if query_cache_dir is not None:
+                stack.enter_context(
+                    using_query_store(QueryStore(ResultCache(query_cache_dir)))
+                )
+            analyzed = parse_and_analyze(source, filename=unit_name)
+            outcome: dict | Exception = _attempt(
+                analyzed,
+                unit_name,
+                function_name,
+                config,
+                callee_bounds,
+                job_plan,
+                job_timeout,
+                execute_spec,
+            ).to_dict()
+    except Exception as error:
+        # returned, not raised, so the failed attempt's counters and spans
+        # reach the scheduler like those of a failed serial attempt
+        outcome = error
     events = tracer.events() if tracer is not None else []
-    return summary.to_dict(), time.perf_counter() - started, events
+    return outcome, registry.report(), events
 
 
 class ProjectScheduler:
@@ -298,8 +324,8 @@ class ProjectScheduler:
         self._pool_restart_budget = max(0, int(pool_restart_budget))
         self._progress_callback = progress_callback
         #: scheduler-side injector (cache.*, pool.submit); job-internal
-        #: sites ship to each job as a sub-plan, and job.execute is decided
-        #: per attempt by :meth:`_job_execute_spec`
+        #: sites ship to each attempt as a sub-plan (None when empty), and
+        #: job.execute is decided per attempt by :meth:`_job_execute_spec`
         self._injector = (
             FaultInjector(
                 self._fault_plan.for_sites(
@@ -309,6 +335,8 @@ class ProjectScheduler:
             if not self._fault_plan.is_empty
             else None
         )
+        job_plan = self._fault_plan.job_plan()
+        self._job_plan = job_plan if not job_plan.is_empty else None
         self._job_execute_specs = tuple(
             spec
             for spec in self._fault_plan.specs
@@ -528,9 +556,10 @@ class ProjectScheduler:
             summary.summarised_call_sites for summary in summaries
         )
         perf.add("project.scheduler.summary_reuse_calls", reused_calls)
-        # static-analysis totals for cache-served summaries: fresh in-process
-        # jobs already bumped the sa.* counters inside run_static_analysis,
-        # so only results answered from the cache are accounted here
+        # static-analysis totals for cache-served summaries: executed jobs
+        # (in-process or merged back from a pool worker) already bumped the
+        # sa.* counters inside run_static_analysis, so only results answered
+        # from the cache are accounted here
         cached = [summary for summary in summaries if summary.from_cache]
         perf.add(
             "sa.edges_pruned",
@@ -790,15 +819,6 @@ class ProjectScheduler:
         for job in remaining:
             self._execute_serial(job)
 
-    def _note_fallback(self, reason: str) -> None:
-        self.mode = "serial-fallback"
-        if self.fallback_reason is None:
-            self.fallback_reason = reason
-
-    def _job_fault_plan(self) -> FaultPlan | None:
-        plan = self._fault_plan.job_plan()
-        return plan if not plan.is_empty else None
-
     def _job_execute_spec(self, job: AnalysisJob, attempt: int) -> FaultSpec | None:
         """The ``job.execute`` fault firing on this job's *attempt*, if any.
 
@@ -815,6 +835,26 @@ class ProjectScheduler:
                 perf.add("resilience.injected.job.execute")
                 return spec
         return None
+
+    @staticmethod
+    def _unfinished(jobs: list[AnalysisJob]) -> list[AnalysisJob]:
+        """The jobs of a broken pool cycle still to run, reset to PENDING."""
+        survivors = [
+            job
+            for job in jobs
+            if job.summary is None and job.state is not JobState.FAILED
+        ]
+        for job in survivors:
+            job.state = JobState.PENDING
+        return survivors
+
+    def _fall_back(self, jobs: list[AnalysisJob], reason: str) -> list[AnalysisJob]:
+        """Give up on the pool for this wave; return its unfinished jobs."""
+        perf.add("project.scheduler.pool_fallbacks")
+        self.mode = "serial-fallback"
+        if self.fallback_reason is None:
+            self.fallback_reason = reason
+        return self._unfinished(jobs)
 
     def _execute_pool(self, jobs: list[AnalysisJob]) -> list[AnalysisJob]:
         """Run *jobs* on a process pool; return the jobs still to be executed.
@@ -835,12 +875,11 @@ class ProjectScheduler:
                     max_workers=min(self._workers, len(pending_jobs))
                 )
             except (OSError, ValueError) as error:
-                perf.add("project.scheduler.pool_fallbacks")
                 perf.add("project.scheduler.pool_fallback.create_failed")
-                self._note_fallback(
-                    f"pool-create-failed: {type(error).__name__}: {error}"
+                return self._fall_back(
+                    pending_jobs,
+                    f"pool-create-failed: {type(error).__name__}: {error}",
                 )
-                return pending_jobs
             try:
                 retry_serially = self._pool_cycle(pool, pending_jobs)
             except (
@@ -850,41 +889,25 @@ class ProjectScheduler:
                 # the pool died (fork bans, OOM-killed worker, an injected
                 # pool.submit fault): restart it for the unfinished jobs
                 # while the restart budget lasts
-                survivors = [
-                    job
-                    for job in pending_jobs
-                    if job.summary is None and job.state is not JobState.FAILED
-                ]
-                for job in survivors:
-                    job.state = JobState.PENDING
                 if self.pool_restarts < self._pool_restart_budget:
                     self.pool_restarts += 1
                     perf.add("project.scheduler.pool_restarts")
-                    pending_jobs = survivors
+                    pending_jobs = self._unfinished(pending_jobs)
                     continue
-                perf.add("project.scheduler.pool_fallbacks")
                 perf.add("project.scheduler.pool_fallback.pool_died")
-                self._note_fallback(
+                return self._fall_back(
+                    pending_jobs,
                     f"pool-died: {type(error).__name__}: {error} "
-                    f"(restart budget of {self._pool_restart_budget} spent)"
+                    f"(restart budget of {self._pool_restart_budget} spent)",
                 )
-                return survivors
             except pickle.PicklingError as error:
                 # a config that does not pickle is permanent: restarting the
                 # pool would fail identically, so go straight to serial
-                survivors = [
-                    job
-                    for job in pending_jobs
-                    if job.summary is None and job.state is not JobState.FAILED
-                ]
-                for job in survivors:
-                    job.state = JobState.PENDING
-                perf.add("project.scheduler.pool_fallbacks")
                 perf.add("project.scheduler.pool_fallback.pool_died")
-                self._note_fallback(
-                    f"pool-died: {type(error).__name__}: {error}"
+                return self._fall_back(
+                    pending_jobs,
+                    f"pool-died: {type(error).__name__}: {error}",
                 )
-                return survivors
             if self.mode != "serial-fallback":
                 # a fallback in an earlier wave keeps the report honest even
                 # if this wave's pool came up fine
@@ -912,6 +935,11 @@ class ProjectScheduler:
                 "parent_id": context.span_id,
                 "max_events": self._tracer.max_events,
             }
+        query_cache_dir = (
+            str(self._query_cache.root)
+            if self._query_store is not None and self._query_cache.root is not None
+            else None
+        )
         with pool:
             for job in jobs:
                 unit = self._project.unit(job.function.unit)
@@ -920,160 +948,107 @@ class ProjectScheduler:
                     # feeding it work; handled by the restart loop above
                     self._injector.check("pool.submit", job.qualified_name)
                 job.state = JobState.RUNNING
-                spec = self._job_execute_spec(job, job.attempts + 1)
-                inject = spec is not None and spec.kind is FaultKind.RAISE
                 future = pool.submit(
-                    _execute_analysis,
+                    _pool_attempt,
                     unit.name,
                     unit.source,
                     job.function.name,
                     self._job_config(job),
                     job.callee_bounds,
-                    self._job_fault_plan(),
+                    self._job_plan,
                     self._job_timeout,
-                    inject,
+                    self._job_execute_spec(job, job.attempts + 1),
                     trace_payload,
-                    str(self._query_cache.root)
-                    if self._query_store is not None
-                    and self._query_cache.root is not None
-                    else None,
+                    query_cache_dir,
                 )
                 pending[future] = job
             for future in concurrent.futures.as_completed(pending):
                 job = pending.pop(future)
-                try:
-                    payload, seconds, span_events = future.result()
-                except (
-                    concurrent.futures.process.BrokenProcessPool,
-                    pickle.PicklingError,
-                ):
-                    # pool-level trouble, not a property of this job
-                    raise
-                except JobTimeout as error:
-                    job.attempts += 1
-                    self._quarantine(job, f"wall-clock timeout: {error}")
-                    continue
-                except Exception as error:
-                    job.attempts += 1
-                    kind = classify_error(error)
-                    job.fault_events.append(
-                        f"attempt {job.attempts} failed ({kind}): "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    if (
-                        kind == "transient"
-                        and job.attempts < self._retry_policy.max_attempts
-                    ):
-                        job.retries += 1
-                        perf.add("project.scheduler.retries")
-                        job.state = JobState.PENDING
-                        retry_serially.append(job)
-                    elif kind == "transient":
-                        self._quarantine(
-                            job,
-                            f"transient failures exhausted "
-                            f"{self._retry_policy.max_attempts} attempt(s): "
-                            f"{type(error).__name__}: {error}",
-                        )
-                    else:
-                        self._fail(job, error)
-                    continue
+                # a broken pool or pickling error raises here: pool-level
+                # trouble, not a property of this job
+                outcome, registry_report, span_events = future.result()
+                job.attempts += 1
+                perf.active_registry().merge(registry_report)
                 if span_events and self._tracer is not None:
                     self._tracer.merge(span_events)
-                self._complete(
-                    job, FunctionSummary.from_dict(payload), seconds
-                )
+                if isinstance(outcome, Exception):
+                    if self._attempt_failed(job, outcome):
+                        retry_serially.append(job)
+                    continue
+                self._complete(job, FunctionSummary.from_dict(outcome))
         return retry_serially
 
     def _execute_serial(self, job: AnalysisJob) -> None:
         """Run one job in-process, retrying transient failures with backoff."""
         unit = self._project.unit(job.function.unit)
-        policy = self._retry_policy
         while True:
             job.state = JobState.RUNNING
             if job.attempts > 0:
                 # a backoff sleep precedes every retry attempt; the delay is
                 # a pure function of (seed, job, attempt) so chaos runs
                 # sleep the same deterministic schedule every time
-                time.sleep(policy.delay_for(job.attempts, job.qualified_name))
+                time.sleep(
+                    self._retry_policy.delay_for(job.attempts, job.qualified_name)
+                )
             job.attempts += 1
-            started = time.perf_counter()
             try:
                 with obs.span(
                     "project.job",
                     function=job.qualified_name,
                     worker="serial",
-                ):
-                    summary, seconds = self._run_job(job, unit, started)
-            except JobTimeout as error:
-                # a deterministic computation would time out again: no retry
-                self._quarantine(job, f"wall-clock timeout: {error}")
-                return
-            except Exception as error:
-                kind = classify_error(error)
-                job.fault_events.append(
-                    f"attempt {job.attempts} failed ({kind}): "
-                    f"{type(error).__name__}: {error}"
-                )
-                if kind == "transient" and job.attempts < policy.max_attempts:
-                    job.retries += 1
-                    perf.add("project.scheduler.retries")
-                    continue
-                if kind == "transient":
-                    self._quarantine(
-                        job,
-                        f"transient failures exhausted {policy.max_attempts} "
-                        f"attempt(s): {type(error).__name__}: {error}",
-                    )
-                else:
-                    # a genuine, permanent analysis error: the seed
-                    # behaviour (fail the job, report it) is the right one
-                    self._fail(job, error)
-                return
-            self._complete(job, summary, seconds)
-            return
-
-    def _run_job(
-        self, job: AnalysisJob, unit, started: float
-    ) -> tuple[FunctionSummary, float]:
-        """One in-process analysis attempt under the job's resilience context."""
-        injector_plan = self._job_fault_plan()
-        injector = (
-            FaultInjector(injector_plan) if injector_plan is not None else None
-        )
-        deadline = Deadline(self._job_timeout) if self._job_timeout else None
-        inject = self._job_execute_spec(job, job.attempts)
-        with using_query_store(self._query_store):
-            if injector is None and deadline is None and inject is None:
-                # reuse the unit's already-analysed AST in-process; the
-                # pipeline is deterministic, so this matches the worker's
-                # re-parse exactly
-                report = WcetAnalyzer(
-                    unit.analyzed,
-                    job.function.name,
-                    self._job_config(job),
-                    callee_bounds=job.callee_bounds,
-                ).analyze()
-            else:
-                with activate(
-                    ResilienceContext(injector=injector, deadline=deadline)
-                ):
-                    if inject is not None and inject.kind is FaultKind.RAISE:
-                        raise InjectedFault(
-                            "job.execute", "injected job crash", 1
-                        )
-                    if inject is not None and inject.kind is FaultKind.DELAY:
-                        time.sleep(inject.delay_ms / 1000.0)
-                    report = WcetAnalyzer(
+                ), using_query_store(self._query_store):
+                    # the unit's already-analysed AST is reused in-process;
+                    # the pipeline is deterministic, so this matches a pool
+                    # worker's re-parse exactly
+                    summary = _attempt(
                         unit.analyzed,
+                        unit.name,
                         job.function.name,
                         self._job_config(job),
-                        callee_bounds=job.callee_bounds,
-                    ).analyze()
-        summary = FunctionSummary.from_report(
-            unit.name, self._config.partitioner, report
+                        job.callee_bounds,
+                        self._job_plan,
+                        self._job_timeout,
+                        self._job_execute_spec(job, job.attempts),
+                    )
+            except Exception as error:
+                if self._attempt_failed(job, error):
+                    continue
+                return
+            self._complete(job, summary)
+            return
+
+    def _attempt_failed(self, job: AnalysisJob, error: Exception) -> bool:
+        """Settle a failed attempt of *job*; True when it should be retried.
+
+        A timeout quarantines (a deterministic computation would time out
+        again), a transient error retries until the policy's attempts are
+        spent and then quarantines, and a permanent error fails the job.
+        """
+        if isinstance(error, JobTimeout):
+            self._quarantine(job, f"wall-clock timeout: {error}")
+            return False
+        kind = classify_error(error)
+        job.fault_events.append(
+            f"attempt {job.attempts} failed ({kind}): "
+            f"{type(error).__name__}: {error}"
         )
-        return summary, time.perf_counter() - started
+        max_attempts = self._retry_policy.max_attempts
+        if kind == "transient" and job.attempts < max_attempts:
+            job.retries += 1
+            perf.add("project.scheduler.retries")
+            job.state = JobState.PENDING
+            return True
+        if kind == "transient":
+            self._quarantine(
+                job,
+                f"transient failures exhausted {max_attempts} attempt(s): "
+                f"{type(error).__name__}: {error}",
+            )
+        else:
+            # a genuine, permanent analysis error: the seed behaviour (fail
+            # the job, report it) is the right one
+            self._fail(job, error)
+        return False
 
     # ------------------------------------------------------------------ #
     def _flight_dump(self, trigger: str, detail: str | None = None) -> None:
@@ -1144,9 +1119,7 @@ class ProjectScheduler:
         )
         self._notify(job)
 
-    def _complete(
-        self, job: AnalysisJob, summary: FunctionSummary, seconds: float
-    ) -> None:
+    def _complete(self, job: AnalysisJob, summary: FunctionSummary) -> None:
         self._adopt_identity(job, summary)
         job.summary = summary
         job.state = JobState.DONE
@@ -1155,7 +1128,6 @@ class ProjectScheduler:
             # it would serve pessimised bounds to later clean runs
             self._cache.put(job.cache_key, summary)
         perf.add("project.jobs_executed")
-        perf.record_time("project.analyze_function", seconds)
         self._notify(job)
 
     def _fail(self, job: AnalysisJob, error: Exception) -> None:
@@ -1165,34 +1137,9 @@ class ProjectScheduler:
         self._notify(job)
 
 
-def analyze_project(
-    project: Project,
-    config: AnalyzerConfig | None = None,
-    cache: ResultCache | None = None,
-    workers: int = 1,
-    only: list[str] | None = None,
-    interprocedural: bool = True,
-    unknown_call_cycles: int | None = None,
-    fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
-    job_timeout_seconds: float | None = None,
-    pool_restart_budget: int = 2,
-    progress_callback=None,
-    query_cache: ResultCache | None = None,
-) -> ProjectReport:
-    """Convenience wrapper: schedule and run every function of *project*."""
-    return ProjectScheduler(
-        project,
-        config=config,
-        cache=cache,
-        workers=workers,
-        only=only,
-        interprocedural=interprocedural,
-        unknown_call_cycles=unknown_call_cycles,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        job_timeout_seconds=job_timeout_seconds,
-        pool_restart_budget=pool_restart_budget,
-        progress_callback=progress_callback,
-        query_cache=query_cache,
-    ).run()
+def analyze_project(project: Project, **options) -> ProjectReport:
+    """Convenience wrapper: schedule and run every function of *project*.
+
+    *options* are :class:`ProjectScheduler`'s keyword arguments.
+    """
+    return ProjectScheduler(project, **options).run()

@@ -219,8 +219,8 @@ class JobQueue:
         self._retry_policy = retry_policy
         self._job_timeout = job_timeout_seconds
         self._pool_restart_budget = pool_restart_budget
-        #: aggregate registry that every finished job's counters are added
-        #: to (the server's, so ``/v1/metrics`` shows analysis counters)
+        #: aggregate registry every finished job's counters and timers merge
+        #: into (the server's, so ``/v1/metrics`` shows analysis work)
         self._metrics = metrics
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -452,8 +452,7 @@ class JobQueue:
         snapshot = registry.report()
         job.perf_zlib = zlib.compress(json.dumps(snapshot).encode("utf-8"))
         if self._metrics is not None:
-            for name, amount in snapshot["counters"].items():
-                self._metrics.add(name, amount)
+            self._metrics.merge(snapshot)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -27,9 +27,9 @@ versioned JSON API served by :class:`http.server.ThreadingHTTPServer`:
     Prometheus text exposition (0.0.4) of the server's aggregate perf
     registry -- counters as ``_total``, timers as ``_seconds`` histograms
     backed by the registry's bounded latency buckets -- plus labelled
-    per-endpoint/per-status request counts.  The counters of every finished
-    job (board runs and memo hits, query-engine and cache counters) are
-    summed in.
+    per-endpoint/per-status request counts.  The counters and timers of
+    every finished job (board runs and memo hits, query-engine and cache
+    counters, ``project.analyze_function``) are merged in.
 
 Every request runs under a span (``service.request``) in a bounded ring
 tracer; 5xx responses freeze that ring into a ``diagnostics/`` flight dump

@@ -6,6 +6,7 @@ import pytest
 
 from repro.minic import ast
 from repro.minic.errors import ParseError
+from repro.minic.folding import apply_binary
 from repro.minic.parser import parse_expression, parse_program
 from repro.minic.types import BOOL, INT8, INT16, UINT8, UINT16, VOID
 
@@ -159,6 +160,33 @@ class TestSwitch:
     def test_non_constant_case_label_raises(self):
         with pytest.raises(ParseError):
             parse_single_function("int x; switch (x) { case x: break; }")
+
+    @staticmethod
+    def case_values(label: str) -> list[int]:
+        function = parse_single_function(
+            f"int x; switch (x) {{ case {label}: x = 1; break; }}"
+        )
+        return function.body.statements[1].cases[0].values
+
+    def test_case_labels_fold_with_the_boards_arithmetic(self):
+        # masked shift counts and exact truncating division, as executed
+        assert self.case_values("1 << -1") == [apply_binary("<<", 1, -1)]
+        big = 9007199254740993  # 2**53 + 1: not representable as a float
+        assert self.case_values(f"{big} / 1") == [apply_binary("/", big, 1)]
+        assert self.case_values("-7 / 2") == [apply_binary("/", -7, 2)]
+        with pytest.raises(ParseError):
+            self.case_values("7 / 0")
+
+    @pytest.mark.parametrize(
+        "label",
+        ["7 / 0", "7 % 0", "1 << -1", "1 >> -40", "1 << 100", "~5 % 0",
+         "1 == 1", "(3 > 2) && 1", "1 ? 2 : 3", "x", "x / 0", "-(4 / 0)"],
+    )
+    def test_case_label_errors_are_parse_errors(self, label):
+        try:
+            self.case_values(label)
+        except ParseError:
+            pass
 
     def test_case_without_trailing_break_is_accepted_when_last(self):
         function = parse_single_function("int x; switch (x) { default: x = 1; }")

@@ -208,6 +208,33 @@ def test_prometheus_text_extra_counters_with_labels():
     assert "repro_service_requests_injected_total 0" in text
 
 
+def test_perf_registry_merge_combines_like_one_registry():
+    # dyadic samples keep every float sum exact in any association order
+    first, second = (0.5, 0.0625), (2.0, 0.25, 8.0)
+    whole, left, right = (perf.PerfRegistry() for _ in range(3))
+    for registry, samples in ((left, first), (right, second)):
+        for seconds in samples:
+            registry.record_time("unit.step", seconds)
+            whole.record_time("unit.step", seconds)
+    for registry, amount in ((left, 1), (right, 2)):
+        registry.add("unit.widgets", amount)
+        whole.add("unit.widgets", amount)
+    right.add("unit.right_only", 5)
+    whole.add("unit.right_only", 5)
+    right.record_time("unit.right_step", 0.125)
+    whole.record_time("unit.right_step", 0.125)
+    left.merge(right.report())
+    assert left.report() == whole.report()
+    # merging an empty report changes nothing
+    left.merge(perf.PerfRegistry().report())
+    assert left.report() == whole.report()
+    # a disabled registry ignores merges as it ignores add
+    disabled = perf.PerfRegistry(enabled=False)
+    disabled.merge(whole.report())
+    assert disabled.report()["counters"] == {}
+    assert disabled.report()["timers"] == {}
+
+
 # ---------------------------------------------------------------------- #
 # flight recorder
 # ---------------------------------------------------------------------- #
@@ -344,6 +371,9 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
         assert "repro_hw_board_memo_hits_total" in text
         assert job["perf"]["counters"]["testgen.static_skips"] == 1
         assert "repro_testgen_static_skips_total 1" in text
+        # and so are their timers
+        calls = job["perf"]["timers"]["project.analyze_function"]["calls"]
+        assert f"repro_project_analyze_function_seconds_count {calls}" in text
         # raw exchange to check the content type of the exposition
         with urllib.request.urlopen(srv.base_url + "/v1/metrics") as response:
             assert response.headers["Content-Type"] == (

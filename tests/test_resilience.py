@@ -10,11 +10,13 @@ the project run raise or report a hard failure.
 
 from __future__ import annotations
 
+import collections
 import pickle
 from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.pipeline import AnalyzerConfig
 from repro.pipeline.analyzer import WcetAnalyzer
 from repro.project import (
@@ -466,6 +468,56 @@ class TestResilientPool:
         assert [s.result_payload() for s in report.functions] == [
             s.result_payload() for s in clean_report.functions
         ]
+    @pytest.mark.parametrize(
+        "args, options, same_counters",
+        [
+            pytest.param([], {}, True, id="clean"),
+            pytest.param(["job.execute:raise@1"], {}, True, id="raise"),
+            pytest.param(
+                ["job.execute:delay=300@1+"],
+                {"job_timeout_seconds": 0.2},
+                False,
+                id="delay",
+            ),
+            pytest.param(["mc.solve:rate=0.2"], {}, False, id="mc-rate"),
+        ],
+    )
+    def test_serial_and_pool_runs_agree(
+        self, project, args, options, same_counters
+    ):
+        # one attempt function serves both paths: the worker count changes
+        # where a job runs, never what fires, what settles or what is counted
+        runs = {}
+        for workers in (1, 2):
+            registry = perf.PerfRegistry()
+            with perf.using_registry(registry):
+                report = ProjectScheduler(
+                    project,
+                    config=quick_config(),
+                    workers=workers,
+                    fault_plan=FaultPlan.from_args(args, seed=11),
+                    **options,
+                ).run()
+            runs[workers] = (report, registry.report())
+        (serial, serial_perf), (pool, pool_perf) = runs[1], runs[2]
+        assert pool.mode == "process-pool"
+        wave_sizes = collections.Counter(s.wave for s in pool.functions)
+        assert max(wave_sizes.values()) >= 2
+
+        def outcome(report):
+            return [
+                (s.unit, s.function, s.result_payload(), s.quarantined,
+                 s.retries, s.degraded)
+                for s in report.functions
+            ]
+
+        assert outcome(pool) == outcome(serial)
+        if "job_timeout_seconds" in options:
+            # every attempt sleeps past its deadline, on every worker count
+            assert all(s.quarantined for s in serial.functions)
+        if same_counters:
+            assert pool_perf["counters"] == serial_perf["counters"]
+            assert set(pool_perf["timers"]) == set(serial_perf["timers"])
 
 
 # ---------------------------------------------------------------------- #
