@@ -1,7 +1,7 @@
 """Dataflow analyses shared by the state-space optimisations and the pipeline.
 
 Liveness and reaching definitions run on the indexed-bitset engine
-(:mod:`repro.analysis.bitset`); :mod:`repro.analysis.reference` keeps their
+(:mod:`repro.analysis.bitset`); ``tests/dataflow_reference.py`` keeps their
 frozenset originals, solved by a textbook worklist, as the test oracle.  The
 interval analysis that sizes model-checker state variables is not here: it is
 the sound fixpoint of :mod:`repro.sa.feasibility`.
@@ -35,15 +35,6 @@ from .relevance import (
     control_relevant_variables,
     irrelevant_statements,
 )
-from .reference import (
-    DataflowProblem,
-    DataflowResult,
-    Direction,
-    block_liveness_reference,
-    reaching_definitions_reference,
-    set_union,
-    solve_reference,
-)
 from .usedef import (
     CfgUseDefs,
     UseDef,
@@ -62,17 +53,10 @@ __all__ = [
     "VariableInterner",
     "bitset_block_liveness",
     "bitset_reaching_definitions",
-    "block_liveness_reference",
     "cfg_bitset_index",
     "cfg_definition_index",
     "cfg_use_defs",
     "iter_bits",
-    "reaching_definitions_reference",
-    "solve_reference",
-    "DataflowProblem",
-    "DataflowResult",
-    "Direction",
-    "set_union",
     "LivenessResult",
     "block_liveness",
     "live_range_conflicts",

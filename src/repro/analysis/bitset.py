@@ -1,6 +1,6 @@
 """Indexed-bitset dataflow engine: the one solver of liveness and reaching definitions.
 
-The reference framework in :mod:`repro.analysis.reference` represents facts
+The reference framework in ``tests/dataflow_reference.py`` represents facts
 as frozensets of variable-name strings; every join re-hashes every string and
 every equality check compares sets element-wise.  On an industrial-size CFG
 (the paper's ~857-block TargetLink function) that dominates the analysis
@@ -16,7 +16,7 @@ public analyses in :mod:`repro.analysis.liveness` and
 :mod:`repro.analysis.reaching` run on this engine and convert the final
 masks back to their documented frozenset result types; the original
 frozenset implementations survive as the cross-check reference in
-:mod:`repro.analysis.reference`.
+``tests/dataflow_reference.py``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ The fixpoint runs on the indexed bitset engine
 variable names are interned to bit positions once per CFG and the transfer is
 a handful of integer operations.  The public result type stays frozensets of
 names; the original frozenset implementation lives on as
-:func:`repro.analysis.reference.block_liveness_reference` and the two are
+``block_liveness_reference`` in ``tests/dataflow_reference.py`` and the two are
 cross-checked bit-for-bit by the test suite.
 """
 

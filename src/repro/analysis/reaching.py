@@ -16,8 +16,8 @@ runs as integer bitmask operations (:mod:`repro.analysis.bitset`, the only
 solver used outside the tests); the def-use chain walk also stays in mask
 space until the final conversion to the public frozenset-of-:class:`Definition`
 result.  The frozenset reference implementation, solved by
-:func:`repro.analysis.reference.solve_reference`, lives in
-:mod:`repro.analysis.reference` for cross-checking.
+``solve_reference``, lives in ``tests/dataflow_reference.py`` for
+cross-checking.
 """
 
 from __future__ import annotations

@@ -85,13 +85,6 @@ class DominatorTree:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def immediate_dominator(self, block: BasicBlock | int) -> int | None:
-        """Id of the immediate dominator (``None`` for the entry block)."""
-        block_id = block.block_id if isinstance(block, BasicBlock) else block
-        if block_id == self._cfg.entry.block_id:
-            return None
-        return self._idom.get(block_id)
-
     def dominates(self, dominator: BasicBlock | int, block: BasicBlock | int) -> bool:
         """True when *dominator* dominates *block* (reflexive)."""
         dom_id = dominator.block_id if isinstance(dominator, BasicBlock) else dominator
@@ -114,21 +107,6 @@ class DominatorTree:
             if self.dominates(block_id, candidate)
         }
 
-    def dominance_frontier(self) -> dict[int, set[int]]:
-        """Dominance frontier of every block (Cytron et al. formulation)."""
-        frontier: dict[int, set[int]] = {block_id: set() for block_id in self._rpo}
-        for block_id in self._rpo:
-            preds = [e.source for e in self._cfg.in_edges(block_id) if e.source in self._index]
-            if len(preds) < 2:
-                continue
-            for pred in preds:
-                runner = pred
-                while runner != self._idom.get(block_id) and runner is not None:
-                    frontier.setdefault(runner, set()).add(block_id)
-                    if runner == self._cfg.entry.block_id:
-                        break
-                    runner = self._idom.get(runner)
-        return frontier
 
 
 def natural_loops(cfg: ControlFlowGraph) -> list[tuple[int, set[int]]]:

@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from ..minic.ast_nodes import Expr, Node, Stmt
 
 
@@ -459,16 +457,6 @@ class ControlFlowGraph:
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """Export the CFG as a :class:`networkx.MultiDiGraph`."""
-        graph = nx.MultiDiGraph(name=self.function_name)
-        for block in self.blocks():
-            graph.add_node(block.block_id, label=block.label(), kind=block.kind.value)
-        for edge in self._edges:
-            graph.add_edge(edge.source, edge.target, kind=edge.kind.value,
-                           label=edge.label())
-        return graph
-
     def summary(self) -> dict[str, int]:
         """Size statistics used by workload generators and reports."""
         branches = sum(

@@ -10,33 +10,35 @@ compilation after Feeley & Lapalme, *Using closures for code generation*,
   :class:`~repro.hw.cost_model.CostModel`;
 * successor, true/false and back edges are resolved ahead of time, and a
   switch maps each case value to ``(edge, successor, dispatch cycles)``;
-* the Tracey branch distances are closures over the same side-effect-free
-  value semantics as the walker's ``_value_of``.
+* a call to a defined, unstubbed function evaluates its arguments, wraps
+  them into the callee's parameters and runs the callee's compiled code,
+  looked up when the call runs (so compilation stays lazy and recursion
+  works);
+* the Tracey branch distances are closures over a side-effect-free value
+  semantics.
 
-The step-by-step walker in the interpreter stays the reference semantics.
-Every number here must equal what the walker charges for the same code:
+Every block compiles.  Every number here is what the step-by-step semantics
+charges for the same code (the tests keep that walker as the oracle):
 
 * A block's ``fixed_steps``/``cycles`` are the steps and cycles every
-  execution of it takes.
+  execution of it takes; they are charged when the block is entered.
 * The short-circuit operators and ``?:`` add the steps and cycles of the
   operand they evaluate when they evaluate it.
-* ``steps`` is the most steps one execution can take.  The interpreter uses
-  it to decide whether the block's step window is free of deadline polls
-  and of the step limit.
-
-A block the compiler cannot reproduce exactly is a *walk-only* block.  Its
-``steps`` is :data:`WALK_ONLY`, so no step window ever admits it.  That
-covers a call into a defined function (its steps depend on the callee), a
-construct the walker rejects at run time, and a malformed terminator.  The
-interpreter runs such a block on the walker, which raises the walker's
-errors at the walker's point.
+* A call lowers the step count by the block's steps that are charged but
+  come after the call in evaluation order while its callee runs, so each
+  callee block ends at the step count the step-by-step semantics reaches
+  there.  The interpreter checks the step limit and the deadline polls at
+  block ends only.
+* A statement or expression the step-by-step semantics cannot execute
+  (the CFG builder puts none in a block) compiles to a closure that raises
+  that semantics' ``ExecutionError`` when it runs.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import partial
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..cfg.graph import ControlFlowGraph, Edge, EdgeKind, TerminatorKind
 from ..minic.ast_nodes import (
@@ -49,6 +51,7 @@ from ..minic.ast_nodes import (
     DeclStmt,
     Expr,
     ExprStmt,
+    FunctionDef,
     Identifier,
     IntLiteral,
     ReturnStmt,
@@ -59,17 +62,15 @@ from ..minic.folding import apply_binary, apply_unary
 from ..minic.types import CType, INT16
 from .cost_model import CostModel
 
-#: step count of a walk-only block: larger than any step window
-WALK_ONLY = 1 << 62
-
-#: terminator kinds of compiled blocks
+#: terminator kinds of compiled blocks (RETURN and EXIT leave the function)
 JUMP, BRANCH, SWITCH, RETURN, EXIT = range(5)
 
 #: objective-distance penalty of a condition that holds the wrong way
 FAILURE_CONSTANT = 1.0
 
 Value = Callable[[dict, Any], int]
-Successor = tuple  # (edge, next compiled block or None for the exit)
+#: runs a defined function: (name, env, state, record) -> return value
+RunFunction = Callable[[str, dict, Any, bool], "int | None"]
 
 _ARITHMETIC: dict[str, Callable[[int, int], int]] = {
     "+": operator.add,
@@ -98,17 +99,13 @@ class _Code(NamedTuple):
     #: steps and cycles charged on every evaluation
     steps: int
     cycles: int
-    #: most further steps the short-circuit / conditional parts can take
-    extra: int
 
 
 class CompiledBlock:
     """One basic block, ready to run without re-reading the AST."""
 
     __slots__ = (
-        "block",
         "block_id",
-        "steps",
         "fixed_steps",
         "cycles",
         "statements",
@@ -122,17 +119,15 @@ class CompiledBlock:
         "default",
     )
 
-    def __init__(self, block) -> None:
-        self.block = block
-        self.block_id: int = block.block_id
-        self.steps = WALK_ONLY
+    def __init__(self, block_id: int) -> None:
+        self.block_id = block_id
         self.fixed_steps = 0
         self.cycles = 0
         #: (closure, is a return statement) per statement
         self.statements: tuple[tuple[Value, bool], ...] = ()
         self.kind = JUMP
-        #: JUMP: the single out edge and where it leads
-        self.successor: Successor | None = None
+        #: JUMP: the next block, or None for the exit
+        self.successor: CompiledBlock | None = None
         self.condition: Value | None = None
         #: BRANCH: (edge, next block, branch cycles) per outcome
         self.on_true: tuple | None = None
@@ -145,40 +140,46 @@ class CompiledBlock:
 
 
 class CompiledFunction(NamedTuple):
-    cfg: ControlFlowGraph
     entry: CompiledBlock
     exit_id: int
-    blocks: dict[int, CompiledBlock]
 
 
 def compile_function(
-    cfg: ControlFlowGraph, cost: CostModel, callees: Iterable[str]
+    cfg: ControlFlowGraph,
+    cost: CostModel,
+    callees: Mapping[str, FunctionDef],
+    run_function: RunFunction,
 ) -> CompiledFunction:
-    """Compile every block of *cfg*; calls into *callees* stay on the walker."""
-    compiler = _Compiler(cost, frozenset(callees))
-    blocks = {block.block_id: CompiledBlock(block) for block in cfg.blocks()}
+    """Compile every block of *cfg*.
+
+    A call into one of *callees* runs it through *run_function*; a call to
+    any other name is an external call that only consumes cycles.
+    """
+    compiler = _Compiler(cost, callees, run_function)
+    blocks = {block.block_id: CompiledBlock(block.block_id) for block in cfg.blocks()}
     exit_id = cfg.exit.block_id
 
-    def successor(edge: Edge) -> Successor | None:
-        if edge.target not in blocks:
-            return None
+    def successor(edge: Edge) -> tuple:
+        """(edge, next compiled block or None for the exit)"""
         return (edge, None if edge.target == exit_id else blocks[edge.target])
 
-    for compiled in blocks.values():
-        compiler.compile_block(cfg, compiled, successor)
-    return CompiledFunction(cfg, blocks[cfg.entry.block_id], exit_id, blocks)
+    for block in cfg.blocks():
+        compiler.compile_block(cfg, block, blocks[block.block_id], successor)
+    return CompiledFunction(blocks[cfg.entry.block_id], exit_id)
 
 
 # ---------------------------------------------------------------------- #
 def _value_wrapper(ctype: CType | None) -> Callable[[int], int]:
-    """``Interpreter._wrap`` for one result type, as a closure."""
+    """The wrap of an expression result: its type's, int16 for none or void."""
     if ctype is None or ctype.is_void:
         ctype = INT16
     return _type_wrapper(ctype)
 
 
 def _type_wrapper(ctype: CType) -> Callable[[int], int]:
-    """``ctype.wrap`` of a non-void type, specialised to the type's width."""
+    """``ctype.wrap``, specialised to the type's width (void raises as it does)."""
+    if ctype.is_void:
+        return ctype.wrap
     if ctype.is_bool:
         return lambda value: 1 if value != 0 else 0
     mask = (1 << ctype.bits) - 1
@@ -199,86 +200,75 @@ def _width(expr: Expr) -> int:
 
 
 class _Compiler:
-    def __init__(self, cost: CostModel, callees: frozenset[str]):
+    """Compiles one function's blocks, each bottom-up.
+
+    Every ``after`` argument is the number of steps the enclosing levels
+    have charged for code that runs after the compiled node: a block's
+    later statements and terminator condition, a binary operator's right
+    operand, a call's later arguments.  Only calls into defined functions
+    use it.
+    """
+
+    def __init__(
+        self, cost: CostModel, callees: Mapping[str, FunctionDef], run_function: RunFunction
+    ):
         self._cost = cost
         self._callees = callees
+        self._run_function = run_function
 
     # ------------------------------------------------------------------ #
     # blocks
     # ------------------------------------------------------------------ #
-    def compile_block(self, cfg: ControlFlowGraph, compiled: CompiledBlock, successor) -> None:
-        """Fill in *compiled*, or leave it walk-only."""
-        block = compiled.block
+    def compile_block(
+        self, cfg: ControlFlowGraph, block, compiled: CompiledBlock, successor
+    ) -> None:
         cost = self._cost
-        steps, cycles, extra = 1, 0, 0
-        statements: list[tuple[Value, bool]] = []
-        for stmt in block.statements:
-            code = self._statement(stmt)
-            if code is None:
-                return
-            statements.append((code.run, isinstance(stmt, ReturnStmt)))
-            steps += code.steps
-            cycles += code.cycles
-            extra += code.extra
-
         terminator = block.terminator
         kind = terminator.kind
         edges = cfg.out_edges(block)
+        # built backwards: the steps of the code after each statement
+        after, cycles = 0, 0
         if kind is TerminatorKind.RETURN:
-            if len(edges) != 1:
-                return
             compiled.kind = RETURN
             cycles += cost.return_cost
         elif block is cfg.exit:
             compiled.kind = EXIT
         elif kind is TerminatorKind.JUMP or kind is TerminatorKind.NONE:
-            if len(edges) != 1 or (target := successor(edges[0])) is None:
-                return
             compiled.kind = JUMP
-            compiled.successor = target
-        elif kind is TerminatorKind.BRANCH or kind is TerminatorKind.SWITCH:
-            if terminator.condition is None:
-                return
-            condition = self.expression(terminator.condition)
-            if condition is None:
-                return
-            steps += condition.steps
+            compiled.successor = successor(edges[0])[1]
+        else:
+            condition = self.expression(terminator.condition, 0)
+            after = condition.steps
             cycles += condition.cycles
-            extra += condition.extra
             compiled.condition = condition.run
             if kind is TerminatorKind.BRANCH:
-                if not self._branch(compiled, edges, successor, terminator.condition):
-                    return
                 compiled.kind = BRANCH
+                self._branch(compiled, edges, successor, terminator.condition)
             else:
-                if not self._switch(compiled, edges, successor):
-                    return
                 compiled.kind = SWITCH
-        else:
-            return
-        compiled.statements = tuple(statements)
-        compiled.fixed_steps = steps
+                self._switch(compiled, edges, successor)
+
+        statements: list[tuple[Value, bool]] = []
+        for stmt in reversed(block.statements):
+            code = self._statement(stmt, after)
+            statements.append((code.run, isinstance(stmt, ReturnStmt)))
+            after += code.steps
+            cycles += code.cycles
+        compiled.statements = tuple(reversed(statements))
+        compiled.fixed_steps = 1 + after  # the block's own step comes first
         compiled.cycles = cycles
-        compiled.steps = steps + extra
 
-    def _branch(self, compiled: CompiledBlock, edges, successor, condition: Expr) -> bool:
-        # the walker takes the first TRUE-or-BACK edge on true, the first FALSE edge on false
-        on_true = next(
-            (e for e in edges if e.kind is EdgeKind.TRUE or e.kind is EdgeKind.BACK), None
-        )
-        on_false = next((e for e in edges if e.kind is EdgeKind.FALSE), None)
-        if on_true is None or on_false is None:
-            return False
-        taken, not_taken = successor(on_true), successor(on_false)
-        if taken is None or not_taken is None:
-            return False
-        compiled.on_true = (*taken, self._cost.branch_taken)
-        compiled.on_false = (*not_taken, self._cost.branch_not_taken)
+    def _branch(self, compiled: CompiledBlock, edges, successor, condition: Expr) -> None:
+        # the first TRUE-or-BACK edge on true (do-while back edges carry the
+        # true direction), the first FALSE edge on false
+        on_true = next(e for e in edges if e.kind is EdgeKind.TRUE or e.kind is EdgeKind.BACK)
+        on_false = next(e for e in edges if e.kind is EdgeKind.FALSE)
+        compiled.on_true = (*successor(on_true), self._cost.branch_taken)
+        compiled.on_false = (*successor(on_false), self._cost.branch_not_taken)
         compiled.distances = _distances(condition)
-        return True
 
-    def _switch(self, compiled: CompiledBlock, edges, successor) -> bool:
-        # the walker compares case edges in order; a miss has compared them all
+    def _switch(self, compiled: CompiledBlock, edges, successor) -> None:
+        # case edges are compared in order; a miss has compared them all
         per_case = self._cost.switch_dispatch_per_case
         comparisons = 0
         default_edge: Edge | None = None
@@ -286,28 +276,20 @@ class _Compiler:
             if edge.kind is EdgeKind.CASE:
                 comparisons += 1
                 target = successor(edge)
-                if target is None:
-                    return False
                 for value in edge.case_values:
                     compiled.cases.setdefault(value, (*target, per_case * comparisons))
             elif edge.kind is EdgeKind.DEFAULT:
                 default_edge = edge
         if default_edge is not None:
-            target = successor(default_edge)
-            if target is None:
-                return False
-            compiled.default = (*target, per_case * max(1, comparisons))
-        return True
+            compiled.default = (*successor(default_edge), per_case * max(1, comparisons))
 
     # ------------------------------------------------------------------ #
-    # statements and expressions (mirror Interpreter._execute_statement/_evaluate)
+    # statements and expressions
     # ------------------------------------------------------------------ #
-    def _statement(self, stmt: Stmt) -> _Code | None:
+    def _statement(self, stmt: Stmt, after: int) -> _Code:
         cost = self._cost
         if isinstance(stmt, DeclStmt):
             name, var_type = stmt.name, stmt.var_type
-            if var_type.is_void:
-                return None
             wrap = _type_wrapper(var_type)
             if stmt.init is None:
                 zero = wrap(0)
@@ -315,10 +297,8 @@ class _Compiler:
                 def declare(env, state):
                     env[name] = zero
 
-                return _Code(declare, 1, cost.declaration_cost, 0)
-            init = self.expression(stmt.init)
-            if init is None:
-                return None
+                return _Code(declare, 1, cost.declaration_cost)
+            init = self.expression(stmt.init, after)
             value = init.run
 
             def declare_init(env, state):
@@ -328,36 +308,33 @@ class _Compiler:
                 declare_init,
                 1 + init.steps,
                 cost.declaration_cost + init.cycles + cost.store_cost(var_type),
-                init.extra,
             )
         if isinstance(stmt, ExprStmt):
-            code = self.expression(stmt.expr)
-            return None if code is None else code._replace(steps=code.steps + 1)
+            code = self.expression(stmt.expr, after)
+            return code._replace(steps=code.steps + 1)
         if isinstance(stmt, ReturnStmt):
             if stmt.value is None:
-                return _Code(lambda env, state: None, 1, 0, 0)
-            code = self.expression(stmt.value)
-            return None if code is None else code._replace(steps=code.steps + 1)
-        return None
+                return _Code(lambda env, state: None, 1, 0)
+            code = self.expression(stmt.value, after)
+            return code._replace(steps=code.steps + 1)
+        return _Code(_raiser(f"cannot execute statement {type(stmt).__name__}"), 1, 0)
 
-    def expression(self, expr: Expr) -> _Code | None:
-        """Compile *expr*, or ``None`` when only the walker can run it."""
+    def expression(self, expr: Expr, after: int) -> _Code:
+        """Compile *expr*; *after* as in the class docstring."""
         cost = self._cost
         if isinstance(expr, IntLiteral):
             literal = expr.value
-            return _Code(lambda env, state: literal, 1, cost.load_literal, 0)
+            return _Code(lambda env, state: literal, 1, cost.load_literal)
         if isinstance(expr, BoolLiteral):
             flag = int(expr.value)
-            return _Code(lambda env, state: flag, 1, cost.load_literal, 0)
+            return _Code(lambda env, state: flag, 1, cost.load_literal)
         if isinstance(expr, Identifier):
             # an unbound name raises KeyError, which the interpreter reports
-            # as the walker's ExecutionError
+            # as an ExecutionError
             name = expr.name
-            return _Code(lambda env, state: env[name], 1, cost.load_cost(expr.ctype), 0)
+            return _Code(lambda env, state: env[name], 1, cost.load_cost(expr.ctype))
         if isinstance(expr, UnaryOp):
-            operand = self.expression(expr.operand)
-            if operand is None:
-                return None
+            operand = self.expression(expr.operand, after)
             run, wrap, op = operand.run, _value_wrapper(expr.ctype), expr.op
             if op == "-":
                 unary = lambda env, state: wrap(-run(env, state))  # noqa: E731
@@ -365,72 +342,78 @@ class _Compiler:
                 apply = partial(apply_unary, op)
                 unary = lambda env, state: wrap(apply(run(env, state)))  # noqa: E731
             return _Code(
-                unary,
-                1 + operand.steps,
-                cost.unary_cost(op, _width(expr)) + operand.cycles,
-                operand.extra,
+                unary, 1 + operand.steps, cost.unary_cost(op, _width(expr)) + operand.cycles
             )
         if isinstance(expr, BinaryOp):
-            return self._binary(expr)
+            return self._binary(expr, after)
         if isinstance(expr, Conditional):
-            return self._conditional(expr)
+            return self._conditional(expr, after)
         if isinstance(expr, AssignExpr):
-            value = self.expression(expr.value)
+            value = self.expression(expr.value, after)
             target_type = expr.target.ctype or expr.ctype
-            if value is None:
-                return None
             run, wrap, name = value.run, _value_wrapper(target_type), expr.target.name
 
             def assign(env, state):
                 env[name] = result = wrap(run(env, state))
                 return result
 
-            return _Code(
-                assign, 1 + value.steps, cost.store_cost(target_type) + value.cycles, value.extra
-            )
+            return _Code(assign, 1 + value.steps, cost.store_cost(target_type) + value.cycles)
         if isinstance(expr, CastExpr):
-            operand = self.expression(expr.operand)
-            if operand is None or expr.target_type.is_void:
-                return None
+            operand = self.expression(expr.operand, after)
             run, wrap = operand.run, _type_wrapper(expr.target_type)
             return _Code(
                 lambda env, state: wrap(run(env, state)),
                 1 + operand.steps,
                 cost.cast_op + operand.cycles,
-                operand.extra,
             )
         if isinstance(expr, CallExpr):
-            if expr.name in self._callees:
-                return None
-            arguments = [self.expression(arg) for arg in expr.args]
-            if any(argument is None for argument in arguments):
-                return None
-            runs = tuple(argument.run for argument in arguments)
+            return self._call(expr, after)
+        return _Code(_raiser(f"cannot evaluate expression {type(expr).__name__}"), 1, 0)
+
+    def _call(self, expr: CallExpr, after: int) -> _Code:
+        arguments: list[_Code] = []
+        later = after
+        for argument in reversed(expr.args):
+            arguments.append(self.expression(argument, later))
+            later += arguments[-1].steps
+        arguments.reverse()
+        runs = tuple(argument.run for argument in arguments)
+        steps = 1 + sum(argument.steps for argument in arguments)
+        cycles = self._cost.call_overhead + sum(argument.cycles for argument in arguments)
+        callee = self._callees.get(expr.name)
+        if callee is None:
 
             def call_external(env, state):
                 for run in runs:
                     run(env, state)
                 return 0
 
-            return _Code(
-                call_external,
-                1 + sum(argument.steps for argument in arguments),
-                cost.call_overhead
-                + cost.external_call_cost(expr.name)
-                + sum(argument.cycles for argument in arguments),
-                sum(argument.extra for argument in arguments),
-            )
-        return None
+            return _Code(call_external, steps, cycles + self._cost.external_call_cost(expr.name))
 
-    def _binary(self, expr: BinaryOp) -> _Code | None:
-        left = self.expression(expr.left)
-        right = self.expression(expr.right)
-        if left is None or right is None:
-            return None
+        name, run_function = expr.name, self._run_function
+        # callee environment: globals are shared, parameters are local copies
+        params = tuple((param.name, _type_wrapper(param.param_type)) for param in callee.params)
+
+        def call_defined(env, state):
+            values = [run(env, state) for run in runs]
+            for (param, wrap), value in zip(params, values):
+                env[param] = wrap(value)
+            # the caller's block charged its later steps on entry; the
+            # callee's block ends must see only the steps executed so far
+            state.steps -= after
+            result = run_function(name, env, state, False)
+            state.steps += after
+            return 0 if result is None else result
+
+        return _Code(call_defined, steps, cycles)
+
+    def _binary(self, expr: BinaryOp, after: int) -> _Code:
         op = expr.op
-        lhs, rhs = left.run, right.run
         if op in ("&&", "||"):
             # the right operand's steps and cycles are charged only when it runs
+            right = self.expression(expr.right, after)
+            left = self.expression(expr.left, after)
+            lhs, rhs = left.run, right.run
             right_steps, right_cycles = right.steps, right.cycles
             if op == "&&":
 
@@ -450,13 +433,11 @@ class _Compiler:
                     state.cycles += right_cycles
                     return 1 if rhs(env, state) != 0 else 0
 
-            return _Code(
-                logic,
-                1 + left.steps,
-                self._cost.logic_op + left.cycles,
-                left.extra + right.steps + right.extra,
-            )
+            return _Code(logic, 1 + left.steps, self._cost.logic_op + left.cycles)
 
+        right = self.expression(expr.right, after)
+        left = self.expression(expr.left, after + right.steps)
+        lhs, rhs = left.run, right.run
         compare = _COMPARISONS.get(op)
         wrap = _value_wrapper(expr.ctype)
         if compare is not None:
@@ -469,7 +450,9 @@ class _Compiler:
                 try:
                     return wrap(apply_binary(op, a, b))
                 except ZeroDivisionError as exc:
-                    raise _division_error(expr) from exc
+                    raise _execution_error(
+                        f"division by zero at line {expr.location.line}"
+                    ) from exc
 
         else:
             apply = _ARITHMETIC.get(op) or partial(apply_binary, op)
@@ -478,15 +461,12 @@ class _Compiler:
             binary,
             1 + left.steps + right.steps,
             self._cost.binary_cost(op, _width(expr)) + left.cycles + right.cycles,
-            left.extra + right.extra,
         )
 
-    def _conditional(self, expr: Conditional) -> _Code | None:
-        condition = self.expression(expr.cond)
-        then = self.expression(expr.then)
-        otherwise = self.expression(expr.otherwise)
-        if condition is None or then is None or otherwise is None:
-            return None
+    def _conditional(self, expr: Conditional, after: int) -> _Code:
+        condition = self.expression(expr.cond, after)
+        then = self.expression(expr.then, after)
+        otherwise = self.expression(expr.otherwise, after)
         test, then_run, else_run = condition.run, then.run, otherwise.run
         then_steps, then_cycles = then.steps, then.cycles
         else_steps, else_cycles = otherwise.steps, otherwise.cycles
@@ -500,19 +480,22 @@ class _Compiler:
             state.cycles += else_cycles
             return else_run(env, state)
 
-        return _Code(
-            choose,
-            1 + condition.steps,
-            self._cost.branch_taken + condition.cycles,
-            condition.extra
-            + max(then_steps + then.extra, else_steps + otherwise.extra),
-        )
+        return _Code(choose, 1 + condition.steps, self._cost.branch_taken + condition.cycles)
 
 
-def _division_error(expr: BinaryOp) -> Exception:
+def _execution_error(message: str) -> Exception:
     from .interpreter import ExecutionError
 
-    return ExecutionError(f"division by zero at line {expr.location.line}")
+    return ExecutionError(message)
+
+
+def _raiser(message: str) -> Value:
+    """A closure that raises ``ExecutionError(message)`` when it runs."""
+
+    def raise_error(env, state):
+        raise _execution_error(message)
+
+    return raise_error
 
 
 def _comparison(compare, lhs: Value, rhs: Value, left: Expr, right: Expr) -> Value:
@@ -537,10 +520,10 @@ def _arithmetic(apply, wrap, lhs: Value, rhs: Value, right: Expr) -> Value:
 
 
 # ---------------------------------------------------------------------- #
-# branch distances (mirror Interpreter._value_of/_distance_true/_distance_false)
+# branch distances
 # ---------------------------------------------------------------------- #
 def _value_of(expr: Expr) -> Callable[[dict], int]:
-    """Side-effect-free value of *expr*, as the walker's ``_value_of``."""
+    """Side-effect-free value of *expr* (calls value 0, unbound names 0)."""
     if isinstance(expr, IntLiteral):
         literal = expr.value
         return lambda env: literal
@@ -583,9 +566,8 @@ def _value_of(expr: Expr) -> Callable[[dict], int]:
 def _distances(condition: Expr) -> Callable[[dict], tuple[float, float]]:
     """Distances to making *condition* true and false (Tracey et al.).
 
-    One closure yields both, so each operand is valued once; the walker
-    values the side-effect-free operands once per distance, which gives
-    the same numbers.
+    One closure yields both, so each side-effect-free operand is valued
+    once.
     """
     K = FAILURE_CONSTANT
     if isinstance(condition, BinaryOp):

@@ -177,6 +177,7 @@ def _pool_attempt(
     unit_name: str,
     source: str,
     function_name: str,
+    qualified_name: str,
     config: AnalyzerConfig,
     callee_bounds: dict[str, int],
     job_plan: FaultPlan | None,
@@ -221,7 +222,7 @@ def _pool_attempt(
                     )
                 )
                 stack.enter_context(
-                    obs.span("project.job", function=function_name, worker="pool")
+                    obs.span("project.job", function=qualified_name, worker="pool")
                 )
             if query_cache_dir is not None:
                 stack.enter_context(
@@ -953,6 +954,7 @@ class ProjectScheduler:
                     unit.name,
                     unit.source,
                     job.function.name,
+                    job.qualified_name,
                     self._job_config(job),
                     job.callee_bounds,
                     self._job_plan,

@@ -8,8 +8,8 @@ per call.  They exist as **ground truth**: the property tests cross-check the
 bitset engine (``tests/test_perf_bitset.py``) against these implementations
 bit-for-bit.
 
-Nothing in the production pipeline should import this module for analysis
-results; use :mod:`repro.analysis.liveness` / :mod:`repro.analysis.reaching`.
+They live with the tests, not in the package; production uses
+:mod:`repro.analysis.liveness` / :mod:`repro.analysis.reaching`.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
-from ..cfg.graph import ControlFlowGraph
-from .liveness import LivenessResult
-from .reaching import Definition, ReachingResult
-from .usedef import block_condition_uses, block_use_def, statement_use_def
+from repro.analysis.liveness import LivenessResult
+from repro.analysis.reaching import Definition, ReachingResult
+from repro.analysis.usedef import block_condition_uses, block_use_def, statement_use_def
+from repro.cfg.graph import ControlFlowGraph
 
 NodeT = TypeVar("NodeT", bound=Hashable)
 FactT = TypeVar("FactT")

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 from repro.analysis import (
-    Direction,
-    DataflowProblem,
     analyze_relevance,
     block_liveness,
     block_use_def,
     control_relevant_variables,
     live_range_conflicts,
     reaching_definitions,
-    set_union,
-    solve_reference,
     statement_use_def,
     unused_variables,
 )
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
 from repro.sa import analyze_feasibility
+
+from dataflow_reference import DataflowProblem, Direction, set_union, solve_reference
 
 
 def build(source: str, name: str = "f"):

@@ -156,11 +156,6 @@ class TestGraphApi:
         with pytest.raises(CfgError):
             figure1_cfg.remove_block(figure1_cfg.entry)
 
-    def test_to_networkx_preserves_counts(self, figure1_cfg):
-        graph = figure1_cfg.to_networkx()
-        assert graph.number_of_nodes() == len(figure1_cfg.blocks())
-        assert graph.number_of_edges() == len(figure1_cfg.edges())
-
     def test_to_dot_output(self, figure1_cfg):
         dot = to_dot(figure1_cfg, show_statements=True)
         assert dot.startswith("digraph")

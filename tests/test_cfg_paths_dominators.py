@@ -133,20 +133,9 @@ class TestDominators:
         # block 7 (printf4) does not dominate the exit
         assert not tree.dominates(7, figure1_cfg.exit.block_id)
 
-    def test_immediate_dominator_of_entry_is_none(self, figure1_cfg):
-        tree = DominatorTree(figure1_cfg)
-        assert tree.immediate_dominator(figure1_cfg.entry) is None
-
     def test_dominated_set_contains_self(self, figure1_cfg):
         tree = DominatorTree(figure1_cfg)
         assert 4 in tree.dominated_set(4)
-
-    def test_dominance_frontier_of_branch_alternatives_is_join(self, figure1_cfg):
-        tree = DominatorTree(figure1_cfg)
-        frontier = tree.dominance_frontier()
-        # the then/else blocks of the inner if meet at block 9 (the second if)
-        assert 9 in frontier.get(7, set())
-        assert 9 in frontier.get(8, set())
 
     def test_natural_loops_empty_for_loop_free_code(self, figure1_cfg):
         assert natural_loops(figure1_cfg) == []

@@ -16,6 +16,8 @@ from repro.hw import (
 from repro.minic import parse_and_analyze
 from repro.partition import build_instrumentation_plan, partition_function
 
+from board_walker import BoardWalker
+
 
 def board_for(source: str, **kwargs) -> EvaluationBoard:
     return EvaluationBoard(parse_and_analyze(source), **kwargs)
@@ -376,9 +378,9 @@ class TestBoardMemo:
 # compiled board vs the step-by-step walker
 # ---------------------------------------------------------------------- #
 #: a counted loop that crosses several deadline polls, a call returning a
-#: value (a walk-only block calling compiled code), a switch whose dispatch
-#: cost depends on the case, ``?:`` and short-circuit operators
-#: (data-dependent step counts), and a division by an input that can be 0
+#: value, a switch whose dispatch cost depends on the case, ``?:`` and
+#: short-circuit operators (data-dependent step counts), and a division by
+#: an input that can be 0
 LOOP_SOURCE = """
 #pragma input n
 #pragma input d
@@ -418,6 +420,47 @@ void spin(void) {
 }
 """
 
+#: defined callees run inside a loop: a counted loop, self-recursion bounded
+#: by the parameter, calls inside && and ?:, a division by zero in a callee
+CALLS_SOURCE = """
+#pragma input n
+#pragma input d
+#pragma input k
+#pragma range n 0 30
+#pragma range d -2 3
+#pragma range k -50 50
+int n; int d; int k; Int16 out;
+int tally(int m) {
+    int i;
+    int s;
+    s = 0;
+    #pragma loopbound(30)
+    for (i = 0; i < m; i = i + 1) {
+        s = s + i * k;
+    }
+    return s / d;
+}
+int depth(int m) {
+    if (m <= 0) {
+        return 0;
+    }
+    return depth(m - 1) + 1;
+}
+void nest(void) {
+    int j;
+    int acc;
+    acc = 0;
+    #pragma loopbound(30)
+    for (j = 0; j < n; j = j + 1) {
+        acc = acc + tally(j) * 2 + depth(j % 7);
+        if (j > 3 && depth(k & 7) > 2) {
+            acc = acc - 1;
+        }
+    }
+    out = acc > 0 ? tally(n % 5) : depth(n);
+}
+"""
+
 
 def _differential_programs():
     """(name, analysed program, function) of every program the oracle covers."""
@@ -436,6 +479,7 @@ def _differential_programs():
             programs.append((f"{unit}:{function.name}", analyzed, function.name))
     programs.append(("wiper", parse_and_analyze(wiper_case_study().source), WIPER_FUNCTION_NAME))
     programs.append(("figure1", figure1_analyzed(), "main"))
+    programs.append(("calls", parse_and_analyze(CALLS_SOURCE), "nest"))
     programs.append(("loop", parse_and_analyze(LOOP_SOURCE), "spin"))
     return programs
 
@@ -466,7 +510,7 @@ def _outcome(run, function, vector):
 
 
 class TestCompiledBoard:
-    """``Interpreter.run`` (compiled) against ``run_reference`` (the walker)."""
+    """``Interpreter.run`` (compiled) against the step-by-step walker (the oracle)."""
 
     @pytest.fixture(scope="class")
     def programs(self):
@@ -474,7 +518,7 @@ class TestCompiledBoard:
 
     def test_the_oracle_covers_every_named_program(self, programs):
         names = [name for name, _, _ in programs]
-        assert len(names) == 3 + 9 + 3
+        assert len(names) == 3 + 9 + 4
         assert len([name for name in names if name.startswith("unit_")]) == 9
 
     def test_run_results_are_identical(self, programs, monkeypatch):
@@ -492,9 +536,10 @@ class TestCompiledBoard:
         errors = 0
         for name, analyzed, function in programs:
             interpreter = Interpreter(analyzed)
+            walker = BoardWalker(interpreter)
             for vector in _vectors(analyzed, function, 1000):
                 compiled = _outcome(interpreter.run, function, vector)
-                reference = _outcome(interpreter.run_reference, function, vector)
+                reference = _outcome(walker.run, function, vector)
                 assert compiled == reference, (name, vector)
                 if isinstance(compiled, str):
                     errors += compiled.startswith("ExecutionError: division by zero")
@@ -508,7 +553,7 @@ class TestCompiledBoard:
         interpreter = Interpreter(analyzed)
         vector = {"n": 40, "d": 2, "k": -35}
         compiled = interpreter.run(function, vector)
-        reference = interpreter.run_reference(function, vector)
+        reference = BoardWalker(interpreter).run(function, vector)
         assert compiled.branch_events and compiled.switch_events
         for mine, theirs in zip(compiled.branch_events, reference.branch_events):
             assert type(mine.outcome) is type(theirs.outcome) is bool
@@ -520,17 +565,72 @@ class TestCompiledBoard:
             type(value) is int for value in compiled.final_environment.values()
         )
 
+    def test_unsupported_constructs_raise_when_their_block_runs(self):
+        from repro.cfg import build_all_cfgs
+        from repro.minic.ast_nodes import EmptyStmt, Expr, ExprStmt
+
+        analyzed = parse_and_analyze(
+            "int a; int b; void f(void) { if (a > 0) { b = 1; } else { b = 2; } }"
+        )
+        cfgs = build_all_cfgs(analyzed.program)
+        arms = {
+            block.statements[0].expr.value.value: block
+            for block in cfgs["f"].blocks()
+            if block.statements
+        }
+        # neither can come out of the frontend and the CFG builder
+        arms[1].statements.append(EmptyStmt())
+        arms[2].statements[0] = ExprStmt(expr=Expr())
+        interpreter = Interpreter(analyzed, cfgs=cfgs)
+        walker = BoardWalker(interpreter)
+        for a, error in (
+            (1, "ExecutionError: cannot execute statement EmptyStmt"),
+            (0, "ExecutionError: cannot evaluate expression Expr"),
+        ):
+            assert _outcome(interpreter.run, "f", {"a": a}) == error
+            assert _outcome(walker.run, "f", {"a": a}) == error
+
     @pytest.mark.parametrize("max_steps", [5, 100, 1023, 1024, 1025, 3000])
     def test_step_limit_fires_on_the_same_runs(self, programs, max_steps):
         limited = 0
         for name, analyzed, function in programs:
             interpreter = Interpreter(analyzed, max_steps=max_steps)
+            walker = BoardWalker(interpreter)
             for vector in _vectors(analyzed, function, 40):
                 compiled = _outcome(interpreter.run, function, vector)
-                reference = _outcome(interpreter.run_reference, function, vector)
+                reference = _outcome(walker.run, function, vector)
                 assert compiled == reference, (name, vector)
                 limited += isinstance(compiled, str) and "exceeded" in compiled
         assert limited > 0
+
+    @pytest.mark.parametrize("armed", [False, True], ids=["clean", "every-poll-faults"])
+    def test_block_end_checks_fire_at_the_walker_step(self, armed):
+        """Every step limit around a call into a callee that divides by zero,
+        and around the first poll of a long run: the first error must be the
+        walker's, so a callee's block ends must see the walker's step count
+        and a poll above the limit must not fire."""
+        from repro.resilience import FaultInjector, FaultPlan, ResilienceContext, activate
+
+        analyzed = parse_and_analyze(CALLS_SOURCE)
+        kinds = set()
+        for vector, limits in (
+            ({"n": 5, "d": 0, "k": 1}, range(1, 60)),
+            ({"n": 30, "d": 1, "k": 3}, range(1000, 1060)),
+        ):
+            for max_steps in limits:
+                interpreter = Interpreter(analyzed, max_steps=max_steps)
+                outcomes = []
+                for run in (interpreter.run, BoardWalker(interpreter).run):
+                    plan = FaultPlan.from_args(["interp.step:raise@1+"] if armed else [])
+                    with activate(ResilienceContext(injector=FaultInjector(plan))):
+                        outcomes.append(_outcome(run, "nest", vector))
+                assert outcomes[0] == outcomes[1], (vector, max_steps)
+                if isinstance(outcomes[0], str):
+                    kinds.add(" ".join(outcomes[0].split()[:2]))
+        expected = {"ExecutionError: execution", "ExecutionError: division"}
+        if armed:
+            expected.add("InjectedFault: injected")
+        assert kinds == expected
 
     @pytest.mark.parametrize("hit", [1, 2, 5, 13])
     def test_step_faults_fire_on_the_same_run(self, programs, hit):
@@ -543,7 +643,7 @@ class TestCompiledBoard:
             with activate(ResilienceContext(injector=injector)):
                 for name, analyzed, function in programs:
                     interpreter = Interpreter(analyzed)
-                    run = interpreter.run_reference if reference else interpreter.run
+                    run = BoardWalker(interpreter).run if reference else interpreter.run
                     for vector in _vectors(analyzed, function, 15, seed=hit):
                         results.append((name, _outcome(run, function, vector)))
             return results, injector.hits("interp.step")
@@ -563,7 +663,8 @@ class TestCompiledBoard:
             vectors = _vectors(analyzed, function, 25)
             with activate(ResilienceContext(deadline=Deadline(0.0))):
                 compiled = [_outcome(interpreter.run, function, v) for v in vectors]
-                reference = [_outcome(interpreter.run_reference, function, v) for v in vectors]
+                walker = BoardWalker(interpreter)
+                reference = [_outcome(walker.run, function, v) for v in vectors]
             assert compiled == reference, name
             if name == "loop":
                 timed_out = [o for o in compiled if isinstance(o, str) and o.startswith("JobTimeout")]

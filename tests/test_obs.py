@@ -290,6 +290,26 @@ def test_spans_propagate_across_pool_workers():
     assert report.trace_spans == len(tracer)
 
 
+@pytest.mark.project
+def test_job_spans_name_the_same_functions_serial_and_pooled():
+    from repro.workloads.multi import generate_call_chain_workload
+
+    project = Project.from_sources(generate_call_chain_workload(2005).sources)
+    functions = {}
+    for workers in (1, 2):
+        tracer = obs.Tracer()
+        with obs.using_tracer(tracer):
+            report = ProjectScheduler(project, config=quick_config(), workers=workers).run()
+        functions[workers] = sorted(
+            event["attrs"]["function"]
+            for event in tracer.events()
+            if event["name"] == "project.job"
+        )
+    assert report.mode == "process-pool"
+    assert functions[2] == functions[1]
+    assert len(functions[1]) == 9 and all(":" in name for name in functions[1])
+
+
 def test_tracing_on_off_results_are_bit_identical():
     project = Project.from_sources(PAIR)
     untraced = ProjectScheduler(project, config=quick_config()).run()

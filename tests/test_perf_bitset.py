@@ -4,7 +4,7 @@ The heart of this module is the property-style cross-check: randomized CFGs
 are generated from a small statement grammar and the bitset implementations
 of liveness and reaching definitions are compared bit-for-bit against the
 frozenset reference implementations preserved in
-:mod:`repro.analysis.reference`.
+``tests/dataflow_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ from repro.analysis import (
     bitset_block_liveness,
     bitset_reaching_definitions,
     block_liveness,
-    block_liveness_reference,
     cfg_bitset_index,
     cfg_use_defs,
     iter_bits,
     reaching_definitions,
-    reaching_definitions_reference,
 )
 from repro.analysis.bitset import VariableInterner
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
 from repro.perf import PerfRegistry
+
+from dataflow_reference import block_liveness_reference, reaching_definitions_reference
 
 
 # --------------------------------------------------------------------------- #
