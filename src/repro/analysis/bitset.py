@@ -21,11 +21,10 @@ frozenset implementations survive as the cross-check reference in
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Iterable, Iterator
 
-from .. import perf
+from .. import obs, perf
 from ..cfg.graph import ControlFlowGraph, TerminatorKind
 from .usedef import CfgUseDefs, cfg_use_defs
 
@@ -165,37 +164,36 @@ def bitset_block_liveness(cfg: ControlFlowGraph) -> BitsetLiveness:
     The worklist is seeded in reverse postorder of the reversed CFG, so on a
     loop-free graph every block is visited exactly once.
     """
-    started = time.perf_counter()
-    index = cfg_bitset_index(cfg)
-    succ = cfg.successor_map()
-    pred = cfg.predecessor_map()
-    order = cfg.backward_reverse_postorder()
-    use = index.block_use
-    defs = index.block_def
+    with obs.region("liveness.bitset"):
+        index = cfg_bitset_index(cfg)
+        succ = cfg.successor_map()
+        pred = cfg.predecessor_map()
+        order = cfg.backward_reverse_postorder()
+        use = index.block_use
+        defs = index.block_def
 
-    live_in = dict.fromkeys(succ, 0)
-    live_out = dict.fromkeys(succ, 0)
-    worklist: deque[int] = deque(order)
-    pending = set(order)
-    iterations = 0
-    while worklist:
-        iterations += 1
-        block_id = worklist.popleft()
-        pending.discard(block_id)
-        out = 0
-        for successor in succ[block_id]:
-            out |= live_in[successor]
-        live_out[block_id] = out
-        new_in = use[block_id] | (out & ~defs[block_id])
-        if new_in != live_in[block_id]:
-            live_in[block_id] = new_in
-            for predecessor in pred[block_id]:
-                if predecessor not in pending:
-                    pending.add(predecessor)
-                    worklist.append(predecessor)
-    perf.add("liveness.bitset_runs")
-    perf.add("liveness.bitset_iterations", iterations)
-    perf.record_time("liveness.bitset", time.perf_counter() - started)
+        live_in = dict.fromkeys(succ, 0)
+        live_out = dict.fromkeys(succ, 0)
+        worklist: deque[int] = deque(order)
+        pending = set(order)
+        iterations = 0
+        while worklist:
+            iterations += 1
+            block_id = worklist.popleft()
+            pending.discard(block_id)
+            out = 0
+            for successor in succ[block_id]:
+                out |= live_in[successor]
+            live_out[block_id] = out
+            new_in = use[block_id] | (out & ~defs[block_id])
+            if new_in != live_in[block_id]:
+                live_in[block_id] = new_in
+                for predecessor in pred[block_id]:
+                    if predecessor not in pending:
+                        pending.add(predecessor)
+                        worklist.append(predecessor)
+        perf.add("liveness.bitset_runs")
+        perf.add("liveness.bitset_iterations", iterations)
     return BitsetLiveness(live_in=live_in, live_out=live_out, index=index,
                           iterations=iterations)
 
@@ -301,36 +299,35 @@ class BitsetReaching:
 
 def bitset_reaching_definitions(cfg: ControlFlowGraph) -> BitsetReaching:
     """Forward may-analysis ``reach_out = gen | (reach_in & ~kill)`` on masks."""
-    started = time.perf_counter()
-    index = cfg_definition_index(cfg)
-    succ = cfg.successor_map()
-    pred = cfg.predecessor_map()
-    order = cfg.reverse_postorder()
-    gen = index.gen
-    kill = index.kill
+    with obs.region("reaching.bitset"):
+        index = cfg_definition_index(cfg)
+        succ = cfg.successor_map()
+        pred = cfg.predecessor_map()
+        order = cfg.reverse_postorder()
+        gen = index.gen
+        kill = index.kill
 
-    reach_in = dict.fromkeys(succ, 0)
-    reach_out = dict.fromkeys(succ, 0)
-    worklist: deque[int] = deque(order)
-    pending = set(order)
-    iterations = 0
-    while worklist:
-        iterations += 1
-        block_id = worklist.popleft()
-        pending.discard(block_id)
-        incoming = 0
-        for predecessor in pred[block_id]:
-            incoming |= reach_out[predecessor]
-        reach_in[block_id] = incoming
-        new_out = gen[block_id] | (incoming & ~kill[block_id])
-        if new_out != reach_out[block_id]:
-            reach_out[block_id] = new_out
-            for successor in succ[block_id]:
-                if successor not in pending:
-                    pending.add(successor)
-                    worklist.append(successor)
-    perf.add("reaching.bitset_runs")
-    perf.add("reaching.bitset_iterations", iterations)
-    perf.record_time("reaching.bitset", time.perf_counter() - started)
+        reach_in = dict.fromkeys(succ, 0)
+        reach_out = dict.fromkeys(succ, 0)
+        worklist: deque[int] = deque(order)
+        pending = set(order)
+        iterations = 0
+        while worklist:
+            iterations += 1
+            block_id = worklist.popleft()
+            pending.discard(block_id)
+            incoming = 0
+            for predecessor in pred[block_id]:
+                incoming |= reach_out[predecessor]
+            reach_in[block_id] = incoming
+            new_out = gen[block_id] | (incoming & ~kill[block_id])
+            if new_out != reach_out[block_id]:
+                reach_out[block_id] = new_out
+                for successor in succ[block_id]:
+                    if successor not in pending:
+                        pending.add(successor)
+                        worklist.append(successor)
+        perf.add("reaching.bitset_runs")
+        perf.add("reaching.bitset_iterations", iterations)
     return BitsetReaching(reach_in=reach_in, reach_out=reach_out, index=index,
                           iterations=iterations)

@@ -1,9 +1,9 @@
-"""Control-flow-graph substrate: blocks, builder, paths, dominators, DOT export."""
+"""Control-flow-graph substrate: blocks, builder, paths, natural loops, DOT export."""
 
 from __future__ import annotations
 
 from .builder import CfgBuilder, build_all_cfgs, build_cfg
-from .dominators import DominatorTree, natural_loops
+from .dominators import natural_loops
 from .dot import to_dot
 from .graph import (
     BasicBlock,
@@ -30,7 +30,6 @@ __all__ = [
     "CfgBuilder",
     "build_all_cfgs",
     "build_cfg",
-    "DominatorTree",
     "natural_loops",
     "to_dot",
     "BasicBlock",

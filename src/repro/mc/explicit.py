@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .. import perf
+from .. import obs, perf
 from ..solver.expression import concrete_eval
 from ..transsys.system import TransitionSystem
 from .property import ReachabilityGoal
@@ -56,7 +56,7 @@ class ExplicitStateEngine:
 
     # ------------------------------------------------------------------ #
     def check(self, goal: ReachabilityGoal) -> CheckResult:
-        with perf.timed("mc.explicit.check"):
+        with obs.region("mc.explicit.check"):
             result = self._check(goal)
         perf.add("mc.explicit.checks")
         perf.add("mc.explicit.explored_states", result.statistics.explored_states)

@@ -84,10 +84,6 @@ class QueryBudget:
     #: wall-clock deadline for the whole query in milliseconds
     deadline_ms: int | None = 120_000
 
-    @classmethod
-    def unlimited(cls) -> "QueryBudget":
-        return cls(max_steps=None, max_solver_calls=None, deadline_ms=None)
-
     @property
     def deadline_seconds(self) -> float | None:
         return self.deadline_ms / 1000.0 if self.deadline_ms is not None else None
@@ -131,7 +127,7 @@ class QueryPlan:
     # ------------------------------------------------------------------ #
     @classmethod
     def build(cls, goals: list[tuple[object, ReachabilityGoal]]) -> "QueryPlan":
-        with obs.span("mc.plan", goals=len(goals)), perf.timed("mc.plan"):
+        with obs.region("mc.plan", goals=len(goals)):
             ordered_goals = sorted(
                 goals,
                 key=lambda item: (item[1].ordered_labels, item[1].description),
@@ -489,7 +485,7 @@ class QueryEngine:
             return self._slices[seed]
         if self._forward is None:
             self._forward = forward_reachable_locations(self._translation.system)
-        with perf.timed("mc.slice"):
+        with obs.region("mc.slice"):
             goal_slice = slice_for_goal(self._translation, goal, self._forward)
         if goal_slice.is_proper:
             self.stats.sliced += 1
@@ -555,7 +551,7 @@ class QueryEngine:
                 label, model, budget, deadline, spent_steps, spent_solver_calls
             )
             try:
-                with obs.span("mc.solve", engine=label), perf.timed("mc.solve"):
+                with obs.region("mc.solve", engine=label):
                     maybe_fault("mc.solve", goal.description)
                     # the warm-run gate: a run answered entirely from
                     # subsumption and the store executes zero engine stages

@@ -1,6 +1,9 @@
 """repro.obs -- end-to-end observability for the analysis pipeline.
 
-Three cooperating layers on top of the :mod:`repro.perf` counters/timers:
+One instrumentation primitive, :func:`region`, marks every instrumented
+region of work: it always records a timer under its name in the ambient
+:class:`repro.perf.PerfRegistry`, and when a :class:`Tracer` is active it
+also emits a span of the same name.  Around it sit three layers:
 
 - :mod:`repro.obs.trace` -- structured spans with ``trace_id``/``span_id``/
   parent links, propagated from a service HTTP request through the job
@@ -13,8 +16,8 @@ Three cooperating layers on top of the :mod:`repro.perf` counters/timers:
   recent spans dumped to ``diagnostics/`` when a job is quarantined, a
   fault fires or the server answers 5xx.
 
-Tracing is off unless a :class:`Tracer` is activated; the disabled path is
-a single ``ContextVar`` read per instrumented region.
+Tracing is off unless a :class:`Tracer` is activated; an untraced region
+costs its timer plus one ``ContextVar`` read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .trace import (
     chrome_trace,
     current_context,
     read_trace_file,
-    span,
+    region,
     summarize,
     using_tracer,
     write_chrome,
@@ -58,7 +61,7 @@ __all__ = [
     "metric_name",
     "prometheus_text",
     "read_trace_file",
-    "span",
+    "region",
     "summarize",
     "using_tracer",
     "write_chrome",

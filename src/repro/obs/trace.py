@@ -7,11 +7,12 @@ per-function jobs that run on process-pool workers and the analyzer /
 model-checking / cache stages inside them all hang off one root, so a slow
 or degraded run can be read as a single timeline.
 
-The design mirrors :mod:`repro.perf.instrument`: a :class:`Tracer` collects
-span events behind a lock, and the *ambient* tracer the module-level
-:func:`span` helper records into is a :class:`contextvars.ContextVar` --
-``None`` by default, so untraced runs pay exactly one ``ContextVar.get``
-plus an ``is None`` test per instrumented region (the <2% overhead bar).
+Spans are opened by :func:`region`, the one instrumentation primitive: it
+always records a timer of the same name in the ambient
+:class:`~repro.perf.PerfRegistry`, and emits a span only when a tracer is
+active.  The *ambient* tracer is a :class:`contextvars.ContextVar` --
+``None`` by default, so an untraced region costs one ``ContextVar.get`` on
+top of its timer.  A :class:`Tracer` collects span events behind a lock.
 :func:`using_tracer` activates a tracer for one context (thread/task), and
 can seed the *current span* with a deserialised :class:`SpanContext`, which
 is how a process-pool worker re-attaches its spans to the scheduler's tree:
@@ -42,7 +43,9 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from ..perf import active_registry
 
 #: schema tag written into JSONL exports and flight-recorder dumps
 TRACE_SCHEMA = "repro-trace/1"
@@ -94,12 +97,10 @@ class Tracer:
     ``max_events=None`` keeps every span (the ``--trace`` export mode);
     an integer keeps only the most recent ones -- the flight-recorder ring
     that is cheap enough to leave armed during chaos runs and long-running
-    service requests.  ``enabled=False`` turns recording into a no-op while
-    keeping the tracer activatable (the overhead-measurement baseline).
+    service requests.
     """
 
-    def __init__(self, max_events: int | None = None, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, max_events: int | None = None):
         self.max_events = max_events
         self._events: deque[dict[str, Any]] | list[dict[str, Any]]
         if max_events is not None:
@@ -112,14 +113,12 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
     def record(self, event: dict[str, Any]) -> None:
-        if not self.enabled:
-            return
         with self._lock:
             self._events.append(event)
 
     def merge(self, events: list[dict[str, Any]]) -> None:
         """Fold span events recorded elsewhere (a pool worker) into this tracer."""
-        if not self.enabled or not events:
+        if not events:
             return
         with self._lock:
             self._events.extend(events)
@@ -147,7 +146,7 @@ class Tracer:
         return len(events)
 
 
-#: the ambient tracer :func:`span` records into; ``None`` = tracing off
+#: the ambient tracer :func:`region` records into; ``None`` = tracing off
 _ACTIVE_TRACER: contextvars.ContextVar[Tracer | None] = contextvars.ContextVar(
     "repro_obs_tracer", default=None
 )
@@ -205,66 +204,57 @@ def using_tracer(
     return _UsingTracer(tracer, context)
 
 
-class _NoopSpan:
-    """Shared do-nothing span: the fast path when tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-class _Span:
-    """One live span: context-manager recording a complete ("X") event."""
+class _Region:
+    """One live region: a registry timer, plus a complete ("X") span event
+    when a tracer was active on entry."""
 
     __slots__ = (
-        "_tracer", "_name", "_attrs", "context", "_parent_id",
+        "_tracer", "_name", "_attrs", "_registry", "_context", "_parent_id",
         "_token", "_ts_us", "_started",
     )
 
-    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]):
+    def __init__(self, tracer: Tracer | None, name: str, attrs: dict[str, Any]):
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
-        self.context: SpanContext | None = None
+        self._registry = active_registry()
+        self._context: SpanContext | None = None
         self._parent_id: str | None = None
         self._token: contextvars.Token | None = None
         self._ts_us = 0
         self._started = 0.0
 
-    def __enter__(self) -> SpanContext:
-        parent = _CURRENT_SPAN.get()
-        if parent is not None:
-            trace_id = parent.trace_id
-            self._parent_id = parent.span_id
-        else:
-            trace_id = _new_trace_id()
-            self._tracer.last_trace_id = trace_id
-        self.context = SpanContext(trace_id=trace_id, span_id=_new_span_id())
-        self._token = _CURRENT_SPAN.set(self.context)
-        self._ts_us = int(time.time() * 1_000_000)
+    def __enter__(self) -> SpanContext | None:
+        if self._tracer is not None:
+            parent = _CURRENT_SPAN.get()
+            if parent is not None:
+                trace_id = parent.trace_id
+                self._parent_id = parent.span_id
+            else:
+                trace_id = _new_trace_id()
+                self._tracer.last_trace_id = trace_id
+            self._context = SpanContext(trace_id=trace_id, span_id=_new_span_id())
+            self._token = _CURRENT_SPAN.set(self._context)
+            self._ts_us = int(time.time() * 1_000_000)
         self._started = time.perf_counter()
-        return self.context
+        return self._context
 
     def __exit__(self, exc_type, *exc_info) -> None:
-        duration_us = int((time.perf_counter() - self._started) * 1_000_000)
+        seconds = time.perf_counter() - self._started
+        self._registry.record_time(self._name, seconds)
+        if self._tracer is None:
+            return
         if self._token is not None:
             _CURRENT_SPAN.reset(self._token)
             self._token = None
-        assert self.context is not None
+        assert self._context is not None
         event: dict[str, Any] = {
             "name": self._name,
-            "trace_id": self.context.trace_id,
-            "span_id": self.context.span_id,
+            "trace_id": self._context.trace_id,
+            "span_id": self._context.span_id,
             "parent_id": self._parent_id,
             "ts_us": self._ts_us,
-            "dur_us": duration_us,
+            "dur_us": int(seconds * 1_000_000),
             "pid": os.getpid(),
             "tid": threading.get_ident(),
         }
@@ -275,18 +265,17 @@ class _Span:
         self._tracer.record(event)
 
 
-def span(name: str, **attrs: Any):
-    """Open a span named *name* under the ambient tracer.
+def region(name: str, **attrs: Any) -> _Region:
+    """Time the body under *name*; also trace it when a tracer is active.
 
-    With no (or a disabled) ambient tracer this returns a shared no-op
-    context manager -- one ``ContextVar.get`` and one attribute test, so
-    instrumented hot paths stay within the disabled-overhead budget.  The
-    live span yields its :class:`SpanContext` (``None`` from the no-op).
+    The one instrumentation primitive: the body's wall-clock time is always
+    recorded as a timer call in the ambient :class:`~repro.perf.PerfRegistry`
+    (the one active on entry), so an untraced run still says where its time
+    went.  Under an ambient tracer the region is also a span of the same
+    name carrying *attrs*, and the ``with`` target is its
+    :class:`SpanContext`; untraced, the target is ``None``.
     """
-    tracer = _ACTIVE_TRACER.get()
-    if tracer is None or not tracer.enabled:
-        return _NOOP_SPAN
-    return _Span(tracer, name, attrs)
+    return _Region(_ACTIVE_TRACER.get(), name, attrs)
 
 
 # ---------------------------------------------------------------------- #
@@ -431,7 +420,7 @@ __all__ = [
     "chrome_trace",
     "current_context",
     "read_trace_file",
-    "span",
+    "region",
     "summarize",
     "using_tracer",
     "write_chrome",

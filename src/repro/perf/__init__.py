@@ -2,6 +2,8 @@
 
 :mod:`repro.perf.instrument` provides the registry, its ambient
 (per-context) activation and a JSON-friendly :func:`report` snapshot.
+Timers are recorded by :func:`repro.obs.region`, which times a region into
+the ambient registry and traces it when a tracer is active.
 Timing the whole pipeline is the benchmark's job
 (``python3 wcetbench/run.py``).
 """
@@ -14,11 +16,8 @@ from .instrument import (
     TimerStat,
     active_registry,
     add,
-    global_registry,
-    record_time,
     report,
     reset,
-    timed,
     using_registry,
 )
 
@@ -28,10 +27,7 @@ __all__ = [
     "TimerStat",
     "active_registry",
     "add",
-    "global_registry",
-    "record_time",
     "report",
     "reset",
-    "timed",
     "using_registry",
 ]

@@ -6,16 +6,17 @@ enumeration, the explicit-state engine) record how much work they do into a
 behind a lock -- so that instrumenting a hot loop costs one dict update per
 *call*, not per iteration: callers aggregate locally and record once.
 
-A process-wide default registry is available through the module-level
-helpers (:func:`add`, :func:`record_time`, :func:`timed`, :func:`report`,
-:func:`reset`).  Tests reset it, run a workload and assert on the counters;
-the analysis service renders :func:`report` as Prometheus text on
-``/v1/metrics`` (:mod:`repro.obs.metrics`).
+Counters go through the module-level :func:`add`; timers are recorded by
+:func:`repro.obs.region`, the one instrumentation primitive, which times
+its body into the ambient registry (and traces it when a tracer is
+active).  :func:`report` snapshots the ambient registry as JSON-friendly
+data and :func:`reset` clears it.  Tests reset it, run a workload and
+assert on the counters; the analysis service renders reports as
+Prometheus text on ``/v1/metrics`` (:mod:`repro.obs.metrics`).
 
-The *ambient* registry the helpers write to is a
-:class:`contextvars.ContextVar` whose default is the process-wide registry:
-single-process batch runs (the CLI, the benchmarks) see exactly the
-behaviour they always had, while concurrent executions that must not bleed
+The *ambient* registry is a :class:`contextvars.ContextVar` whose default
+is one process-wide registry: single-process batch runs (the CLI, the
+benchmarks) record there, while concurrent executions that must not bleed
 counters into each other -- one analysis request per client of the
 long-running :mod:`repro.service` daemon -- activate their own registry
 with :func:`using_registry` for the duration of the work.  ``ContextVar``
@@ -29,7 +30,6 @@ from __future__ import annotations
 import bisect
 import contextvars
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -93,14 +93,9 @@ class TimerStat:
 
 
 class PerfRegistry:
-    """Named monotonic counters and wall-clock timers.
+    """Named monotonic counters and wall-clock timers; thread-safe."""
 
-    Thread-safe; disabling a registry turns every recording operation into a
-    cheap no-op so instrumented code needs no conditional logic of its own.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._timers: dict[str, TimerStat] = {}
         self._lock = threading.Lock()
@@ -110,15 +105,11 @@ class PerfRegistry:
     # ------------------------------------------------------------------ #
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter *name* by *amount*."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
     def record_time(self, name: str, seconds: float) -> None:
         """Record one timed call of *seconds* under *name*."""
-        if not self.enabled:
-            return
         with self._lock:
             stat = self._timers.get(name)
             if stat is None:
@@ -132,8 +123,6 @@ class PerfRegistry:
         here (calls, totals and buckets add, min/max widen).  This is how a
         process-pool worker's private registry reaches the parent's.
         """
-        if not self.enabled:
-            return
         with self._lock:
             for name, amount in report.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + amount
@@ -153,18 +142,6 @@ class PerfRegistry:
                 stat.total_seconds += other["total_seconds"]
                 for index, count in enumerate(other["histogram"]["counts"]):
                     stat.buckets[index] += count
-
-    @contextmanager
-    def timed(self, name: str) -> Iterator[None]:
-        """Context manager timing its body with ``time.perf_counter``."""
-        if not self.enabled:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_time(name, time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     # inspection and reporting
@@ -205,10 +182,6 @@ _ACTIVE_REGISTRY: contextvars.ContextVar[PerfRegistry] = contextvars.ContextVar(
 )
 
 
-def global_registry() -> PerfRegistry:
-    return _GLOBAL_REGISTRY
-
-
 def active_registry() -> PerfRegistry:
     """The registry the module-level helpers currently record into."""
     return _ACTIVE_REGISTRY.get()
@@ -231,14 +204,6 @@ def using_registry(registry: PerfRegistry) -> Iterator[PerfRegistry]:
 
 def add(name: str, amount: int = 1) -> None:
     _ACTIVE_REGISTRY.get().add(name, amount)
-
-
-def record_time(name: str, seconds: float) -> None:
-    _ACTIVE_REGISTRY.get().record_time(name, seconds)
-
-
-def timed(name: str):
-    return _ACTIVE_REGISTRY.get().timed(name)
 
 
 def report() -> dict[str, Any]:

@@ -240,7 +240,7 @@ class WcetAnalyzer:
         if config.static_analysis:
             from ..sa import run_static_analysis
 
-            with obs.span("analyze.sa", function=self._function):
+            with obs.region("analyze.sa", function=self._function):
                 sa_result = run_static_analysis(
                     cfg, self._analyzed.table(self._function)
                 )
@@ -256,7 +256,7 @@ class WcetAnalyzer:
             )
 
         # 1. partition the CFG into program segments
-        with obs.span("analyze.partition", function=self._function):
+        with obs.region("analyze.partition", function=self._function):
             partition = _partition_function(function, cfg, config)
 
         # 2. instrumentation plan + simulated board; with callee summaries the
@@ -282,7 +282,7 @@ class WcetAnalyzer:
             self._analyzed, self._function, board, partition, cfg, config.hybrid
         )
         poll_deadline()
-        with obs.span("analyze.testgen", function=self._function):
+        with obs.region("analyze.testgen", function=self._function):
             suite = generator.generate()
         poll_deadline()
 
@@ -299,7 +299,7 @@ class WcetAnalyzer:
             raise AnalysisError(
                 "test-data generation produced no vectors; cannot measure anything"
             )
-        with obs.span(
+        with obs.region(
             "analyze.measure", function=self._function, vectors=len(vectors)
         ):
             campaign = runner.run_vectors(vectors, database)
@@ -321,7 +321,7 @@ class WcetAnalyzer:
         #    while feasible-but-unmeasured segments (uncovered targets,
         #    exhausted query budgets) enter at a static worst-case estimate
         #    instead of failing the analysis
-        with obs.span("analyze.schema", function=self._function):
+        with obs.region("analyze.schema", function=self._function):
             unreachable = self._fully_infeasible_segments(
                 partition, suite, database
             )
@@ -372,7 +372,7 @@ class WcetAnalyzer:
                 max_steps=config.max_steps_per_run,
             )
         try:
-            with obs.span("analyze.exhaustive", function=self._function):
+            with obs.region("analyze.exhaustive", function=self._function):
                 end_to_end = self._maybe_exhaustive(
                     verification_board, input_space
                 )

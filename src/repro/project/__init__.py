@@ -52,9 +52,10 @@ API::
     print(report.to_text())
 
 The scheduler and cache record into the :mod:`repro.perf` registry
-(``project.jobs*``, ``project.scheduler.*``, ``project.cache.*``, timers
-``project.schedule``, ``project.analyze_function`` per executed job and
-``project.cache.lookup`` / ``project.cache.store``), so batch runs show up
+(``project.jobs*``, ``project.scheduler.*``, ``project.cache.*``, and
+the :func:`repro.obs.region` timers ``project.run``, ``project.wave``,
+``project.job`` per job attempt and ``project.cache.lookup`` /
+``project.cache.store``), so batch runs show up
 in perf reports like the dataflow hot paths do.  A job runs through one
 attempt function whether it runs in-process or on a pool worker; a worker
 records into a private registry that the scheduler merges back, so the

@@ -164,8 +164,7 @@ class ResultCache:
             spec = self._maybe_fault("cache.read", key)
             if spec is not None and spec.kind is FaultKind.CORRUPT:
                 corrupt_payload = True
-            with obs.span("cache.read", key=key[:12]), \
-                    perf.timed("project.cache.lookup"):
+            with obs.region("project.cache.lookup", key=key[:12]):
                 summary = self._read(key, force_corrupt=corrupt_payload)
         except InjectedFault as fault:
             self.read_failures += 1
@@ -252,8 +251,8 @@ class ResultCache:
         """Atomically persist one entry's JSON text (shared by both kinds)."""
         path = self.path_for(key)
         try:
-            with obs.span("cache.write", key=key[:12]), \
-                    perf.timed("project.cache.store"), self._lock():
+            with obs.region("project.cache.store", key=key[:12]), \
+                    self._lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 handle = tempfile.NamedTemporaryFile(
                     "w",
@@ -295,7 +294,7 @@ class ResultCache:
     def get_query(self, key: str) -> dict | None:
         """Load the raw query-store entry under *key*, or ``None`` on a miss.
 
-        Mirrors :meth:`get` (fault site, span, quarantine on corruption) but
+        Mirrors :meth:`get` (fault site, region, quarantine on corruption) but
         hands back the raw entry object: *semantic* validation -- checksum,
         fingerprint echo, witness replay -- belongs to
         :class:`repro.mc.store.QueryStore`, which treats anything invalid
@@ -308,8 +307,7 @@ class ResultCache:
             spec = self._maybe_fault("cache.read", key)
             if spec is not None and spec.kind is FaultKind.CORRUPT:
                 corrupt_payload = True
-            with obs.span("cache.read", key=key[:12]), \
-                    perf.timed("project.cache.lookup"):
+            with obs.region("project.cache.lookup", key=key[:12]):
                 entry = self._read_query(key, force_corrupt=corrupt_payload)
         except InjectedFault as fault:
             self.read_failures += 1

@@ -136,6 +136,8 @@ def _attempt(
     analyzed: AnalyzedProgram,
     unit_name: str,
     function_name: str,
+    qualified_name: str,
+    worker: str,
     config: AnalyzerConfig,
     callee_bounds: dict[str, int],
     job_plan: FaultPlan | None,
@@ -144,6 +146,8 @@ def _attempt(
 ) -> FunctionSummary:
     """One analysis attempt of one function, serial or inside a pool worker.
 
+    The attempt is the ``project.job`` region (``worker`` is ``"serial"`` or
+    ``"pool"``), so both paths time and trace a job the same way.
     ``job_plan`` carries only the job-internal fault sites (``mc.solve``,
     ``interp.step``): every attempt evaluates them against a fresh injector
     with its own hit counters, so what fires never depends on how jobs
@@ -153,10 +157,11 @@ def _attempt(
     sleeps before the analysis, inside the attempt's deadline.  Without a
     plan, a timeout or a spec no resilience context is activated at all.
     """
-    started = time.perf_counter()
     injector = FaultInjector(job_plan) if job_plan is not None else None
     deadline = Deadline(job_timeout) if job_timeout else None
-    with contextlib.ExitStack() as stack:
+    with obs.region(
+        "project.job", function=qualified_name, worker=worker
+    ), contextlib.ExitStack() as stack:
         if injector is not None or deadline is not None or execute_spec is not None:
             stack.enter_context(
                 activate(ResilienceContext(injector=injector, deadline=deadline))
@@ -168,9 +173,7 @@ def _attempt(
         report = WcetAnalyzer(
             analyzed, function_name, config, callee_bounds=callee_bounds
         ).analyze()
-    summary = FunctionSummary.from_report(unit_name, config.partitioner, report)
-    perf.record_time("project.analyze_function", time.perf_counter() - started)
-    return summary
+        return FunctionSummary.from_report(unit_name, config.partitioner, report)
 
 
 def _pool_attempt(
@@ -221,9 +224,6 @@ def _pool_attempt(
                         ),
                     )
                 )
-                stack.enter_context(
-                    obs.span("project.job", function=qualified_name, worker="pool")
-                )
             if query_cache_dir is not None:
                 stack.enter_context(
                     using_query_store(QueryStore(ResultCache(query_cache_dir)))
@@ -233,6 +233,8 @@ def _pool_attempt(
                 analyzed,
                 unit_name,
                 function_name,
+                qualified_name,
+                "pool",
                 config,
                 callee_bounds,
                 job_plan,
@@ -485,42 +487,36 @@ class ProjectScheduler:
 
         with contextlib.ExitStack() as stack:
             tracer = obs.active_tracer()
-            if (
-                (tracer is None or not tracer.enabled)
-                and not self._fault_plan.is_empty
-            ):
+            if tracer is None and not self._fault_plan.is_empty:
                 # chaos runs arm a private bounded ring so a quarantine or
                 # fired fault always has a recent timeline to freeze into a
                 # flight dump, even without --trace
                 tracer = obs.Tracer(max_events=obs.DEFAULT_RING_EVENTS)
                 stack.enter_context(obs.using_tracer(tracer))
-            self._tracer = (
-                tracer if tracer is not None and tracer.enabled else None
-            )
+            self._tracer = tracer
             root = stack.enter_context(
-                obs.span(
+                obs.region(
                     "project.run", functions=len(jobs), workers=self._workers
                 )
             )
             if root is not None:
                 self.trace_id = root.trace_id
 
-            with perf.timed("project.schedule"):
-                waves = self._waves(jobs)
-                self.waves_executed = len(waves)
-                perf.add("project.scheduler.waves", len(waves))
-                for wave_index, wave in enumerate(waves):
-                    ready: list[AnalysisJob] = []
-                    for job in wave:
-                        job.wave = wave_index
-                        if not self._fail_on_broken_deps(job, jobs):
-                            ready.append(job)
-                    with obs.span(
-                        "project.wave", wave=wave_index, jobs=len(ready)
-                    ):
-                        runnable = self._probe_cache(ready)
-                        self._execute(runnable)
-                    self._harvest_summaries(wave)
+            waves = self._waves(jobs)
+            self.waves_executed = len(waves)
+            perf.add("project.scheduler.waves", len(waves))
+            for wave_index, wave in enumerate(waves):
+                ready: list[AnalysisJob] = []
+                for job in wave:
+                    job.wave = wave_index
+                    if not self._fail_on_broken_deps(job, jobs):
+                        ready.append(job)
+                with obs.region(
+                    "project.wave", wave=wave_index, jobs=len(ready)
+                ):
+                    runnable = self._probe_cache(ready)
+                    self._execute(runnable)
+                self._harvest_summaries(wave)
 
             if (
                 self._query_store is not None
@@ -994,11 +990,7 @@ class ProjectScheduler:
                 )
             job.attempts += 1
             try:
-                with obs.span(
-                    "project.job",
-                    function=job.qualified_name,
-                    worker="serial",
-                ), using_query_store(self._query_store):
+                with using_query_store(self._query_store):
                     # the unit's already-analysed AST is reused in-process;
                     # the pipeline is deterministic, so this matches a pool
                     # worker's re-parse exactly
@@ -1006,6 +998,8 @@ class ProjectScheduler:
                         unit.analyzed,
                         unit.name,
                         job.function.name,
+                        job.qualified_name,
+                        "serial",
                         self._job_config(job),
                         job.callee_bounds,
                         self._job_plan,

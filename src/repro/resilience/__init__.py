@@ -33,7 +33,6 @@ from .retry import (
     TRANSIENT_ERRORS,
     RetryPolicy,
     classify_error,
-    execute_with_retry,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "TRANSIENT_ERRORS",
     "RetryPolicy",
     "classify_error",
-    "execute_with_retry",
 ]

@@ -10,15 +10,11 @@ seed sleeps the exact same schedule every run.
 from __future__ import annotations
 
 import hashlib
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pickle import PicklingError
-from typing import Callable, TypeVar
 
 from .faults import InjectedFault, JobTimeout
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -66,28 +62,3 @@ def classify_error(error: BaseException) -> str:
         return "transient"
     return "permanent"
 
-
-def execute_with_retry(
-    operation: Callable[[], T],
-    policy: RetryPolicy,
-    key: str = "",
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> tuple[T, int]:
-    """Run *operation*, retrying transient failures per *policy*.
-
-    Returns ``(result, retries_used)``.  Permanent errors and exhausted
-    attempts re-raise the last error.
-    """
-    attempts = max(1, policy.max_attempts)
-    last_error: BaseException | None = None
-    for attempt in range(1, attempts + 1):
-        try:
-            return operation(), attempt - 1
-        except Exception as error:  # noqa: BLE001 - classified below
-            last_error = error
-            if classify_error(error) == "permanent" or attempt == attempts:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, error)
-            time.sleep(policy.delay_for(attempt, key))
-    raise last_error if last_error is not None else RuntimeError("unreachable")

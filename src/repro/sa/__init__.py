@@ -12,15 +12,16 @@ One call, :func:`run_static_analysis`, bundles the three layers:
 * :mod:`repro.sa.diagnostics` — SA001..SA005 program diagnostics rendered
   into reports and the ``lint`` CLI subcommand.
 
-:mod:`repro.sa.selflint` (SL001..SL004) lints the repo's own sources and is
-wired through ``tests/test_selflint.py`` rather than this orchestrator.
+:mod:`repro.sa.selflint` (SL001, SL002, SL004) lints the repo's own sources
+and is wired through ``tests/test_selflint.py`` rather than this
+orchestrator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import perf
+from .. import obs, perf
 from ..cfg.graph import ControlFlowGraph
 from ..minic.symbols import FunctionSymbolTable
 from .diagnostics import (
@@ -75,7 +76,7 @@ def run_static_analysis(
     cfg: ControlFlowGraph, table: FunctionSymbolTable
 ) -> StaticAnalysisResult:
     """Run feasibility, loop-bound inference and diagnostics on one CFG."""
-    with perf.timed("sa.prefilter"):
+    with obs.region("sa.prefilter"):
         feasibility = analyze_feasibility(cfg, table)
         loop_bounds = infer_loop_bounds(cfg, table)
         diagnostics = diagnose(cfg, table, feasibility)

@@ -1,7 +1,7 @@
 """Codebase self-lint: AST checks for the repo's own invariants.
 
-Generalises the ``perf/NAMES.md`` name-drift lint into a small rule engine
-over the Python AST of ``src/repro``:
+A small rule engine over the Python AST of ``src/repro`` (instrumentation
+names are checked against ``perf/NAMES.md`` by ``tests/test_perf_names.py``):
 
 ========  ============================================================
 rule      invariant
@@ -11,8 +11,6 @@ SL001     no wall-clock (``time.time``) inside ``service/`` — the
 SL002     every literal fault-site name passed to ``maybe_fault`` /
           ``*_injector.check`` is registered in
           :data:`repro.resilience.faults.SITES`
-SL003     every literal ``obs.span(...)`` / ``perf.add/record_time/
-          timed(...)`` name appears in ``perf/NAMES.md``
 SL004     a module-level ``ContextVar`` that is ever ``.set(...)`` is
           also ``.reset(...)`` somewhere in the same module (token
           discipline; leaking sets break per-request isolation)
@@ -26,16 +24,12 @@ exceptions go into ``tests/selflint_waivers.txt`` as ``RULE path`` lines
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..resilience.faults import SITES
 
-RULES = ("SL001", "SL002", "SL003", "SL004")
-
-_NAMES_ENTRY = re.compile(r"^- `([^`]+)`", re.MULTILINE)
-
+RULES = ("SL001", "SL002", "SL004")
 
 @dataclass(frozen=True)
 class LintFinding:
@@ -65,29 +59,11 @@ def load_waivers(path: Path) -> frozenset[tuple[str, str]]:
     return frozenset(waivers)
 
 
-def registered_names(names_md: Path) -> tuple[frozenset[str], frozenset[str]]:
-    """(perf names, span names) parsed from ``perf/NAMES.md``."""
-    text = names_md.read_text(encoding="utf-8")
-    marker = "## Trace spans"
-    split_at = text.find(marker)
-    perf_text = text if split_at < 0 else text[:split_at]
-    span_text = "" if split_at < 0 else text[split_at:]
-    return (
-        frozenset(_NAMES_ENTRY.findall(perf_text)),
-        frozenset(_NAMES_ENTRY.findall(span_text)),
-    )
-
-
 def run_selflint(
-    root: Path,
-    names_md: Path | None = None,
-    waivers: frozenset[tuple[str, str]] = frozenset(),
+    root: Path, waivers: frozenset[tuple[str, str]] = frozenset()
 ) -> list[LintFinding]:
     """Lint every Python module under *root*; waived findings are dropped."""
     root = Path(root)
-    if names_md is None:
-        names_md = root / "perf" / "NAMES.md"
-    perf_names, span_names = registered_names(names_md)
     findings: list[LintFinding] = []
     for source in sorted(root.rglob("*.py")):
         relative = source.relative_to(root).as_posix()
@@ -103,18 +79,13 @@ def run_selflint(
                 )
             )
             continue
-        findings.extend(_lint_module(tree, relative, perf_names, span_names))
+        findings.extend(_lint_module(tree, relative))
     findings = [f for f in findings if (f.rule, f.path) not in waivers]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
-def _lint_module(
-    tree: ast.Module,
-    relative: str,
-    perf_names: frozenset[str],
-    span_names: frozenset[str],
-) -> list[LintFinding]:
+def _lint_module(tree: ast.Module, relative: str) -> list[LintFinding]:
     findings: list[LintFinding] = []
     in_service = relative.startswith("service/")
 
@@ -149,9 +120,7 @@ def _lint_module(
                 )
             )
         if isinstance(node, ast.Call):
-            findings.extend(
-                _lint_call(node, relative, perf_names, span_names)
-            )
+            findings.extend(_lint_call(node, relative))
             func = node.func
             if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
                 owner = func.value.id
@@ -208,12 +177,7 @@ def _literal_first_arg(node: ast.Call) -> str | None:
     return None
 
 
-def _lint_call(
-    node: ast.Call,
-    relative: str,
-    perf_names: frozenset[str],
-    span_names: frozenset[str],
-) -> list[LintFinding]:
+def _lint_call(node: ast.Call, relative: str) -> list[LintFinding]:
     findings: list[LintFinding] = []
     func = node.func
 
@@ -243,35 +207,4 @@ def _lint_call(
                 )
             )
 
-    # SL003: literal perf/span names must be in NAMES.md
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        owner_id = func.value.id
-        name = _literal_first_arg(node)
-        if name is not None:
-            if owner_id in ("perf", "registry") and func.attr in (
-                "add",
-                "record_time",
-                "timed",
-            ):
-                if name not in perf_names:
-                    findings.append(
-                        LintFinding(
-                            rule="SL003",
-                            path=relative,
-                            line=node.lineno,
-                            message=f"perf name {name!r} missing from "
-                            "perf/NAMES.md",
-                        )
-                    )
-            elif owner_id == "obs" and func.attr == "span":
-                if name not in span_names:
-                    findings.append(
-                        LintFinding(
-                            rule="SL003",
-                            path=relative,
-                            line=node.lineno,
-                            message=f"span name {name!r} missing from "
-                            "perf/NAMES.md",
-                        )
-                    )
     return findings

@@ -399,23 +399,22 @@ class JobQueue:
         try:
             with perf.using_registry(registry), \
                     obs.using_tracer(tracer, parent), \
-                    obs.span("service.job", job_id=job.job_id):
-                with perf.timed("service.job.execute"):
-                    # query_cache is left at its default: service sessions
-                    # share the warm result cache, so the persistent query
-                    # store (mc verdicts + witnesses) is shared across
-                    # sessions exactly like function summaries are
-                    report = ProjectScheduler(
-                        job.project,
-                        config=job.config,
-                        cache=self._cache,
-                        workers=self._workers,
-                        fault_plan=self._fault_plan,
-                        retry_policy=self._retry_policy,
-                        job_timeout_seconds=self._job_timeout,
-                        pool_restart_budget=self._pool_restart_budget,
-                        progress_callback=on_progress,
-                    ).run()
+                    obs.region("service.job", job_id=job.job_id):
+                # query_cache is left at its default: service sessions
+                # share the warm result cache, so the persistent query
+                # store (mc verdicts + witnesses) is shared across
+                # sessions exactly like function summaries are
+                report = ProjectScheduler(
+                    job.project,
+                    config=job.config,
+                    cache=self._cache,
+                    workers=self._workers,
+                    fault_plan=self._fault_plan,
+                    retry_policy=self._retry_policy,
+                    job_timeout_seconds=self._job_timeout,
+                    pool_restart_budget=self._pool_restart_budget,
+                    progress_callback=on_progress,
+                ).run()
         except Exception as error:
             from ..resilience import classify_error
 

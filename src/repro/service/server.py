@@ -29,9 +29,9 @@ versioned JSON API served by :class:`http.server.ThreadingHTTPServer`:
     backed by the registry's bounded latency buckets -- plus labelled
     per-endpoint/per-status request counts.  The counters and timers of
     every finished job (board runs and memo hits, query-engine and cache
-    counters, ``project.analyze_function``) are merged in.
+    counters, the ``project.job`` timer) are merged in.
 
-Every request runs under a span (``service.request``) in a bounded ring
+Every request runs under a ``service.request`` region in a bounded ring
 tracer; 5xx responses freeze that ring into a ``diagnostics/`` flight dump
 (when the shared cache is persistent) and echo the request's ``trace_id``
 and dump path in the error body.
@@ -432,9 +432,13 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             self._tracer = obs.Tracer(max_events=obs.DEFAULT_RING_EVENTS)
             self._trace_id = None
             try:
-                with obs.using_tracer(self._tracer), obs.span(
-                    "service.request", method=method, endpoint=endpoint
-                ) as context, perf.using_registry(request_registry):
+                # the region's timer lands in the request's own registry;
+                # the server-wide service.request timer is count_response's
+                with obs.using_tracer(self._tracer), \
+                        perf.using_registry(request_registry), \
+                        obs.region(
+                            "service.request", method=method, endpoint=endpoint
+                        ) as context:
                     self._trace_id = context.trace_id
                     # the chaos site fires before any state changes: an
                     # injected request fault is answered 503 and nothing

@@ -8,7 +8,6 @@ from .figure1 import (
     FIGURE1_SOURCE,
     TABLE1_EXPECTED,
     figure1_analyzed,
-    figure1_program,
 )
 from .multi import (
     MultiFunctionWorkload,
@@ -25,7 +24,6 @@ __all__ = [
     "TABLE1_EXPECTED",
     "edit_call_chain_function",
     "figure1_analyzed",
-    "figure1_program",
     "generate_call_chain_workload",
     "generate_multi_function_workload",
 ]

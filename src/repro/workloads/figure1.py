@@ -16,7 +16,6 @@ The program has
 from __future__ import annotations
 
 from ..minic import AnalyzedProgram, parse_and_analyze
-from ..minic.ast_nodes import Program
 
 #: Source text of the paper's Figure 1 example (line numbers in the paper
 #: refer to the listing as printed there; the structure is identical).
@@ -63,11 +62,6 @@ EXPECTED_BASIC_BLOCKS = 11
 
 #: Number of end-to-end paths through ``main``.
 EXPECTED_TOTAL_PATHS = 6
-
-
-def figure1_program() -> Program:
-    """Parse the Figure 1 example and return its AST."""
-    return figure1_analyzed().program
 
 
 def figure1_analyzed() -> AnalyzedProgram:

@@ -1,11 +1,10 @@
-"""Unit tests for path counting, path enumeration and dominators."""
+"""Unit tests for path counting, path enumeration and natural loops."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cfg import (
-    DominatorTree,
     PathCountError,
     build_cfg,
     count_ast_paths,
@@ -123,20 +122,6 @@ class TestCfgPathCounting:
 
 
 class TestDominators:
-    def test_entry_dominates_everything(self, figure1_cfg):
-        tree = DominatorTree(figure1_cfg)
-        for block in figure1_cfg.blocks():
-            assert tree.dominates(figure1_cfg.entry, block)
-
-    def test_branch_does_not_dominate_join_alternatives(self, figure1_cfg):
-        tree = DominatorTree(figure1_cfg)
-        # block 7 (printf4) does not dominate the exit
-        assert not tree.dominates(7, figure1_cfg.exit.block_id)
-
-    def test_dominated_set_contains_self(self, figure1_cfg):
-        tree = DominatorTree(figure1_cfg)
-        assert 4 in tree.dominated_set(4)
-
     def test_natural_loops_empty_for_loop_free_code(self, figure1_cfg):
         assert natural_loops(figure1_cfg) == []
 

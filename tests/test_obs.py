@@ -8,8 +8,10 @@ The invariants under test are the tentpole promises of the layer:
 * spans form one connected tree under a single ``trace_id``, including
   across the process-pool boundary (the serialisable ``SpanContext``
   handshake);
-* tracing -- disabled *or* recording -- never changes an analysis
-  result: ``result_payload()`` stays bit-identical to an untraced run;
+* tracing never changes an analysis result: ``result_payload()`` stays
+  bit-identical to an untraced run;
+* one vocabulary: every region is a timer, traced or not, so every span
+  name of a traced run is also one of its timers;
 * ``GET /v1/metrics`` serves Prometheus text with histogram timers;
 * quarantines, fired faults and server 5xx responses leave a flight
   dump in ``diagnostics/`` whose ``trace_id`` is echoed in the project
@@ -71,24 +73,20 @@ def payloads(report) -> list[dict]:
 # ---------------------------------------------------------------------- #
 def test_span_is_noop_without_tracer():
     assert obs.active_tracer() is None
-    with obs.span("unit.test", answer=42) as context:
-        assert context is None
-    assert obs.current_context() is None
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = obs.Tracer(enabled=False)
-    with obs.using_tracer(tracer):
-        with obs.span("unit.test") as context:
+    registry = perf.PerfRegistry()
+    with perf.using_registry(registry):
+        with obs.region("unit.test", answer=42) as context:
             assert context is None
-    assert len(tracer) == 0
+    assert obs.current_context() is None
+    # untraced, a region is still a timer
+    assert registry.timer("unit.test").calls == 1
 
 
 def test_nested_spans_share_a_trace_and_link_parents():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
-        with obs.span("unit.outer") as outer:
-            with obs.span("unit.inner", depth=1) as inner:
+        with obs.region("unit.outer") as outer:
+            with obs.region("unit.inner", depth=1) as inner:
                 assert inner.trace_id == outer.trace_id
     events = {event["name"]: event for event in tracer.events()}
     assert events["unit.outer"]["parent_id"] is None
@@ -102,7 +100,7 @@ def test_exception_is_recorded_on_the_span():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
         with pytest.raises(ValueError):
-            with obs.span("unit.boom"):
+            with obs.region("unit.boom"):
                 raise ValueError("expected")
     (event,) = tracer.events()
     assert event["error"]
@@ -112,7 +110,7 @@ def test_ring_tracer_keeps_only_the_newest_events():
     tracer = obs.Tracer(max_events=4)
     with obs.using_tracer(tracer):
         for index in range(10):
-            with obs.span("unit.tick", index=index):
+            with obs.region("unit.tick", index=index):
                 pass
     assert len(tracer) == 4
     kept = [event["attrs"]["index"] for event in tracer.events()]
@@ -129,13 +127,13 @@ def test_span_context_roundtrip_and_rejection():
 def test_merge_reattaches_cross_process_events():
     parent = obs.Tracer()
     with obs.using_tracer(parent):
-        with obs.span("unit.root") as root:
+        with obs.region("unit.root") as root:
             handshake = root.to_dict()
     # simulate the pool worker: a private tracer seeded from the wire dict
     worker = obs.Tracer()
     seed = obs.SpanContext.from_dict(handshake)
     with obs.using_tracer(worker, seed):
-        with obs.span("unit.remote") as remote:
+        with obs.region("unit.remote") as remote:
             assert remote.trace_id == root.trace_id
     parent.merge(worker.events())
     summary = obs.summarize(parent.events())
@@ -147,8 +145,8 @@ def test_merge_reattaches_cross_process_events():
 def test_jsonl_and_chrome_exports_roundtrip(tmp_path):
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
-        with obs.span("unit.outer"):
-            with obs.span("unit.inner"):
+        with obs.region("unit.outer"):
+            with obs.region("unit.inner"):
                 pass
     jsonl = tmp_path / "trace.jsonl"
     chrome = tmp_path / "trace.json"
@@ -176,7 +174,7 @@ def test_prometheus_text_renders_counters_and_histograms():
     registry = perf.PerfRegistry()
     with perf.using_registry(registry):
         perf.add("unit.widgets", 3)
-        with perf.timed("unit.step"):
+        with obs.region("unit.step"):
             pass
     text = obs.prometheus_text(registry.report())
     assert "repro_unit_widgets_total 3" in text
@@ -228,11 +226,6 @@ def test_perf_registry_merge_combines_like_one_registry():
     # merging an empty report changes nothing
     left.merge(perf.PerfRegistry().report())
     assert left.report() == whole.report()
-    # a disabled registry ignores merges as it ignores add
-    disabled = perf.PerfRegistry(enabled=False)
-    disabled.merge(whole.report())
-    assert disabled.report()["counters"] == {}
-    assert disabled.report()["timers"] == {}
 
 
 # ---------------------------------------------------------------------- #
@@ -241,7 +234,7 @@ def test_perf_registry_merge_combines_like_one_registry():
 def test_flight_recorder_dumps_the_span_ring(tmp_path):
     tracer = obs.Tracer(max_events=8)
     with obs.using_tracer(tracer):
-        with obs.span("unit.work"):
+        with obs.region("unit.work"):
             pass
     recorder = obs.FlightRecorder(tmp_path / obs.DIAGNOSTICS_DIR)
     record = recorder.dump("unit-test", tracer=tracer, detail="boom")
@@ -316,12 +309,8 @@ def test_tracing_on_off_results_are_bit_identical():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
         traced = ProjectScheduler(project, config=quick_config()).run()
-    with obs.using_tracer(obs.Tracer(enabled=False)):
-        disabled = ProjectScheduler(project, config=quick_config()).run()
     assert payloads(untraced) == payloads(traced)
-    assert payloads(untraced) == payloads(disabled)
     assert untraced.trace_id is None
-    assert disabled.trace_id is None
     assert traced.trace_id is not None
     # the report's only delta is its observability section
     assert traced.to_dict()["observability"]["trace_spans"] == len(tracer)
@@ -337,6 +326,40 @@ def test_analyzer_and_mc_stages_emit_spans():
     # check covers those on the call-chain workload
     assert {"analyze.partition", "analyze.testgen", "analyze.measure",
             "analyze.schema"} <= names
+
+
+def test_untraced_analysis_times_every_stage():
+    from repro.pipeline import WcetAnalyzer
+    from repro.workloads import figure1_analyzed
+
+    assert obs.active_tracer() is None
+    with perf.using_registry(perf.PerfRegistry()):
+        WcetAnalyzer(
+            figure1_analyzed(), "main", quick_config(exhaustive_limit=20_000)
+        ).analyze()
+        timers = perf.report()["timers"]
+    for stage in ("sa", "partition", "testgen", "measure", "schema",
+                  "exhaustive"):
+        assert timers[f"analyze.{stage}"]["calls"] == 1, stage
+
+
+@pytest.mark.project
+def test_every_span_name_is_a_timer_of_the_same_run():
+    tracer = obs.Tracer()
+    registry = perf.PerfRegistry()
+    with perf.using_registry(registry), obs.using_tracer(tracer):
+        ProjectScheduler(
+            Project.from_sources(PAIR), config=quick_config(), workers=2
+        ).run()
+    span_names = {event["name"] for event in tracer.events()}
+    timers = registry.report()["timers"]
+    assert {"project.run", "project.wave", "project.job",
+            "analyze.testgen"} <= span_names
+    assert span_names <= set(timers)
+    # one region, one timer call and one span: the counts agree too
+    for name in span_names:
+        spans = sum(1 for event in tracer.events() if event["name"] == name)
+        assert timers[name]["calls"] == spans, name
 
 
 # ---------------------------------------------------------------------- #
@@ -392,8 +415,8 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
         assert job["perf"]["counters"]["testgen.static_skips"] == 1
         assert "repro_testgen_static_skips_total 1" in text
         # and so are their timers
-        calls = job["perf"]["timers"]["project.analyze_function"]["calls"]
-        assert f"repro_project_analyze_function_seconds_count {calls}" in text
+        calls = job["perf"]["timers"]["project.job"]["calls"]
+        assert f"repro_project_job_seconds_count {calls}" in text
         # raw exchange to check the content type of the exposition
         with urllib.request.urlopen(srv.base_url + "/v1/metrics") as response:
             assert response.headers["Content-Type"] == (

@@ -216,20 +216,14 @@ class TestPerfRegistry:
         assert registry.counter("missing") == 0
 
     def test_timed_context_manager_records(self):
+        from repro import obs, perf
+
         registry = PerfRegistry()
-        with registry.timed("phase"):
+        with perf.using_registry(registry), obs.region("phase"):
             pass
         stat = registry.timer("phase")
         assert stat is not None and stat.calls == 1
         assert stat.total_seconds >= 0.0
-
-    def test_disabled_registry_is_a_no_op(self):
-        registry = PerfRegistry(enabled=False)
-        registry.add("work")
-        with registry.timed("phase"):
-            pass
-        assert registry.counter("work") == 0
-        assert registry.timer("phase") is None
 
     def test_reset_clears_everything(self):
         registry = PerfRegistry()

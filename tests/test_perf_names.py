@@ -1,9 +1,9 @@
 """Instrumentation name-drift lint.
 
-Sweeps ``src/`` for the literal names passed to ``perf.add(...)``,
-``perf.record_time(...)``, ``perf.timed(...)`` (on the module or on a
-registry object) and ``obs.span(...)``, and compares them — in both
-directions — against the checked-in vocabulary in
+Sweeps ``src/`` for the literal names passed to ``obs.region(...)``, to
+``perf.add(...)`` (on the module or on a registry object) and to
+``registry.record_time(...)``, and compares them — in both directions —
+against the one section of the checked-in vocabulary in
 ``src/repro/perf/NAMES.md``.  A new instrumentation site must be listed
 there; a listed name whose last call site disappeared must be removed.
 
@@ -22,29 +22,29 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 NAMES_MD = SRC / "repro" / "perf" / "NAMES.md"
 
-#: literal first argument of a perf counter/timer call, whether through the
-#: ``perf`` module facade or a registry object (``request_registry.add``...)
-PERF_CALL = re.compile(r'(?:\bperf|registry)\.(?:add|record_time|timed)\(\s*"([^"]+)"')
+#: literal first argument of a counter or directly recorded timer, whether
+#: through the ``perf`` module facade or a registry object
+#: (``request_registry.add``, ``self.registry.record_time``...)
+PERF_CALL = re.compile(r'(?:\bperf|registry)\.(?:add|record_time)\(\s*"([^"]+)"')
 
-#: literal first argument of a trace-span context manager
-SPAN_CALL = re.compile(r'\bobs\.span\(\s*"([^"]+)"')
+#: literal first argument of the instrumentation region context manager
+REGION_CALL = re.compile(r'\bobs\.region\(\s*"([^"]+)"')
 
-PERF_SECTION = "Perf counters and timers"
-SPAN_SECTION = "Trace spans"
+SECTION = "Counters and regions"
 
 
 def _swept_names() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """(perf, span) name -> set of emitting modules, swept from ``src/``."""
+    """(counter/timer, region) name -> set of emitting modules, from ``src/``."""
     perf_names: dict[str, set[str]] = {}
-    span_names: dict[str, set[str]] = {}
+    region_names: dict[str, set[str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         module = str(path.relative_to(SRC))
         for match in PERF_CALL.finditer(text):
             perf_names.setdefault(match.group(1), set()).add(module)
-        for match in SPAN_CALL.finditer(text):
-            span_names.setdefault(match.group(1), set()).add(module)
-    return perf_names, span_names
+        for match in REGION_CALL.finditer(text):
+            region_names.setdefault(match.group(1), set()).add(module)
+    return perf_names, region_names
 
 
 def _registered_names() -> dict[str, set[str]]:
@@ -60,62 +60,55 @@ def _registered_names() -> dict[str, set[str]]:
     return sections
 
 
-@pytest.mark.obs
-def test_names_md_exists_with_both_sections():
-    sections = _registered_names()
-    assert PERF_SECTION in sections, f"NAMES.md lost its '{PERF_SECTION}' section"
-    assert SPAN_SECTION in sections, f"NAMES.md lost its '{SPAN_SECTION}' section"
-    assert sections[PERF_SECTION], "perf section of NAMES.md is empty"
-    assert sections[SPAN_SECTION], "span section of NAMES.md is empty"
-
-
-@pytest.mark.obs
-def test_perf_names_match_registry():
-    swept, _ = _swept_names()
-    registered = _registered_names()[PERF_SECTION]
-    unregistered = {
+def _unregistered(swept: dict[str, set[str]]) -> dict[str, list[str]]:
+    registered = _registered_names()[SECTION]
+    return {
         name: sorted(modules)
         for name, modules in swept.items()
         if name not in registered
     }
-    assert not unregistered, (
-        "perf names emitted by src/ but missing from NAMES.md "
-        f"(add them to the '{PERF_SECTION}' section): {unregistered}"
+
+
+@pytest.mark.obs
+def test_names_md_exists_with_one_section():
+    sections = _registered_names()
+    assert list(sections) == [SECTION], (
+        f"NAMES.md must hold exactly one section, '{SECTION}': {list(sections)}"
     )
-    stale = registered - set(swept)
+    assert sections[SECTION], "NAMES.md lists no names"
+
+
+@pytest.mark.obs
+def test_perf_names_match_registry():
+    """Counters and direct timers are listed; no listed name is stale."""
+    swept, regions = _swept_names()
+    unregistered = _unregistered(swept)
+    assert not unregistered, (
+        "counter/timer names emitted by src/ but missing from NAMES.md "
+        f"(add them to the '{SECTION}' section): {unregistered}"
+    )
+    stale = _registered_names()[SECTION] - set(swept) - set(regions)
     assert not stale, (
-        "perf names listed in NAMES.md with no remaining literal call "
-        f"site in src/ (remove them): {sorted(stale)}"
+        "names listed in NAMES.md with no remaining literal call site in "
+        f"src/ (remove them): {sorted(stale)}"
     )
 
 
 @pytest.mark.obs
 def test_span_names_match_registry():
+    """Every region (a timer and, traced, a span) is listed."""
     _, swept = _swept_names()
-    registered = _registered_names()[SPAN_SECTION]
-    unregistered = {
-        name: sorted(modules)
-        for name, modules in swept.items()
-        if name not in registered
-    }
+    unregistered = _unregistered(swept)
     assert not unregistered, (
-        "span names emitted by src/ but missing from NAMES.md "
-        f"(add them to the '{SPAN_SECTION}' section): {unregistered}"
-    )
-    stale = registered - set(swept)
-    assert not stale, (
-        "span names listed in NAMES.md with no remaining obs.span call "
-        f"site in src/ (remove them): {sorted(stale)}"
+        "region names emitted by src/ but missing from NAMES.md "
+        f"(add them to the '{SECTION}' section): {unregistered}"
     )
 
 
 @pytest.mark.obs
 def test_names_follow_convention():
-    """Dot-separated, lower-case, subsystem-prefixed — both vocabularies."""
-    sections = _registered_names()
-    for section in (PERF_SECTION, SPAN_SECTION):
-        for name in sections[section]:
-            assert re.fullmatch(r"[a-z0-9_]+(\.[a-z0-9_]+)+", name), (
-                f"{section}: {name!r} violates the dotted lower-case "
-                "naming convention"
-            )
+    """Dot-separated, lower-case, subsystem-prefixed."""
+    for name in _registered_names()[SECTION]:
+        assert re.fullmatch(r"[a-z0-9_]+(\.[a-z0-9_]+)+", name), (
+            f"{name!r} violates the dotted lower-case naming convention"
+        )

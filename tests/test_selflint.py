@@ -2,8 +2,8 @@
 
 ``repro.sa.selflint`` walks the Python AST of ``src/repro`` and checks
 the cross-cutting rules that earlier PRs established by convention:
-monotonic clocks in the service, registered fault sites, registered
-perf/span names, ContextVar reset discipline.  The synthetic-module
+monotonic clocks in the service, registered fault sites, ContextVar
+reset discipline.  The synthetic-module
 tests keep the rules honest -- each one must actually fire.
 """
 
@@ -15,7 +15,6 @@ from repro.sa.selflint import (
     RULES,
     LintFinding,
     load_waivers,
-    registered_names,
     run_selflint,
 )
 
@@ -40,7 +39,7 @@ def lint_snippet(tmp_path: Path, relative: str, source: str) -> list[LintFinding
     target = tmp_path / relative
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source, encoding="utf-8")
-    return run_selflint(tmp_path, names_md=REPO_SRC / "perf" / "NAMES.md")
+    return run_selflint(tmp_path)
 
 
 class TestRulesFire:
@@ -63,24 +62,6 @@ class TestRulesFire:
             "maybe_fault('no.such.site')\n",
         )
         assert any(f.rule == "SL002" for f in findings)
-
-    def test_sl003_unregistered_perf_name(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "x.py", "perf.add('made.up.counter', 1)\n"
-        )
-        assert any(f.rule == "SL003" for f in findings)
-
-    def test_sl003_unregistered_span_name(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "x.py", "with obs.span('made.up.span'):\n    pass\n"
-        )
-        assert any(f.rule == "SL003" for f in findings)
-
-    def test_sl003_registered_name_is_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "x.py", "perf.add('mc.query.solver_runs', 1)\n"
-        )
-        assert not any(f.rule == "SL003" for f in findings)
 
     def test_sl004_set_without_reset(self, tmp_path):
         findings = lint_snippet(
@@ -107,16 +88,7 @@ class TestRulesFire:
         target.parent.mkdir(parents=True)
         target.write_text("import time\nnow = time.time()\n", encoding="utf-8")
         waived = run_selflint(
-            tmp_path,
-            names_md=REPO_SRC / "perf" / "NAMES.md",
-            waivers=frozenset({("SL001", "service/clock.py")}),
+            tmp_path, waivers=frozenset({("SL001", "service/clock.py")})
         )
         assert not any(f.rule == "SL001" for f in waived)
 
-
-class TestNamesRegistry:
-    def test_registry_parses_both_sections(self):
-        perf_names, span_names = registered_names(REPO_SRC / "perf" / "NAMES.md")
-        assert "mc.query.static_prunes" in perf_names
-        assert "sa.prefilter" in perf_names
-        assert "analyze.sa" in span_names
