@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 #: pessimistic per-call charge for a project-defined callee without a usable
-#: summary (recursion cycle, failed analysis, or interprocedural mode off);
+#: summary (recursion cycle, ambiguous name, no stored summary);
 #: deliberately far above any leaf bound of the bundled workloads so the
 #: summary-based bound is strictly tighter than this fallback
 DEFAULT_UNKNOWN_CALL_CYCLES = 4096

@@ -25,7 +25,7 @@ and diagnostics tooling (the benchmark is ``python3 wcetbench/run.py``):
     transitive fingerprints.  ``--demo`` runs the synthetic multi-function
     workload, ``--demo-calls`` the call-chain/diamond workload;
     ``--call-graph`` prints the resolved call graph with waves and
-    diagnostics, ``--no-interprocedural`` restores the flat PR 2 behaviour.
+    diagnostics.
 
 ``repro-wcet project ... --trace out.json``
     additionally record every request/wave/job/analysis-stage span of the
@@ -59,7 +59,8 @@ and diagnostics tooling (the benchmark is ``python3 wcetbench/run.py``):
 ``repro-wcet cache-verify``
     sweep the persistent result cache, moving corrupt entries into its
     ``corrupt/`` quarantine directory and reporting what was found
-    (``--json`` for machine-readable output including live cache stats).
+    (``--json`` for machine-readable output including live cache stats);
+    exits non-zero when an entry was quarantined or could not be read.
 
 ``analyze`` and ``project`` additionally take ``--inject-fault SITE:SPEC``
 (repeatable) and ``--fault-seed`` for deterministic chaos testing;
@@ -287,7 +288,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
         cache=cache,
         workers=args.jobs,
         only=args.functions,
-        interprocedural=not args.no_interprocedural,
         unknown_call_cycles=args.unknown_call_cycles,
         fault_plan=plan,
         retry_policy=RetryPolicy(
@@ -297,17 +297,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
         pool_restart_budget=args.pool_restarts,
         query_cache=query_cache,
     )
-    if args.no_interprocedural:
-        for flag, value in (
-            ("--call-graph", args.call_graph),
-            ("--unknown-call-cycles", args.unknown_call_cycles is not None),
-        ):
-            if value:
-                print(
-                    f"note: {flag} has no effect with --no-interprocedural "
-                    "(no call graph is built in flat mode)",
-                    file=sys.stderr,
-                )
     if args.trace_output:
         from . import obs
 
@@ -327,7 +316,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
         )
     else:
         report = scheduler.run()
-    if args.call_graph and scheduler.callgraph is not None:
+    if args.call_graph:
         print(scheduler.callgraph.to_text())
     print(report.to_text())
     if args.json_output:
@@ -375,15 +364,17 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
 
     cache = ResultCache(args.cache_dir)
     report = cache.verify()
+    status = 1 if report["quarantined"] or report["unreadable"] else 0
     if args.json_output:
         payload = dict(report)
         payload["stats"] = cache.stats()
         print(json.dumps(payload, indent=2))
-        return 0 if not report["quarantined"] else 1
+        return status
     print(f"cache directory : {args.cache_dir}")
     print(f"entries checked : {report['checked']}")
     print(f"entries ok      : {report['ok']}")
     print(f"quarantined     : {report['quarantined']}")
+    print(f"unreadable      : {report['unreadable']}")
     print(f"schema mismatch : {report['schema_mismatch']}")
     print(
         f"query entries   : {report['query_checked']} checked, "
@@ -391,7 +382,7 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     )
     for note in report["entries"]:
         print(f"  ! {note}")
-    return 0 if not report["quarantined"] else 1
+    return status
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -573,11 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument(
         "--call-graph", action="store_true",
         help="also print the resolved call graph (waves, cycles, diagnostics)",
-    )
-    project.add_argument(
-        "--no-interprocedural", action="store_true",
-        help="disable call-graph scheduling and callee summary reuse "
-        "(flat job graph, content-only cache keys)",
     )
     project.add_argument(
         "--unknown-call-cycles", type=int, default=None, metavar="CYCLES",

@@ -296,11 +296,9 @@ class QueryStoreStats:
 class QueryStore:
     """Persistent verdict/witness store over a result cache's query namespace.
 
-    ``cache`` is duck-typed (anything exposing ``query_key_for`` /
-    ``get_query`` / ``put_query`` / ``quarantine_query``); in practice it is
-    the scheduler's :class:`~repro.project.cache.ResultCache`, so query
-    entries inherit its crash-safety, fault-injection sites and
-    quarantine machinery.
+    ``cache`` is a :class:`~repro.project.cache.ResultCache` (the
+    scheduler's, by default), so query entries inherit its crash-safety,
+    fault-injection sites and quarantine machinery.
     """
 
     def __init__(self, cache):
@@ -383,9 +381,7 @@ class QueryStore:
         self.replay_failures.append(
             {"key": key, "goal": goal.description, "reason": reason}
         )
-        quarantine = getattr(self._cache, "quarantine_query", None)
-        if quarantine is not None:
-            quarantine(key, reason)
+        self._cache.quarantine_query(key, reason)
 
 
 # ---------------------------------------------------------------------- #

@@ -53,9 +53,6 @@ class SymbolicEngineOptions:
     #: the query planner maps a :class:`~repro.mc.query.QueryBudget`'s
     #: solver-call limit onto this knob
     max_solver_calls: int | None = None
-    #: skip solver calls for guards while exploring and only solve at the goal
-    #: (faster for huge models, may explore some infeasible prefixes)
-    eager_guard_checks: bool = True
 
 
 @dataclass
@@ -167,13 +164,12 @@ class SymbolicEngine:
                     constraint = Constraint(guard)
                     new_constraints = state.constraints + [constraint]
                     constraint_nodes += constraint.node_count
-                    if self._options.eager_guard_checks:
-                        feasible, solver_peak = self._satisfiable(
-                            new_constraints, stats, deadline
-                        )
-                        solver_stats_peak = max(solver_stats_peak, solver_peak)
-                        if not feasible:
-                            continue
+                    feasible, solver_peak = self._satisfiable(
+                        new_constraints, stats, deadline
+                    )
+                    solver_stats_peak = max(solver_stats_peak, solver_peak)
+                    if not feasible:
+                        continue
                 new_env = dict(state.environment)
                 environment_nodes = state.environment_nodes
                 if transition.updates:

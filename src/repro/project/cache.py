@@ -71,13 +71,15 @@ CACHE_SCHEMA = "repro-project-cache/6"
 #: sibling directory quarantined (corrupt) entries are moved into
 CORRUPT_DIR = "corrupt"
 
+#: entry kind -> the payload field holding its body
+_BODY_FIELD = {"function": "summary", "query": "entry"}
+
 
 class ResultCache:
     """Content-addressed store of :class:`FunctionSummary` results."""
 
-    def __init__(self, root: str | Path | None, enabled: bool = True):
+    def __init__(self, root: str | Path | None):
         self._root = Path(root) if root is not None else None
-        self.enabled = enabled and self._root is not None
         self.hits = 0
         self.misses = 0
         #: query-namespace lookups (kept apart from the function-level
@@ -100,16 +102,16 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     @classmethod
     def disabled(cls) -> "ResultCache":
-        return cls(root=None, enabled=False)
+        return cls(root=None)
 
     @property
     def root(self) -> Path | None:
         return self._root
 
     @property
-    def store_failures(self) -> int:
-        """Backwards-compatible alias of :attr:`write_failures`."""
-        return self.write_failures
+    def enabled(self) -> bool:
+        """A cache without a root directory stores and finds nothing."""
+        return self._root is not None
 
     # ------------------------------------------------------------------ #
     def key_for(self, function_fingerprint: str, config: AnalyzerConfig) -> str:
@@ -141,11 +143,6 @@ class ResultCache:
         return self._root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------ #
-    def _maybe_fault(self, site: str, key: str):
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.check(site, key)
-
     def _lock(self):
         """Advisory exclusive lock on ``<root>/.lock`` (context manager)."""
         return _CacheLock(self._root)
@@ -157,20 +154,9 @@ class ResultCache:
         Unreadable I/O (real or injected) counts ``read_failures`` and reads
         as a miss; a corrupt entry is quarantined and reads as a miss.
         """
-        if not self.enabled:
+        if self._root is None:
             return None
-        try:
-            corrupt_payload = False
-            spec = self._maybe_fault("cache.read", key)
-            if spec is not None and spec.kind is FaultKind.CORRUPT:
-                corrupt_payload = True
-            with obs.region("project.cache.lookup", key=key[:12]):
-                summary = self._read(key, force_corrupt=corrupt_payload)
-        except InjectedFault as fault:
-            self.read_failures += 1
-            perf.add("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
-            summary = None
+        summary = self._lookup(key, "function")
         if summary is None:
             self.misses += 1
             perf.add("project.cache.misses")
@@ -180,53 +166,120 @@ class ResultCache:
         summary.from_cache = True
         return summary
 
-    def _read(self, key: str, force_corrupt: bool = False) -> FunctionSummary | None:
+    def get_query(self, key: str) -> dict | None:
+        """Load the raw query-store entry under *key*, or ``None`` on a miss.
+
+        The entry object comes back as stored: *semantic* validation --
+        checksum, fingerprint echo, witness replay -- belongs to
+        :class:`repro.mc.store.QueryStore`, which treats anything invalid
+        as a miss and quarantines it via :meth:`quarantine_query`.
+        """
+        if self._root is None:
+            return None
+        entry = self._lookup(key, "query")
+        if entry is None:
+            self.query_misses += 1
+            perf.add("project.cache.query_misses")
+            return None
+        self.query_hits += 1
+        perf.add("project.cache.query_hits")
+        return entry
+
+    def _lookup(self, key: str, kind: str) -> FunctionSummary | dict | None:
+        """The body of the *kind* entry under *key*, or ``None``.
+
+        The one lookup path of both kinds: the ``cache.read`` fault site,
+        the ``project.cache.lookup`` region and :meth:`_read`.  An entry of
+        the other kind reads as another version's (cannot happen by
+        construction: the two kinds' keys never collide).
+        """
+        try:
+            spec = None
+            if self.fault_injector is not None:
+                spec = self.fault_injector.check("cache.read", key)
+            with obs.region("project.cache.lookup", key=key[:12]):
+                found, body = self._read(
+                    key,
+                    corrupt=spec is not None and spec.kind is FaultKind.CORRUPT,
+                )
+        except InjectedFault as fault:
+            self._read_failed(key, fault)
+            return None
+        if body is not None and found != kind:
+            self._schema_mismatch()
+            return None
+        return body
+
+    def _read(self, key: str, corrupt: bool = False) -> tuple[str | None, object]:
+        """Parse the entry under *key* into ``(kind, body)``.
+
+        ``body`` is a :class:`FunctionSummary` for a ``"function"`` entry and
+        the raw entry object for a ``"query"`` one, or ``None`` when the
+        entry is missing, unreadable (counted), another schema's (counted,
+        left in place) or corrupt (quarantined).  ``kind`` is ``None`` when
+        the file does not parse to a JSON object.  ``corrupt`` simulates a
+        torn entry discovered at read time (a ``cache.read`` CORRUPT fault)
+        by garbling the bytes just read.
+        """
         path = self.path_for(key)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
-            return None
+            return None, None
         except OSError as error:
-            self.read_failures += 1
-            perf.add("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
-            return None
-        if force_corrupt:
-            # a CORRUPT fault at cache.read simulates a torn entry being
-            # discovered at read time: garble the bytes we just read
+            self._read_failed(key, error)
+            return None, None
+        if corrupt:
             text = text[: max(1, len(text) // 2)]
         try:
             payload = json.loads(text)
         except ValueError as error:
             self._quarantine(path, key, f"unparsable JSON: {error}")
-            return None
+            return None, None
         if not isinstance(payload, dict):
             self._quarantine(path, key, "payload is not a JSON object")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
+            return None, None
+        kind = payload.get("kind", "function")
+        if not isinstance(kind, str):
+            kind = None
+        if payload.get("schema") != CACHE_SCHEMA or kind not in _BODY_FIELD:
             # a different (older/newer) code version's entry: miss, not corrupt
-            self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
-            return None
-        if payload.get("kind", "function") != "function":
-            # a query-namespace entry under a function key cannot happen by
-            # construction; treat a mislabelled one as another version's
-            self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
-            return None
-        summary = payload.get("summary")
-        if not isinstance(summary, dict):
-            self._quarantine(path, key, "entry has no summary object")
-            return None
+            self._schema_mismatch()
+            return kind, None
+        field = _BODY_FIELD[kind]
+        body = payload.get(field)
+        if not isinstance(body, dict):
+            self._quarantine(path, key, f"{kind} entry has no {field} object")
+            return kind, None
+        if kind == "query":
+            return kind, body
         try:
-            return FunctionSummary.from_dict(summary)
+            return kind, FunctionSummary.from_dict(body)
         except TypeError as error:
             self._quarantine(path, key, f"summary payload malformed: {error}")
-            return None
+            return kind, None
+
+    def _read_failed(self, key: str, error: Exception) -> None:
+        self.read_failures += 1
+        perf.add("project.cache.read_failures")
+        self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
+
+    def _schema_mismatch(self) -> None:
+        self.schema_mismatches += 1
+        perf.add("project.cache.schema_mismatches")
 
     # ------------------------------------------------------------------ #
     def put(self, key: str, summary: FunctionSummary) -> None:
-        """Store *summary* under *key* (atomic; no-op when disabled).
+        """Store *summary* under *key* (atomic; no-op when disabled)."""
+        if self._root is not None:
+            self._save(key, "function", summary.result_payload())
+
+    def put_query(self, key: str, entry: dict) -> bool:
+        """Store one query-store entry (atomic; ``False`` when not stored)."""
+        return self._root is not None and self._save(key, "query", entry)
+
+    def _save(self, key: str, kind: str, body: dict) -> bool:
+        """Atomically persist one entry of either kind; ``True`` when stored.
 
         The cache is an optimization: an unwritable directory must not
         discard the analysis results it was asked to remember, so storage
@@ -234,21 +287,9 @@ class ResultCache:
         ``project.cache.write_failures``) and surfaced once as a diagnostic,
         and no temp file survives the failure.
         """
-        if not self.enabled:
-            return
-        text = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "key": key,
-                "kind": "function",
-                "summary": summary.result_payload(),
-            },
-            indent=2,
-        )
-        self._store_text(key, text)
-
-    def _store_text(self, key: str, text: str) -> bool:
-        """Atomically persist one entry's JSON text (shared by both kinds)."""
+        payload = {"schema": CACHE_SCHEMA, "key": key, "kind": kind}
+        payload[_BODY_FIELD[kind]] = body
+        text = json.dumps(payload, indent=2)
         path = self.path_for(key)
         try:
             with obs.region("project.cache.store", key=key[:12]), \
@@ -263,7 +304,9 @@ class ResultCache:
                     encoding="utf-8",
                 )
                 try:
-                    spec = self._maybe_fault("cache.write", key)
+                    spec = None
+                    if self.fault_injector is not None:
+                        spec = self.fault_injector.check("cache.write", key)
                     if spec is not None and spec.kind is FaultKind.CORRUPT:
                         # simulate a torn write: persist a truncated entry
                         text = text[: max(1, len(text) // 2)]
@@ -277,7 +320,6 @@ class ResultCache:
         except (OSError, InjectedFault) as error:
             self.write_failures += 1
             perf.add("project.cache.write_failures")
-            perf.add("project.cache.store_failures")
             if not self._warned_write_failure:
                 self._warned_write_failure = True
                 self.diagnostics.append(
@@ -288,88 +330,9 @@ class ResultCache:
         perf.add("project.cache.stores")
         return True
 
-    # ------------------------------------------------------------------ #
-    # the model-checking query namespace (see repro.mc.store)
-    # ------------------------------------------------------------------ #
-    def get_query(self, key: str) -> dict | None:
-        """Load the raw query-store entry under *key*, or ``None`` on a miss.
-
-        Mirrors :meth:`get` (fault site, region, quarantine on corruption) but
-        hands back the raw entry object: *semantic* validation -- checksum,
-        fingerprint echo, witness replay -- belongs to
-        :class:`repro.mc.store.QueryStore`, which treats anything invalid
-        as a miss and quarantines it via :meth:`quarantine_query`.
-        """
-        if not self.enabled:
-            return None
-        try:
-            corrupt_payload = False
-            spec = self._maybe_fault("cache.read", key)
-            if spec is not None and spec.kind is FaultKind.CORRUPT:
-                corrupt_payload = True
-            with obs.region("project.cache.lookup", key=key[:12]):
-                entry = self._read_query(key, force_corrupt=corrupt_payload)
-        except InjectedFault as fault:
-            self.read_failures += 1
-            perf.add("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
-            entry = None
-        if entry is None:
-            self.query_misses += 1
-            perf.add("project.cache.query_misses")
-            return None
-        self.query_hits += 1
-        perf.add("project.cache.query_hits")
-        return entry
-
-    def _read_query(self, key: str, force_corrupt: bool = False) -> dict | None:
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as error:
-            self.read_failures += 1
-            perf.add("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
-            return None
-        if force_corrupt:
-            text = text[: max(1, len(text) // 2)]
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            self._quarantine(path, key, f"unparsable JSON: {error}")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, key, "payload is not a JSON object")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
-            return None
-        if payload.get("kind") != "query":
-            self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
-            return None
-        entry = payload.get("entry")
-        if not isinstance(entry, dict):
-            self._quarantine(path, key, "query entry has no entry object")
-            return None
-        return entry
-
-    def put_query(self, key: str, entry: dict) -> bool:
-        """Store one query-store entry (atomic; ``False`` when not stored)."""
-        if not self.enabled:
-            return False
-        text = json.dumps(
-            {"schema": CACHE_SCHEMA, "key": key, "kind": "query", "entry": entry},
-            indent=2,
-        )
-        return self._store_text(key, text)
-
     def quarantine_query(self, key: str, reason: str) -> None:
         """Quarantine the query entry under *key* (e.g. failed witness replay)."""
-        if not self.enabled:
+        if self._root is None:
             return
         path = self.path_for(key)
         if path.is_file():
@@ -385,7 +348,7 @@ class ResultCache:
         can never change behind an unchanged key, only appear or vanish.
         Returns ``None`` when no entry exists (or caching is disabled).
         """
-        if not self.enabled:
+        if self._root is None:
             return None
         return key if self.path_for(key).is_file() else None
 
@@ -399,16 +362,12 @@ class ResultCache:
         """
         entries = 0
         total_bytes = 0
-        if self.enabled and self._root is not None and self._root.is_dir():
-            for shard in self._root.iterdir():
-                if not shard.is_dir() or shard.name == CORRUPT_DIR:
-                    continue
-                for path in shard.glob("*.json"):
-                    try:
-                        total_bytes += path.stat().st_size
-                    except OSError:
-                        continue
-                    entries += 1
+        for path in self._entry_paths():
+            try:
+                total_bytes += path.stat().st_size
+            except OSError:
+                continue
+            entries += 1
         return {
             "enabled": self.enabled,
             "directory": str(self._root) if self._root else None,
@@ -423,6 +382,17 @@ class ResultCache:
             "schema_mismatches": self.schema_mismatches,
             "quarantined": self.quarantined,
         }
+
+    def _entry_paths(self) -> list[Path]:
+        """Every live entry file, shard by shard (quarantine excluded)."""
+        if self._root is None or not self._root.is_dir():
+            return []
+        return [
+            path
+            for shard in sorted(self._root.iterdir())
+            if shard.is_dir() and shard.name != CORRUPT_DIR
+            for path in sorted(shard.glob("*.json"))
+        ]
 
     # ------------------------------------------------------------------ #
     def _quarantine(self, path: Path, key: str, reason: str) -> None:
@@ -451,78 +421,56 @@ class ResultCache:
     def verify(self) -> dict[str, object]:
         """Sweep every entry of both kinds, quarantining corrupt ones.
 
-        Function entries are checked by re-reading them; query entries get
-        the offline structural validation of :mod:`repro.mc.store`
-        (checksum over the canonical entry, verdict/witness shape, trace
-        chaining) -- witness *replay* needs the sliced system and happens
-        on the load path instead.  Returns ``{"checked": n, "ok": n,
-        "quarantined": n, "schema_mismatch": n, "query_checked": n,
+        Every entry goes through the lookup parser (:meth:`_read`); query
+        entries then get the offline structural validation of
+        :mod:`repro.mc.store` (checksum over the canonical entry,
+        verdict/witness shape, trace chaining) -- witness *replay* needs
+        the sliced system and happens on the load path instead.  Entries
+        that cannot be read at all (I/O errors) are ``unreadable``.
+        Returns ``{"checked": n, "ok": n, "quarantined": n,
+        "unreadable": n, "schema_mismatch": n, "query_checked": n,
         "query_ok": n, "query_quarantined": n, "entries": [...]}``.
         """
-        report: dict[str, object] = {
-            "checked": 0,
-            "ok": 0,
-            "quarantined": 0,
-            "schema_mismatch": 0,
-            "query_checked": 0,
-            "query_ok": 0,
-            "query_quarantined": 0,
-            "entries": [],
-        }
-        if not self.enabled or self._root is None or not self._root.is_dir():
-            return report
         from ..mc.store import structural_error
 
-        notes: list[str] = report["entries"]  # type: ignore[assignment]
-        for shard in sorted(self._root.iterdir()):
-            if not shard.is_dir() or shard.name == CORRUPT_DIR:
-                continue
-            for path in sorted(shard.glob("*.json")):
-                key = path.stem
-                report["checked"] = int(report["checked"]) + 1
-                is_query = self._entry_kind(path) == "query"
+        counts = dict.fromkeys(
+            (
+                "checked", "ok", "quarantined", "unreadable", "schema_mismatch",
+                "query_checked", "query_ok", "query_quarantined",
+            ),
+            0,
+        )
+        notes: list[str] = []
+        for path in self._entry_paths():
+            key = path.stem
+            counts["checked"] += 1
+            quarantined_before = self.quarantined
+            read_failures_before = self.read_failures
+            kind, body = self._read(key)
+            is_query = kind == "query"
+            if is_query:
+                counts["query_checked"] += 1
+                reason = structural_error(body) if body is not None else None
+                if reason is not None:
+                    self._quarantine(path, key, f"query entry invalid: {reason}")
+                    body = None
+                elif body is not None:
+                    counts["query_ok"] += 1
+            if body is not None:
+                counts["ok"] += 1
+            elif self.quarantined > quarantined_before:
+                counts["quarantined"] += 1
                 if is_query:
-                    report["query_checked"] = int(report["query_checked"]) + 1
-                quarantined_before = self.quarantined
-                if is_query:
-                    entry = self._read_query(key)
-                    if entry is not None:
-                        reason = structural_error(entry)
-                        if reason is not None:
-                            self._quarantine(
-                                path, key, f"query entry invalid: {reason}"
-                            )
-                            entry = None
-                    ok = entry is not None
-                    if ok:
-                        report["query_ok"] = int(report["query_ok"]) + 1
-                else:
-                    ok = self._read(key) is not None
-                if ok:
-                    report["ok"] = int(report["ok"]) + 1
-                elif self.quarantined > quarantined_before:
-                    report["quarantined"] = int(report["quarantined"]) + 1
-                    if is_query:
-                        report["query_quarantined"] = (
-                            int(report["query_quarantined"]) + 1
-                        )
-                    notes.append(self.diagnostics[-1])
-                else:
-                    report["schema_mismatch"] = int(report["schema_mismatch"]) + 1
-                    notes.append(f"schema mismatch (stale version): {key[:12]}…")
-        perf.add("project.cache.verified_entries", int(report["checked"]))
-        return report
-
-    def _entry_kind(self, path: Path) -> str | None:
-        """Best-effort ``kind`` discriminator of one entry file."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        kind = payload.get("kind", "function")
-        return kind if isinstance(kind, str) else None
+                    counts["query_quarantined"] += 1
+                notes.append(self.diagnostics[-1])
+            elif self.read_failures > read_failures_before:
+                counts["unreadable"] += 1
+                notes.append(self.diagnostics[-1])
+            else:
+                counts["schema_mismatch"] += 1
+                notes.append(f"schema mismatch (stale version): {key[:12]}…")
+        perf.add("project.cache.verified_entries", counts["checked"])
+        return {**counts, "entries": notes}
 
 
 class _CacheLock:

@@ -1,11 +1,11 @@
 """Job-graph scheduler driving :class:`WcetAnalyzer` over a whole project.
 
-Every analyzable function becomes one :class:`AnalysisJob`.  In the default
-interprocedural mode the scheduler builds the project call graph
-(:mod:`repro.callgraph`), orders the jobs into topological *dependency
-waves* -- callees before callers -- and feeds each completed callee's WCET
-bound into its callers as a :class:`~repro.callgraph.summaries.CalleeSummary`:
-the caller's measurement charges every summarised call site
+Every analyzable function becomes one :class:`AnalysisJob`.  The scheduler
+builds the project call graph (:mod:`repro.callgraph`), orders the jobs into
+topological *dependency waves* -- callees before callers -- and feeds each
+completed callee's WCET bound into its callers as a
+:class:`~repro.callgraph.summaries.CalleeSummary`: the caller's
+measurement charges every summarised call site
 ``call_overhead + callee bound`` instead of guessing a library cost.  Calls
 that cannot be summarised (recursion cycles, ambiguous names) are charged
 the pessimistic unknown-call cost, and callees whose stubbing would be
@@ -259,7 +259,6 @@ class ProjectScheduler:
         cache: ResultCache | None = None,
         workers: int = 1,
         only: list[str] | None = None,
-        interprocedural: bool = True,
         unknown_call_cycles: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -311,7 +310,6 @@ class ProjectScheduler:
         self._cache = cache or ResultCache.disabled()
         self._workers = max(1, int(workers))
         self._only = only
-        self._interprocedural = interprocedural
         self._unknown_call_cycles = (
             DEFAULT_UNKNOWN_CALL_CYCLES
             if unknown_call_cycles is None
@@ -371,8 +369,7 @@ class ProjectScheduler:
         self.trace_id: str | None = None
         #: the tracer the last run recorded into (ambient or auto-armed ring)
         self._tracer: obs.Tracer | None = None
-        #: the resolved project call graph (built lazily with the jobs;
-        #: ``None`` in flat mode)
+        #: the resolved project call graph (built lazily with the jobs)
         self.callgraph = None
         #: execution mode of the last run ("serial", "process-pool", or
         #: "serial-fallback" when a pool could not be created or died)
@@ -402,25 +399,10 @@ class ProjectScheduler:
     def jobs(self) -> list[AnalysisJob]:
         """The job graph (built once, ordered by (unit, function))."""
         if self._jobs is None:
-            if self._interprocedural:
-                self._jobs = self._build_interprocedural_jobs()
-            else:
-                self._jobs = [
-                    AnalysisJob(
-                        job_id=index,
-                        function=function,
-                        cache_key=self._cache.key_for(
-                            function.fingerprint, self._config
-                        ),
-                        transitive_fingerprint=function.fingerprint,
-                    )
-                    for index, function in enumerate(
-                        self._project.functions(only=self._only)
-                    )
-                ]
+            self._jobs = self._build_jobs()
         return self._jobs
 
-    def _build_interprocedural_jobs(self) -> list[AnalysisJob]:
+    def _build_jobs(self) -> list[AnalysisJob]:
         """Resolve the call graph and key every job on a transitive fingerprint.
 
         With an ``only`` filter the selection is closed over resolved callees:
@@ -581,7 +563,7 @@ class ProjectScheduler:
             workers=self._workers,
             waves=self.waves_executed,
             summary_reuse_calls=reused_calls,
-            callgraph=self.callgraph.to_dict() if self.callgraph else None,
+            callgraph=self.callgraph.to_dict(),
             elapsed_seconds=time.perf_counter() - started,
             pool_restarts=self.pool_restarts,
             cache_write_failures=self._cache.write_failures,
@@ -684,7 +666,7 @@ class ProjectScheduler:
         )
         for call_name in job.ambiguous_call_names:
             bounds[call_name] = self._unknown_call_cycles
-        if job.unsummarisable and self.callgraph is not None:
+        if job.unsummarisable:
             frontier = [job.resolved_map[name] for name in job.unsummarisable]
             visited: set[str] = set()
             demanded_inline = set(job.unsummarisable)

@@ -25,7 +25,9 @@ properties follow directly:
 Jobs execute on a dedicated worker thread (FIFO), each under its **own**
 :class:`~repro.perf.PerfRegistry` activation (:func:`repro.perf.using_registry`),
 so the perf counters of concurrent requests never bleed into each other;
-the per-job report is served back through the job-status endpoint.
+the per-job report is served back through the job-status endpoint.  The
+queue's own counters (``service.jobs.*``) go straight to the aggregate
+registry the server exposes.
 """
 
 from __future__ import annotations
@@ -219,9 +221,10 @@ class JobQueue:
         self._retry_policy = retry_policy
         self._job_timeout = job_timeout_seconds
         self._pool_restart_budget = pool_restart_budget
-        #: aggregate registry every finished job's counters and timers merge
-        #: into (the server's, so ``/v1/metrics`` shows analysis work)
-        self._metrics = metrics
+        #: aggregate registry of the queue's own counters and of every
+        #: finished job's counters and timers (the server's, so
+        #: ``/v1/metrics`` shows queue and analysis work)
+        self._registry = metrics if metrics is not None else perf.PerfRegistry()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._pending: collections.deque[ServiceJob] = collections.deque()
@@ -302,7 +305,7 @@ class JobQueue:
             if existing is not None and existing.state is not ServiceJobState.FAILED:
                 existing.submissions += 1
                 self.deduplicated += 1
-                perf.add("service.jobs.deduplicated")
+                self._registry.add("service.jobs.deduplicated")
                 return existing, True
             self._next_id += 1
             job = ServiceJob(
@@ -330,7 +333,7 @@ class JobQueue:
             self._jobs[job.job_id] = job
             self._by_fingerprint[fingerprint] = job
             self._pending.append(job)
-            perf.add("service.jobs.submitted")
+            self._registry.add("service.jobs.submitted")
             self._wake.notify_all()
             return job, False
 
@@ -428,9 +431,9 @@ class JobQueue:
             job.state = ServiceJobState.FAILED
             job.finished_at = time.monotonic()
             self._record_perf(job, registry)
+            self._registry.add("service.jobs.failed")
             with self._lock:
                 self.failed += 1
-            perf.add("service.jobs.failed")
             job.event.set()
             return
         job.project = None
@@ -438,20 +441,19 @@ class JobQueue:
         job.cache_hits = report.cache_hits
         job.cache_misses = report.cache_misses
         self._record_perf(job, registry)
+        self._registry.add("service.jobs.completed")
         job.state = ServiceJobState.DONE
         job.finished_at = time.monotonic()
         with self._lock:
             self.completed += 1
             if job.session is not None:
                 self._sessions[job.session] = dict(job.function_fingerprints)
-        perf.add("service.jobs.completed")
         job.event.set()
 
     def _record_perf(self, job: ServiceJob, registry: perf.PerfRegistry) -> None:
         snapshot = registry.report()
         job.perf_zlib = zlib.compress(json.dumps(snapshot).encode("utf-8"))
-        if self._metrics is not None:
-            self._metrics.merge(snapshot)
+        self._registry.merge(snapshot)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -598,7 +598,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             if candidates:
                 tags = {tag.strip() for tag in candidates.split(",")}
                 if etag in tags or "*" in tags:
-                    perf.add("service.results.not_modified")
+                    server.registry.add("service.results.not_modified")
                     self._send_empty(304, headers={"ETag": etag})
                     return 304
             self._send_json(200, raw=job.report_text, headers={"ETag": etag})

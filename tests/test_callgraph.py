@@ -615,6 +615,46 @@ class TestSummarisationSafety:
         assert warm == ["solo_task"]
         assert (third.cache_hits, third.cache_misses) == (1, 8)
 
+    def test_same_unit_inlined_callee_edit_reanalyses_caller(
+        self, tmp_path: Path
+    ):
+        """f uses g's return value, so the board inlines g's body into f's
+        measurements.  After g is edited in f's own unit, a run over the
+        same cache must re-analyse f and match a fresh analysis -- serving
+        f's old entry would report a bound below the new worst case."""
+        def sources(g_body: str) -> Project:
+            return project_of(
+                a_c=f"Int16 g(void) {{ {g_body} }}\n"
+                "void f(void) { out = out + g(); }\n"
+            )
+
+        cache_dir = tmp_path / "cache"
+        before = sources("return x;")
+        assert CallGraph.from_project(before).node("a.c:f").unsummarisable == (
+            "g",
+        )
+        first = ProjectScheduler(
+            before, config=quick_config(), cache=ResultCache(cache_dir)
+        ).run()
+
+        edited = sources(
+            "Int16 r = x; if (x > 1) { r = r * 3 + 1; r = r * 5 - x; "
+            "r = r / 2 + 7; } return r;"
+        )
+        warm = ProjectScheduler(
+            edited, config=quick_config(), cache=ResultCache(cache_dir)
+        ).run()
+        fresh = ProjectScheduler(edited, config=quick_config()).run()
+        assert not warm.failures
+        assert (warm.cache_hits, warm.cache_misses) == (0, 2)
+        assert warm.function_payloads() == fresh.function_payloads()
+        def bound_of_f(report) -> int:
+            return next(
+                s.wcet_bound_cycles for s in report.functions if s.function == "f"
+            )
+
+        assert bound_of_f(fresh) > bound_of_f(first)
+
     def test_sibling_edit_invalidates_only_its_callers(
         self, chain_workload, chain_project, tmp_path: Path
     ):
@@ -722,22 +762,3 @@ class TestCallGraphCli:
 
         assert cli_main(["project", "--demo", "--demo-calls"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_call_graph_flag_in_flat_mode_prints_note(self, capsys):
-        from repro.cli import main as cli_main
-
-        code = cli_main(
-            [
-                "project",
-                "--demo",
-                "--no-cache",
-                "--bound",
-                "2",
-                "--no-interprocedural",
-                "--call-graph",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "Call graph" not in captured.out
-        assert "no effect" in captured.err

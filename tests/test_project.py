@@ -221,7 +221,7 @@ class TestResultCache:
         cache = ResultCache(blocker)
         key = cache.key_for("f" * 64, quick_config())
         cache.put(key, self.SUMMARY)  # must not raise
-        assert cache.store_failures == 1
+        assert cache.write_failures == 1
         assert cache.get(key) is None
 
     def test_disabled_cache_never_stores(self, tmp_path: Path):

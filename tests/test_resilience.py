@@ -237,7 +237,6 @@ class TestCrashSafeCache:
         cache.put(key, self.SUMMARY)
         cache.put(key, self.SUMMARY)
         assert cache.write_failures == 2
-        assert cache.store_failures == 2  # backwards-compatible alias
         assert len([d for d in cache.diagnostics if "write" in d]) == 1
         # third write goes through
         cache.put(key, self.SUMMARY)
@@ -288,19 +287,33 @@ class TestCrashSafeCache:
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    def test_verify_sweep(self, tmp_path: Path):
+    def test_verify_sweep(self, tmp_path: Path, capsys):
+        """A torn entry is quarantined; an unreadable one (a directory under
+        an entry's name) is reported as unreadable, not as another schema's,
+        and fails the cache-verify command."""
+        from repro.cli import main as cli_main
+
         cache = ResultCache(tmp_path / "cache")
         config = quick_config()
-        keys = [cache.key_for(c * 64, config) for c in "abc"]
-        for key in keys:
+        keys = [cache.key_for(c * 64, config) for c in "abcd"]
+        for key in keys[:3]:
             cache.put(key, self.SUMMARY)
         cache.path_for(keys[0]).write_text("{torn", encoding="utf-8")
+        cache.path_for(keys[3]).mkdir(parents=True)
         report = cache.verify()
-        assert report["checked"] == 3
+        assert report["checked"] == 4
         assert report["ok"] == 2
         assert report["quarantined"] == 1
+        assert report["unreadable"] == 1
         assert report["schema_mismatch"] == 0
-        assert len(report["entries"]) == 1
+        assert len(report["entries"]) == 2
+        assert any("cache read failed" in note for note in report["entries"])
+
+        code = cli_main(["cache-verify", "--cache-dir", str(tmp_path / "cache")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "unreadable      : 1" in out
+        assert "schema mismatch : 0" in out
 
 
 # ---------------------------------------------------------------------- #

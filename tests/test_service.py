@@ -515,3 +515,29 @@ def test_stats_endpoint_reports_queue_cache_and_requests(server, client):
     health = client.healthz()
     assert health["status"] == "ok"
     assert health["cache_enabled"] is True
+
+
+def test_queue_and_result_counters_reach_the_server_registry(server, client):
+    """Submitted, completed, deduplicated and not-modified counts are the
+    server's: both ``/v1/metrics`` and ``/v1/stats`` show them."""
+    first = client.analyze(TINY, wait=60)
+    assert first["state"] == "done"
+    again = client.analyze(TINY, wait=60)
+    assert again["deduplicated"] is True
+    code, etag, _ = client.result(first["fingerprint"])
+    assert client.result(first["fingerprint"], etag=etag)[0] == 304
+
+    text = client.metrics()
+    for name in (
+        "repro_service_jobs_submitted_total 1",
+        "repro_service_jobs_deduplicated_total 1",
+        "repro_service_jobs_completed_total 1",
+        "repro_service_results_not_modified_total 1",
+    ):
+        assert name in text.splitlines()
+    counters = client.stats()["perf"]["counters"]
+    assert counters["service.jobs.submitted"] == 1
+    assert counters["service.jobs.deduplicated"] == 1
+    assert counters["service.jobs.completed"] == 1
+    assert counters["service.results.not_modified"] == 1
+    assert "service.jobs.failed" not in counters
