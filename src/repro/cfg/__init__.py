@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .builder import CfgBuilder, build_all_cfgs, build_cfg
+from .builder import CfgBuilder, build_cfg
 from .dominators import natural_loops
 from .dot import to_dot
 from .graph import (
@@ -28,7 +28,6 @@ from .paths import (
 
 __all__ = [
     "CfgBuilder",
-    "build_all_cfgs",
     "build_cfg",
     "natural_loops",
     "to_dot",

@@ -30,7 +30,6 @@ from ..minic.ast_nodes import (
     FunctionDef,
     IfStmt,
     Node,
-    Program,
     ReturnStmt,
     Stmt,
     SwitchStmt,
@@ -422,8 +421,3 @@ class CfgBuilder:
 def build_cfg(function: FunctionDef) -> ControlFlowGraph:
     """Build the CFG of *function*."""
     return CfgBuilder().build_function(function)
-
-
-def build_all_cfgs(program: Program) -> dict[str, ControlFlowGraph]:
-    """Build CFGs for every function of *program*, keyed by function name."""
-    return {func.name: build_cfg(func) for func in program.functions}

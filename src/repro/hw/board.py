@@ -4,7 +4,8 @@ The paper's flow compiles the instrumented application for the Motorola HCS12,
 uploads it to an evaluation board, forces the generated test data onto the
 input variables through glue code and reads back the cycle-counter values at
 the instrumentation points.  :class:`EvaluationBoard` packages that flow:
-programs are *loaded* once (parsed program + CFGs + cost model), then *run*
+programs are *loaded* once (parsed program + cost model; a function's CFG is
+built when the board first runs or is asked for it), then *run*
 any number of times with different test vectors, optionally with an
 instrumentation plan attached so each run also yields the cycle-counter
 readings of every instrumentation point that fired.
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..cfg.builder import build_all_cfgs
 from ..cfg.graph import ControlFlowGraph
 from ..minic.semantic import AnalyzedProgram
 from ..partition.instrument import InstrumentationPlan, InstrumentationPoint
@@ -65,11 +65,9 @@ class EvaluationBoard:
         memoise: bool = False,
     ):
         self._analyzed = analyzed
-        self._cfgs = build_all_cfgs(analyzed.program)
         self._interpreter = Interpreter(
             analyzed,
             cost_model=cost_model,
-            cfgs=self._cfgs,
             max_steps=max_steps,
             stub_functions=stub_functions,
         )

@@ -33,7 +33,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from ..cfg.builder import build_all_cfgs
+from ..cfg.builder import build_cfg
 from ..cfg.graph import ControlFlowGraph, Edge
 from ..minic.ast_nodes import BinaryOp, BoolLiteral, Expr, IntLiteral, UnaryOp
 from ..minic.folding import apply_binary, apply_unary
@@ -121,8 +121,9 @@ class RunResult(NamedTuple):
 class Interpreter:
     """Executes functions of one analysed program with cycle accounting.
 
-    Compiled code is built from the CFGs on first use, so the CFGs must not
-    change after the first run.
+    A function's CFG is built the first time it is asked for (unless
+    ``cfgs`` supplies it) and its compiled code on its first run, so the
+    CFGs must not change after the first run.
     """
 
     def __init__(
@@ -136,7 +137,8 @@ class Interpreter:
         self._analyzed = analyzed
         self._program = analyzed.program
         self._cost = cost_model
-        self._cfgs = cfgs if cfgs is not None else build_all_cfgs(analyzed.program)
+        #: function name -> its CFG, built on first use unless supplied
+        self._cfgs: dict[str, ControlFlowGraph] = dict(cfgs or {})
         self._max_steps = max_steps
         #: defined functions treated as opaque external calls: their body is
         #: not executed and each call is charged the cost model's external
@@ -159,10 +161,14 @@ class Interpreter:
     # public API
     # ------------------------------------------------------------------ #
     def cfg(self, function_name: str) -> ControlFlowGraph:
-        try:
-            return self._cfgs[function_name]
-        except KeyError as exc:
-            raise ExecutionError(f"no CFG for function {function_name!r}") from exc
+        cfg = self._cfgs.get(function_name)
+        if cfg is None:
+            try:
+                function = self._program.function(function_name)
+            except KeyError as exc:
+                raise ExecutionError(f"no CFG for function {function_name!r}") from exc
+            cfg = self._cfgs[function_name] = build_cfg(function)
+        return cfg
 
     def run(
         self,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -356,7 +357,9 @@ class ResultCache:
         """Operational snapshot: store size on disk plus per-instance counts.
 
         ``entries``/``bytes`` walk the shard directories (cheap for the
-        store sizes one daemon accumulates); the remaining fields are the
+        store sizes one daemon accumulates) and count regular files only:
+        a directory named like an entry is no entry (:meth:`verify` reports
+        it as unreadable); the remaining fields are the
         counters this instance accumulated since it was opened, with
         schema-mismatched reads reported distinctly from corrupt ones.
         """
@@ -364,10 +367,12 @@ class ResultCache:
         total_bytes = 0
         for path in self._entry_paths():
             try:
-                total_bytes += path.stat().st_size
+                status = path.stat()
             except OSError:
                 continue
-            entries += 1
+            if stat.S_ISREG(status.st_mode):
+                entries += 1
+                total_bytes += status.st_size
         return {
             "enabled": self.enabled,
             "directory": str(self._root) if self._root else None,

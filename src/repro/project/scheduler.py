@@ -464,6 +464,13 @@ class ProjectScheduler:
         started = time.perf_counter()
         jobs = self.jobs()
         perf.add("project.jobs", len(jobs))
+        # the cache may be shared across runs (the service keeps one warm):
+        # the report carries this run's traffic only
+        cache = self._cache
+        hits_before, misses_before = cache.hits, cache.misses
+        write_failures_before = cache.write_failures
+        quarantined_before = cache.quarantined
+        diagnostics_before = len(cache.diagnostics)
         self.flight_dumps = []
         self.trace_id = None
 
@@ -555,9 +562,9 @@ class ProjectScheduler:
         return ProjectReport(
             functions=summaries,
             failures=failures,
-            cache_hits=self._cache.hits,
-            cache_misses=self._cache.misses,
-            cache_dir=str(self._cache.root) if self._cache.root else None,
+            cache_hits=cache.hits - hits_before,
+            cache_misses=cache.misses - misses_before,
+            cache_dir=str(cache.root) if cache.root else None,
             mode=self.mode,
             fallback_reason=self.fallback_reason,
             workers=self._workers,
@@ -566,10 +573,10 @@ class ProjectScheduler:
             callgraph=self.callgraph.to_dict(),
             elapsed_seconds=time.perf_counter() - started,
             pool_restarts=self.pool_restarts,
-            cache_write_failures=self._cache.write_failures,
-            cache_quarantined=self._cache.quarantined,
+            cache_write_failures=cache.write_failures - write_failures_before,
+            cache_quarantined=cache.quarantined - quarantined_before,
             fault_plan=self._fault_plan.describe(),
-            diagnostics=list(self._cache.diagnostics),
+            diagnostics=cache.diagnostics[diagnostics_before:],
             flight_dumps=list(self.flight_dumps),
             trace_id=self.trace_id,
             trace_spans=len(self._tracer) if self._tracer is not None else 0,

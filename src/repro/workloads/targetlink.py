@@ -15,19 +15,26 @@ and, for Figure 2, ``ip(b=1) = 857 * 2 = 1714`` -- i.e. 857 basic blocks.
 mini-C function built from the ingredients TargetLink emits -- nested
 ``if``/``else`` ladders, ``switch`` statements over mode variables, saturation
 arithmetic, calls to runnable subsystem stubs -- and *calibrates itself*
-against the real CFG builder: it keeps appending generated top-level sections
-until the block and branch counts hit the requested targets (within a
-tolerance).  Figures 2 and 3 are regenerated on this program.
+against the real parser and CFG builder: it keeps appending generated leaf
+sections until the block and branch counts hit the requested targets (within
+a tolerance).  Calibration adds up block counts instead of parsing every
+candidate: the leaf-free hierarchy is counted once, each leaf once in a fixed
+case body, and only the program returned is parsed and analysed (and checked
+against the calibrated count).  Figures 2 and 3 are regenerated on this
+program.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..cfg.builder import build_cfg
 from ..cfg.graph import ControlFlowGraph
-from ..minic import AnalyzedProgram, parse_and_analyze
+from ..minic import AnalyzedProgram, parse_and_analyze, parse_program
 
 #: published size of the paper's industrial function
 PAPER_BASIC_BLOCKS = 857
@@ -56,6 +63,38 @@ class SyntheticApplication:
     @property
     def source_lines(self) -> int:
         return sum(1 for line in self.source.splitlines() if line.strip())
+
+
+class _Leaf(NamedTuple):
+    """One generated leaf section and the blocks it adds to the function."""
+
+    source: str
+    blocks: int
+
+
+def _function_blocks(source: str, function_name: str) -> int:
+    """Real blocks of *function_name*'s CFG (parsed, not analysed)."""
+    program = parse_program(source, "synthetic_targetlink_probe.c")
+    return len(build_cfg(program.function(function_name)).real_blocks())
+
+
+def _case_body_blocks(leaf: str) -> int:
+    """Blocks of a one-case switch whose body is *leaf*, a stub call and
+    ``break`` -- the layout of every sub-mode case of the render."""
+    lines = ["void probe(void) {", "    switch (u1) {", "    case 0:"]
+    lines.extend("        " + line for line in leaf.splitlines())
+    lines += ["            probe_stub();", "            break;", "    }", "}"]
+    return _function_blocks("\n".join(lines) + "\n", "probe")
+
+
+@functools.cache
+def _empty_case_body_blocks() -> int:
+    return _case_body_blocks("")
+
+
+def _leaf_blocks(leaf: str) -> int:
+    """Blocks *leaf* adds to the case body it is rendered into."""
+    return _case_body_blocks(leaf) - _empty_case_body_blocks()
 
 
 @dataclass
@@ -96,7 +135,7 @@ class SyntheticCodeGenerator:
         self._modes = modes
         self._submodes = submodes
         #: leaf sections per (mode, submode)
-        self._leaves: dict[tuple[int, int], list[str]] = {
+        self._leaves: dict[tuple[int, int], list[_Leaf]] = {
             (mode, submode): []
             for mode in range(modes)
             for submode in range(submodes)
@@ -114,30 +153,35 @@ class SyntheticCodeGenerator:
         """Generate a function whose CFG matches the requested size.
 
         Leaf sections are appended (round-robin over the mode/sub-mode
-        hierarchy) until the measured block count reaches ``target_blocks``
-        within ``tolerance``; the branch count follows because the leaf
-        templates mirror the paper's branch/block ratio.
+        hierarchy) until the block count reaches ``target_blocks`` within
+        ``tolerance``; the branch count follows because the leaf templates
+        mirror the paper's branch/block ratio.  Every candidate is rendered
+        (rendering draws from the generator's RNG), but its block count is
+        the hierarchy's plus each leaf's, and only the final render is
+        parsed and analysed.  Raises :class:`RuntimeError` if that parse's
+        block count is not the calibrated one.
         """
         del target_branches  # the leaf templates fix the branch/block ratio
         lower = int(target_blocks * (1.0 - tolerance))
         upper = int(target_blocks * (1.0 + tolerance))
         rng = self._state.rng
         keys = sorted(self._leaves)
+        hierarchy = self._hierarchy_blocks(function_name)
 
         # seed every sub-mode with one leaf so the hierarchy is complete
         for key in keys:
-            self._leaves[key].append(self._leaf_section())
+            self._leaves[key].append(self._new_leaf())
 
-        application = self._analyze(self._render(function_name), function_name)
+        source, blocks = self._candidate(function_name, hierarchy)
         leaves = len(keys)
         batch = max(1, target_blocks // 80)
-        while application.basic_blocks < lower and leaves < max_leaves:
+        while blocks < lower and leaves < max_leaves:
             for _ in range(batch):
                 key = keys[rng.randrange(len(keys))]
-                self._leaves[key].append(self._leaf_section())
+                self._leaves[key].append(self._new_leaf())
                 leaves += 1
-            application = self._analyze(self._render(function_name), function_name)
-        while application.basic_blocks > upper and leaves > len(keys):
+            source, blocks = self._candidate(function_name, hierarchy)
+        while blocks > upper and leaves > len(keys):
             # drop a leaf from the fullest sub-mode
             key = max(keys, key=lambda k: len(self._leaves[k]))
             if len(self._leaves[key]) > 1:
@@ -145,7 +189,13 @@ class SyntheticCodeGenerator:
                 leaves -= 1
             else:
                 break
-            application = self._analyze(self._render(function_name), function_name)
+            source, blocks = self._candidate(function_name, hierarchy)
+        application = self._analyze(source, function_name)
+        if application.basic_blocks != blocks:
+            raise RuntimeError(
+                f"calibration counted {blocks} blocks, the generated "
+                f"function has {application.basic_blocks}"
+            )
         return application
 
     # ------------------------------------------------------------------ #
@@ -160,7 +210,34 @@ class SyntheticCodeGenerator:
             seed=self._seed,
         )
 
+    def _new_leaf(self) -> _Leaf:
+        source = self._leaf_section()
+        return _Leaf(source, _leaf_blocks(source))
+
+    def _hierarchy_blocks(self, function_name: str) -> int:
+        """Blocks of the leaf-free hierarchy, counted on a render of a
+        throw-away copy of the generator state (rendering draws from it)."""
+        scratch = copy.copy(self)
+        scratch._state = copy.deepcopy(self._state)
+        empty: dict[tuple[int, int], list[_Leaf]] = {key: [] for key in self._leaves}
+        return _function_blocks(scratch._source(function_name, empty), function_name)
+
+    def _candidate(self, function_name: str, hierarchy: int) -> tuple[str, int]:
+        """Render the current leaves; return the source and its block count."""
+        blocks = hierarchy + sum(
+            leaf.blocks for leaves in self._leaves.values() for leaf in leaves
+        )
+        return self._render(function_name), blocks
+
     def _render(self, function_name: str) -> str:
+        """One calibration candidate: the function with the current leaves."""
+        return self._source(function_name, self._leaves)
+
+    def _source(
+        self, function_name: str, leaves: dict[tuple[int, int], list[_Leaf]]
+    ) -> str:
+        """The function with *leaves*; draws stubs and assignments from the
+        generator state."""
         state = self._state
         lines: list[str] = ["/* synthetic TargetLink-style application */"]
         for name in state.input_names:
@@ -191,8 +268,8 @@ class SyntheticCodeGenerator:
             lines.append("        switch (u1) {")
             for submode in range(self._submodes):
                 lines.append(f"        case {submode}:")
-                for leaf in self._leaves[(mode, submode)]:
-                    lines.extend("        " + line for line in leaf.splitlines())
+                for leaf in leaves[(mode, submode)]:
+                    lines.extend("        " + line for line in leaf.source.splitlines())
                 lines.append(f"            {self._fresh_stub()}();")
                 lines.append("            break;")
             lines.append("        default:")

@@ -9,7 +9,6 @@ from repro.cfg import (
     CfgError,
     EdgeKind,
     TerminatorKind,
-    build_all_cfgs,
     build_cfg,
     to_dot,
 )
@@ -160,11 +159,6 @@ class TestGraphApi:
         dot = to_dot(figure1_cfg, show_statements=True)
         assert dot.startswith("digraph")
         assert "start" in dot and "end" in dot
-
-    def test_build_all_cfgs(self):
-        analyzed = parse_and_analyze("void a(void) { } void b(void) { x(); }")
-        cfgs = build_all_cfgs(analyzed.program)
-        assert set(cfgs) == {"a", "b"}
 
     def test_summary_counts(self, figure1_cfg):
         summary = figure1_cfg.summary()

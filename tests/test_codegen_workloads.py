@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cfg import TerminatorKind, build_cfg, count_ast_paths
@@ -26,13 +28,41 @@ from repro.workloads.optimisation_eval import (
     optimisation_eval_program,
     source_line_count,
 )
-from repro.workloads.targetlink import generate_small_application
+from repro.workloads import targetlink
+from repro.workloads.targetlink import (
+    generate_small_application,
+    generate_synthetic_application,
+)
 from repro.workloads.wiper import (
     WIPER_FUNCTION_NAME,
     WIPER_STATES,
     wiper_chart,
     wiper_input_ranges,
 )
+
+
+#: SHA-256 of the source of every ``generate_small_application(seed,
+#: target_blocks)`` call the tests, examples and benchmark make
+SMALL_APPLICATION_SHA256 = [
+    ((11, 120), "9347bc47eca37312ca1eb1468be1c5a00c910ebb3e4712962fa4f037a9f9f22e"),
+    ((2, 120), "e1cfa7d849271c09ad88a9852a65223e4f6d76e7958864039919fa18e59c377e"),
+    ((5, 120), "74febb7220d4b09ef44ab6c4ecb5828e7d3473c8eb15f188a38fea2e9cf61ad2"),
+    ((7, 120), "57e094d3224bef055b17821cf411670e79a025f27525d44ba1e51ff1e820450c"),
+    ((7, 200), "57cbf81191efe63673f79318e290bc27fd9e0fb33c3b978c48674220d84be1ab"),
+    ((5, 100), "adae3c50e1669335c5b5bed557b94d0a10d8eb2394fb18e31ed45ca5a91a7773"),
+    ((21, 90), "c3a20643b2d553b0fccbf4c19599087dc2dec4932bd26aca6adfc99107ace02a"),
+    ((1, 80), "9c3589b94759dd85d7766f7d3abd3c11f5b2863d0788151dbfb6ece690a5bbfe"),
+    ((2, 80), "0dece2d99c2412aa362f5470b3c724f4b5e4e7601b86343013805740cf5f21d5"),
+    ((9, 80), "460a36e05a1edbddc44c90e4f39baf6548027355c7751835573c16f6f3b67b13"),
+    ((13, 80), "9b8247404a2b1249c18c29970622064ac51cc1d1626b55ec6dea798f2c5ee6d1"),
+]
+
+#: SHA-256 of ``generate_synthetic_application(seed=2005)``'s source
+INDUSTRIAL_SHA256 = "a0cf54eeb26ca9c359893c20e76fd536a8d6afdee936277768def780b42a8eed"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def tiny_chart() -> StateflowChart:
@@ -221,3 +251,37 @@ class TestSyntheticTargetLink:
         board = EvaluationBoard(app.analyzed)
         run = board.run(app.function_name, {"u0": 1, "u1": 2})
         assert run.total_cycles > 0
+
+    @pytest.mark.parametrize(("arguments", "digest"), SMALL_APPLICATION_SHA256)
+    def test_small_application_source_is_pinned(self, arguments, digest):
+        seed, target_blocks = arguments
+        app = generate_small_application(seed=seed, target_blocks=target_blocks)
+        assert sha256(app.source) == digest
+
+    def test_industrial_source_is_pinned(self):
+        app = generate_synthetic_application(seed=2005)
+        assert sha256(app.source) == INDUSTRIAL_SHA256
+        assert app.basic_blocks == 817
+
+    def test_only_the_returned_program_is_parsed_and_analysed(self, monkeypatch):
+        parsed = []
+        original = targetlink.parse_and_analyze
+
+        def counting(source, filename="<source>"):
+            parsed.append(source)
+            return original(source, filename=filename)
+
+        monkeypatch.setattr(targetlink, "parse_and_analyze", counting)
+        for generate in (
+            lambda: generate_small_application(seed=11),
+            lambda: generate_synthetic_application(seed=2005),
+        ):
+            parsed.clear()
+            app = generate()
+            assert parsed == [app.source]
+
+    def test_a_miscounted_leaf_makes_generation_raise(self, monkeypatch):
+        original = targetlink._leaf_blocks
+        monkeypatch.setattr(targetlink, "_leaf_blocks", lambda leaf: original(leaf) + 1)
+        with pytest.raises(RuntimeError, match="calibration counted"):
+            generate_small_application(seed=11)

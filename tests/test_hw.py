@@ -462,6 +462,42 @@ void nest(void) {
 """
 
 
+class TestLazyCfgs:
+    SOURCE = """
+int g(int x) { return x + 1; }
+int h(int x) { return x * 2; }
+int s(int x) { return x - 1; }
+int unused(int x) { return x; }
+int f(int x) { int r; r = g(x); r = h(r); r = s(r); return r; }
+"""
+
+    def test_board_builds_cfgs_of_the_functions_it_runs(self, monkeypatch):
+        import repro.hw.interpreter as interpreter_module
+
+        built = []
+
+        def counting_build_cfg(function):
+            built.append(function.name)
+            return build_cfg(function)
+
+        monkeypatch.setattr(interpreter_module, "build_cfg", counting_build_cfg)
+        board = board_for(self.SOURCE, stub_functions=("s",))
+        assert built == []
+        board.run("f", {"x": 3})
+        # f and its unstubbed callees, once each; not s, not unused
+        assert sorted(built) == ["f", "g", "h"]
+        board.run("f", {"x": 4})
+        assert board.cfg("f") is board.cfg("f")
+        assert sorted(built) == ["f", "g", "h"]
+
+    def test_unknown_function_raises_execution_error(self):
+        board = board_for(self.SOURCE)
+        with pytest.raises(ExecutionError, match=r"^no CFG for function 'nope'$"):
+            board.cfg("nope")
+        with pytest.raises(ExecutionError, match=r"^no CFG for function 'nope'$"):
+            Interpreter(parse_and_analyze(self.SOURCE)).cfg("nope")
+
+
 def _differential_programs():
     """(name, analysed program, function) of every program the oracle covers."""
     from repro.workloads.figure1 import figure1_analyzed
@@ -566,13 +602,12 @@ class TestCompiledBoard:
         )
 
     def test_unsupported_constructs_raise_when_their_block_runs(self):
-        from repro.cfg import build_all_cfgs
         from repro.minic.ast_nodes import EmptyStmt, Expr, ExprStmt
 
         analyzed = parse_and_analyze(
             "int a; int b; void f(void) { if (a > 0) { b = 1; } else { b = 2; } }"
         )
-        cfgs = build_all_cfgs(analyzed.program)
+        cfgs = {"f": build_cfg(analyzed.program.function("f"))}
         arms = {
             block.statements[0].expr.value.value: block
             for block in cfgs["f"].blocks()

@@ -430,21 +430,22 @@ def assert_all_parse(sources: dict[str, str]) -> None:
 # corpora
 # --------------------------------------------------------------------------- #
 def _recorded_renders(generate, seed: int) -> list[str]:
-    """Every source the TargetLink generator parses while building *seed*."""
-    from repro.workloads import targetlink
+    """Every candidate source the TargetLink generator renders while
+    calibrating *seed*; the last one is the program it returns."""
+    from repro.workloads.targetlink import SyntheticCodeGenerator
 
     renders: list[str] = []
-    original = targetlink.parse_and_analyze
+    original = SyntheticCodeGenerator._render
 
-    def record(source, filename="<source>"):
-        renders.append(source)
-        return original(source, filename=filename)
+    def record(self, function_name):
+        renders.append(original(self, function_name))
+        return renders[-1]
 
-    targetlink.parse_and_analyze = record
+    SyntheticCodeGenerator._render = record
     try:
         application = generate(seed=seed)
     finally:
-        targetlink.parse_and_analyze = original
+        SyntheticCodeGenerator._render = original
     assert renders[-1] == application.source
     return renders
 

@@ -315,6 +315,20 @@ class TestCrashSafeCache:
         assert "unreadable      : 1" in out
         assert "schema mismatch : 0" in out
 
+    def test_stats_count_regular_files_only(self, tmp_path: Path, capsys):
+        """A directory under an entry's name is no entry: ``stats()`` skips
+        it, while ``verify()`` and cache-verify still report it unreadable."""
+        from repro.cli import main as cli_main
+
+        cache = ResultCache(tmp_path / "cache")
+        cache.path_for(cache.key_for("e" * 64, quick_config())).mkdir(parents=True)
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"]) == (0, 0)
+        assert cache.verify()["unreadable"] == 1
+        code = cli_main(["cache-verify", "--cache-dir", str(tmp_path / "cache")])
+        assert code == 1
+        assert "unreadable      : 1" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------- #
 class TestResilientScheduler:

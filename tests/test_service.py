@@ -304,6 +304,41 @@ def test_served_json_matches_direct_scheduler_run(tmp_path):
     assert strip(served_body["functions"]) == strip(direct_body["functions"])
 
 
+def test_each_job_reports_only_its_own_cache_traffic(server, client):
+    """The service's warm cache counts every job's traffic; a job's status
+    and report carry only its own run's hits, misses, quarantines and
+    diagnostics."""
+    cache = server.queue.cache
+    keys = [
+        job.cache_key
+        for job in ProjectScheduler(
+            Project.from_sources(CHAIN_V1), config=quick_config(), cache=cache
+        ).jobs()
+    ]
+    torn = cache.path_for(keys[0])
+    torn.parent.mkdir(parents=True, exist_ok=True)
+    torn.write_text("{torn", encoding="utf-8")
+
+    chain = client.analyze(CHAIN_V1, wait=120)
+    assert chain["state"] == "done"
+    assert chain["cache"] == {"hits": 0, "misses": 4}
+    chain_report = json.loads(client.result(chain["fingerprint"])[2])
+    assert chain_report["cache"]["quarantined_entries"] == 1
+    assert len(chain_report["resilience"]["diagnostics"]) == 1
+
+    tiny = client.analyze(TINY, wait=60)
+    assert tiny["state"] == "done"
+    assert tiny["cache"] == {"hits": 0, "misses": 1}
+    report = json.loads(client.result(tiny["fingerprint"])[2])
+    assert {
+        key: report["cache"][key]
+        for key in ("hits", "misses", "write_failures", "quarantined_entries")
+    } == {"hits": 0, "misses": 1, "write_failures": 0, "quarantined_entries": 0}
+    assert report["resilience"]["diagnostics"] == []
+    # the shared cache itself still counts both jobs
+    assert (cache.misses, cache.quarantined, len(cache.diagnostics)) == (5, 1, 1)
+
+
 def test_terminal_jobs_keep_only_the_served_bytes(monkeypatch):
     """Done and failed jobs drop the parsed project and the report objects."""
     import repro.service.jobs as jobs_module

@@ -1,7 +1,7 @@
 """The package runs on the Python standard library alone.
 
-Importing the command line, the project pipeline and the analysis service
-must load no third-party module: ``repro`` is stdlib-only, so it installs
+Importing the command line, the project pipeline, the analysis service and
+the TargetLink-style workload generator must load no third-party module: ``repro`` is stdlib-only, so it installs
 and runs wherever Python does.  The import runs in a fresh interpreter, so
 what this test process has already imported cannot hide a dependency.
 """
@@ -20,7 +20,7 @@ SRC = Path(repro.__file__).resolve().parent.parent
 PROBE = """
 import sys
 before = set(sys.modules)
-import repro.cli, repro.project, repro.service
+import repro.cli, repro.project, repro.service, repro.workloads.targetlink
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 # multiprocessing registers the main module again as __mp_main__
 allowed = set(sys.stdlib_module_names) | {"repro", "__mp_main__"}
