@@ -121,24 +121,23 @@ class RunResult(NamedTuple):
 class Interpreter:
     """Executes functions of one analysed program with cycle accounting.
 
-    A function's CFG is built the first time it is asked for (unless
-    ``cfgs`` supplies it) and its compiled code on its first run, so the
-    CFGs must not change after the first run.
+    A function's CFG is built the first time it is asked for and its
+    compiled code on its first run, so a CFG must not change after the
+    function's first run.
     """
 
     def __init__(
         self,
         analyzed: AnalyzedProgram,
         cost_model: CostModel = HCS12_COST_MODEL,
-        cfgs: dict[str, ControlFlowGraph] | None = None,
         max_steps: int = 1_000_000,
         stub_functions: "Iterable[str]" = (),
     ):
         self._analyzed = analyzed
         self._program = analyzed.program
         self._cost = cost_model
-        #: function name -> its CFG, built on first use unless supplied
-        self._cfgs: dict[str, ControlFlowGraph] = dict(cfgs or {})
+        #: function name -> its CFG, built on first use
+        self._cfgs: dict[str, ControlFlowGraph] = {}
         self._max_steps = max_steps
         #: defined functions treated as opaque external calls: their body is
         #: not executed and each call is charged the cost model's external

@@ -18,15 +18,14 @@ arithmetic, calls to runnable subsystem stubs -- and *calibrates itself*
 against the real parser and CFG builder: it keeps appending generated leaf
 sections until the block and branch counts hit the requested targets (within
 a tolerance).  Calibration adds up block counts instead of parsing every
-candidate: the leaf-free hierarchy is counted once, each leaf once in a fixed
-case body, and only the program returned is parsed and analysed (and checked
-against the calibrated count).  Figures 2 and 3 are regenerated on this
-program.
+candidate: the first candidate is parsed once to find the leaf-free
+hierarchy's blocks, each leaf is counted once in a fixed case body, and only
+the program returned is analysed (and checked against the calibrated count).
+Figures 2 and 3 are regenerated on this program.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import random
 from dataclasses import dataclass, field
@@ -156,23 +155,27 @@ class SyntheticCodeGenerator:
         hierarchy) until the block count reaches ``target_blocks`` within
         ``tolerance``; the branch count follows because the leaf templates
         mirror the paper's branch/block ratio.  Every candidate is rendered
-        (rendering draws from the generator's RNG), but its block count is
-        the hierarchy's plus each leaf's, and only the final render is
-        parsed and analysed.  Raises :class:`RuntimeError` if that parse's
-        block count is not the calibrated one.
+        (rendering draws from the generator's RNG), but only the first is
+        parsed: later block counts are the hierarchy's plus each leaf's, and
+        only the final render is analysed.  Raises :class:`RuntimeError` if
+        the final block count is not the calibrated one, which checks every
+        leaf added after the first candidate.
         """
         del target_branches  # the leaf templates fix the branch/block ratio
         lower = int(target_blocks * (1.0 - tolerance))
         upper = int(target_blocks * (1.0 + tolerance))
         rng = self._state.rng
         keys = sorted(self._leaves)
-        hierarchy = self._hierarchy_blocks(function_name)
 
         # seed every sub-mode with one leaf so the hierarchy is complete
         for key in keys:
             self._leaves[key].append(self._new_leaf())
 
-        source, blocks = self._candidate(function_name, hierarchy)
+        source = self._render(function_name)
+        blocks = _function_blocks(source, function_name)
+        # the leaf-free hierarchy's blocks (the stub names a render draws do
+        # not change them); later candidates add up leaf blocks instead
+        hierarchy = blocks - self._leaf_total()
         leaves = len(keys)
         batch = max(1, target_blocks // 80)
         while blocks < lower and leaves < max_leaves:
@@ -180,7 +183,8 @@ class SyntheticCodeGenerator:
                 key = keys[rng.randrange(len(keys))]
                 self._leaves[key].append(self._new_leaf())
                 leaves += 1
-            source, blocks = self._candidate(function_name, hierarchy)
+            source = self._render(function_name)
+            blocks = hierarchy + self._leaf_total()
         while blocks > upper and leaves > len(keys):
             # drop a leaf from the fullest sub-mode
             key = max(keys, key=lambda k: len(self._leaves[k]))
@@ -189,7 +193,8 @@ class SyntheticCodeGenerator:
                 leaves -= 1
             else:
                 break
-            source, blocks = self._candidate(function_name, hierarchy)
+            source = self._render(function_name)
+            blocks = hierarchy + self._leaf_total()
         application = self._analyze(source, function_name)
         if application.basic_blocks != blocks:
             raise RuntimeError(
@@ -214,30 +219,13 @@ class SyntheticCodeGenerator:
         source = self._leaf_section()
         return _Leaf(source, _leaf_blocks(source))
 
-    def _hierarchy_blocks(self, function_name: str) -> int:
-        """Blocks of the leaf-free hierarchy, counted on a render of a
-        throw-away copy of the generator state (rendering draws from it)."""
-        scratch = copy.copy(self)
-        scratch._state = copy.deepcopy(self._state)
-        empty: dict[tuple[int, int], list[_Leaf]] = {key: [] for key in self._leaves}
-        return _function_blocks(scratch._source(function_name, empty), function_name)
-
-    def _candidate(self, function_name: str, hierarchy: int) -> tuple[str, int]:
-        """Render the current leaves; return the source and its block count."""
-        blocks = hierarchy + sum(
-            leaf.blocks for leaves in self._leaves.values() for leaf in leaves
-        )
-        return self._render(function_name), blocks
+    def _leaf_total(self) -> int:
+        """Blocks the current leaves add to the function."""
+        return sum(leaf.blocks for leaves in self._leaves.values() for leaf in leaves)
 
     def _render(self, function_name: str) -> str:
-        """One calibration candidate: the function with the current leaves."""
-        return self._source(function_name, self._leaves)
-
-    def _source(
-        self, function_name: str, leaves: dict[tuple[int, int], list[_Leaf]]
-    ) -> str:
-        """The function with *leaves*; draws stubs and assignments from the
-        generator state."""
+        """One calibration candidate: the function with the current leaves;
+        draws stubs and assignments from the generator state."""
         state = self._state
         lines: list[str] = ["/* synthetic TargetLink-style application */"]
         for name in state.input_names:
@@ -268,7 +256,7 @@ class SyntheticCodeGenerator:
             lines.append("        switch (u1) {")
             for submode in range(self._submodes):
                 lines.append(f"        case {submode}:")
-                for leaf in leaves[(mode, submode)]:
+                for leaf in self._leaves[(mode, submode)]:
                     lines.extend("        " + line for line in leaf.source.splitlines())
                 lines.append(f"            {self._fresh_stub()}();")
                 lines.append("            break;")

@@ -607,16 +607,16 @@ class TestCompiledBoard:
         analyzed = parse_and_analyze(
             "int a; int b; void f(void) { if (a > 0) { b = 1; } else { b = 2; } }"
         )
-        cfgs = {"f": build_cfg(analyzed.program.function("f"))}
+        interpreter = Interpreter(analyzed)
         arms = {
             block.statements[0].expr.value.value: block
-            for block in cfgs["f"].blocks()
+            for block in interpreter.cfg("f").blocks()
             if block.statements
         }
-        # neither can come out of the frontend and the CFG builder
+        # neither can come out of the frontend and the CFG builder; the
+        # interpreter keeps this CFG and compiles it on the first run
         arms[1].statements.append(EmptyStmt())
         arms[2].statements[0] = ExprStmt(expr=Expr())
-        interpreter = Interpreter(analyzed, cfgs=cfgs)
         walker = BoardWalker(interpreter)
         for a, error in (
             (1, "ExecutionError: cannot execute statement EmptyStmt"),
