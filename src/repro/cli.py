@@ -178,7 +178,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from .sa import diagnose, analyze_feasibility, render_diagnostics
+    from .sa import (
+        analyze_feasibility,
+        defined_functions,
+        diagnose,
+        render_diagnostics,
+    )
 
     worst = {"error": 2, "warning": 1, "info": 0}
     exit_code = 0
@@ -187,12 +192,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     for path in args.files:
         analyzed = _load(path)
         unit = Path(path).stem
+        defined = defined_functions(analyzed.program)
         for function in analyzed.program.functions:
             if args.functions and function.name not in args.functions:
                 continue
             cfg = build_cfg(function)
             table = analyzed.table(function.name)
-            feasibility = analyze_feasibility(cfg, table)
+            # the same entry as the analysis pass: the function runs as the
+            # board's entry point, so its globals start at their initialisers
+            feasibility = analyze_feasibility(cfg, table, defined, initialised=True)
             diagnostics = diagnose(cfg, table, feasibility)
             total += len(diagnostics)
             if any(d.severity == "error" for d in diagnostics):

@@ -5,6 +5,8 @@ instrumentation points during one run, keyed by the segment and by the
 concrete path taken through the segment (so the tooling can tell whether every
 path of a segment has been observed -- that is the coverage goal of the
 test-data generator).  The WCET computation consumes the per-segment maxima.
+The database keeps only the per-segment statistics and a count of the
+observations, not the observations themselves.
 """
 
 from __future__ import annotations
@@ -44,15 +46,16 @@ class SegmentStatistics:
 
 
 class MeasurementDatabase:
-    """Collects segment measurements across runs."""
+    """Aggregates segment measurements across runs into per-segment statistics."""
 
     def __init__(self) -> None:
-        self._measurements: list[SegmentMeasurement] = []
+        #: segment observations added so far
+        self._count = 0
         self._stats: dict[int, SegmentStatistics] = {}
 
     # ------------------------------------------------------------------ #
     def add(self, measurement: SegmentMeasurement) -> None:
-        self._measurements.append(measurement)
+        self._count += 1
         stats = self._stats.setdefault(
             measurement.segment_id, SegmentStatistics(segment_id=measurement.segment_id)
         )
@@ -71,9 +74,6 @@ class MeasurementDatabase:
             self.add(measurement)
 
     # ------------------------------------------------------------------ #
-    def measurements(self) -> list[SegmentMeasurement]:
-        return list(self._measurements)
-
     def statistics(self, segment_id: int) -> SegmentStatistics | None:
         return self._stats.get(segment_id)
 
@@ -90,4 +90,5 @@ class MeasurementDatabase:
         return [sid for sid in segment_ids if sid not in self._stats]
 
     def __len__(self) -> int:
-        return len(self._measurements)
+        """Number of segment observations added (not of board runs)."""
+        return self._count

@@ -17,7 +17,7 @@ from ..cfg.builder import build_cfg
 from ..minic.pretty import print_program
 from ..minic.semantic import AnalyzedProgram, analyze_program
 from ..minic.parser import parse_program
-from ..sa.feasibility import analyze_feasibility
+from ..sa.feasibility import analyze_feasibility, defined_functions
 from ..transsys.translate import (
     TranslationOptions,
     TranslationResult,
@@ -233,8 +233,15 @@ def build_optimized_model(
     if config.variable_range_analysis:
         # 3.2.4: size every state variable by the hull of the values it can
         # hold, from the same sound, wrap-aware fixpoint that proves branches
-        # infeasible (repro.sa)
-        ranges = analyze_feasibility(cfg, current.table(function_name)).state_ranges
+        # infeasible (repro.sa).  An uninitialised model lets a global start
+        # at any value, so only an initialised one may start the fixpoint at
+        # the initialisers.
+        ranges = analyze_feasibility(
+            cfg,
+            current.table(function_name),
+            defined_functions(current.program),
+            initialised=config.variable_initialisation,
+        ).state_ranges
         options = replace(options, variable_ranges=ranges)
         total_bits = sum(
             rng.bits()

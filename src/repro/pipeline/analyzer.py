@@ -74,9 +74,14 @@ class AnalyzerConfig:
     #: run the sound static-analysis pass (``repro.sa``): branch-feasibility
     #: prefiltering of model-checking queries, static loop-bound inference
     #: and program diagnostics.  The pass is meant to remove solver work and
-    #: skip genetic searches, not to move bounds.  Controllers 11/2/5 get the
-    #: same bounds either way, but no test checks that in general.  The
-    #: model checker's own unsound verdicts are pinned as strict xfails in
+    #: skip genetic searches, not to move bounds.  It analyses the function
+    #: as the board runs it (globals at their initialisers, undefined
+    #: callees write nothing), so on controllers 11/2/5 it proves every
+    #: target the model checker finds INFEASIBLE before a genetic search
+    #: runs.  ``tests/test_hybrid_workloads.py`` checks that bounds and
+    #: INFEASIBLE targets are the same either way on the five pinned
+    #: workloads; nothing proves it in general.  The model checker's own
+    #: unsound verdicts are pinned as strict xfails in
     #: ``tests/test_soundness_repros.py``.
     static_analysis: bool = True
 
@@ -238,11 +243,13 @@ class WcetAnalyzer:
         #    construction.
         sa_result = None
         if config.static_analysis:
-            from ..sa import run_static_analysis
+            from ..sa import defined_functions, run_static_analysis
 
             with obs.region("analyze.sa", function=self._function):
                 sa_result = run_static_analysis(
-                    cfg, self._analyzed.table(self._function)
+                    cfg,
+                    self._analyzed.table(self._function),
+                    defined_functions(self._analyzed.program),
                 )
             config = dataclasses.replace(
                 config,

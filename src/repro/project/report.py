@@ -39,6 +39,8 @@ class FunctionSummary:
     segments: int
     instrumentation_points: int
     measurements_required: int
+    #: segment observations measured (one per segment execution, not per
+    #: board run; the payload key keeps its name)
     measurement_runs: int
     test_vectors_used: int
     infeasible_paths: int
@@ -349,7 +351,7 @@ class ProjectReport:
             + (f" in {self.cache_dir}" if self.cache_dir else " (disabled)"),
             f"  total segments            : {self.total_segments}",
             f"  total instrumentation pts : {self.total_instrumentation_points}",
-            f"  total measurement runs    : {self.total_measurement_runs}",
+            f"  total segment observations: {self.total_measurement_runs}",
             f"  total test vectors        : {self.total_test_vectors}",
             f"  all bounds safe           : {self.all_safe}",
         ]
@@ -426,7 +428,7 @@ class ProjectReport:
         lines.append("  per-function results:")
         header = (
             f"    {'unit':<16} {'function':<16} {'wave':>4} {'seg':>4} {'ip':>5} "
-            f"{'runs':>6} {'bound':>7} {'measured':>9} {'safe':>5} {'cache':>6}"
+            f"{'obs':>6} {'bound':>7} {'measured':>9} {'safe':>5} {'cache':>6}"
         )
         lines.append(header)
         for summary in self.functions:

@@ -31,7 +31,12 @@ from .diagnostics import (
     max_severity,
     render_diagnostics,
 )
-from .feasibility import FeasibilityResult, StaticPrefilter, analyze_feasibility
+from .feasibility import (
+    FeasibilityResult,
+    StaticPrefilter,
+    analyze_feasibility,
+    defined_functions,
+)
 from .loopbounds import infer_loop_bounds
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "StaticAnalysisResult",
     "StaticPrefilter",
     "analyze_feasibility",
+    "defined_functions",
     "diagnose",
     "diagnostics_payload",
     "infer_loop_bounds",
@@ -73,11 +79,16 @@ class StaticAnalysisResult:
 
 
 def run_static_analysis(
-    cfg: ControlFlowGraph, table: FunctionSymbolTable
+    cfg: ControlFlowGraph, table: FunctionSymbolTable, defined: frozenset[str]
 ) -> StaticAnalysisResult:
-    """Run feasibility, loop-bound inference and diagnostics on one CFG."""
+    """Run feasibility, loop-bound inference and diagnostics on one CFG.
+
+    *defined* is :func:`defined_functions` of the unit.  The function is
+    analysed as the board runs it: the entry point, with non-input globals
+    at their initialisers.
+    """
     with obs.region("sa.prefilter"):
-        feasibility = analyze_feasibility(cfg, table)
+        feasibility = analyze_feasibility(cfg, table, defined, initialised=True)
         loop_bounds = infer_loop_bounds(cfg, table)
         diagnostics = diagnose(cfg, table, feasibility)
     perf.add("sa.edges_pruned", len(feasibility.infeasible_edges))

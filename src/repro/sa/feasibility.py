@@ -16,11 +16,26 @@ variables from it.  This is the only interval domain of the reproduction.
 Soundness is the contract: every arithmetic result is checked against the
 expression's fixed-width type and widened to the full type range whenever
 two's-complement wrap-around is possible, mirroring exactly how
-:mod:`repro.hw.interpreter` wraps each subexpression.  Function calls havoc
-every global (callees share globals), side-effecting conditions are never used
-for refinement, and widening bails to the type range after a bounded number of
-updates — so an edge reported infeasible is infeasible for *every* concrete
-execution the interpreter or the transition system could produce.
+:mod:`repro.hw.interpreter` wraps each subexpression.  Side-effecting
+conditions are never used for refinement, and widening bails to the type range
+after a bounded number of updates — so an edge reported infeasible is
+infeasible for *every* concrete execution the interpreter or the transition
+system could produce.
+
+Function entry and calls follow the board, which runs the analysed function
+as its entry point:
+
+* a call to a function the unit defines havocs every global (callees share
+  globals; the verification board runs the body of a stubbed callee too);
+  a call to a function the unit does not define writes nothing, as on the
+  board and in the model checker, and every call's value keeps its type
+  range;
+* with ``initialised`` entry a non-input global starts at its static
+  initialiser (0 without one), as the board resets it before every run and
+  the variable-initialisation model (Section 3.2.5) starts it; inputs keep
+  their declared or type range and parameters their type range.  Models that
+  leave variables uninitialised let a global start at any value, so their
+  state ranges come from the any-value entry (``initialised=False``).
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ from ..minic.ast_nodes import (
     ExprStmt,
     Identifier,
     IntLiteral,
+    Program,
     ReturnStmt,
     Stmt,
     UnaryOp,
@@ -76,6 +92,22 @@ _NEGATED_OP = {
     "==": "!=",
     "!=": "==",
 }
+
+
+def defined_functions(program: Program) -> frozenset[str]:
+    """Names of the functions *program* defines (their calls run a body)."""
+    return frozenset(function.name for function in program.functions)
+
+
+def _calls_defined(expr: Expr, defined: frozenset[str]) -> bool:
+    """True when *expr* calls one of the *defined* functions."""
+    if isinstance(expr, CallExpr) and expr.name in defined:
+        return True
+    return any(
+        _calls_defined(child, defined)
+        for child in expr.children()
+        if isinstance(child, Expr)
+    )
 
 
 def variable_defaults(table: FunctionSymbolTable) -> dict[str, IntRange]:
@@ -489,12 +521,25 @@ def _join_envs(left: RangeEnvironment, right: RangeEnvironment) -> RangeEnvironm
 
 
 class FeasibilityAnalyzer:
-    """Forward interval propagation along *feasible* edges only."""
+    """Forward interval propagation along *feasible* edges only.
 
-    def __init__(self, cfg: ControlFlowGraph, table: FunctionSymbolTable):
+    *defined* names the functions whose calls run a body (and so may write
+    any global); *initialised* starts non-input globals at their static
+    initialisers instead of any value (see the module docstring).
+    """
+
+    def __init__(
+        self,
+        cfg: ControlFlowGraph,
+        table: FunctionSymbolTable,
+        defined: frozenset[str],
+        initialised: bool,
+    ):
         self._cfg = cfg
         self._table = table
-        #: entry environment: declared (pragma) range or type range
+        self._defined = defined
+        self._initialised = initialised
+        #: declared (pragma) range or type range; the any-value entry
         self._defaults = variable_defaults(table)
         #: widening / havoc target: always the full type range (assignments
         #: and callee writes may leave a declared input range)
@@ -519,7 +564,7 @@ class FeasibilityAnalyzer:
     # ------------------------------------------------------------------ #
     def run(self) -> FeasibilityResult:
         entry_env: dict[int, RangeEnvironment] = {
-            self._cfg.entry.block_id: RangeEnvironment(ranges=dict(self._defaults))
+            self._cfg.entry.block_id: self._entry_environment()
         }
         names = set(self._defaults)
         update_counts: dict[tuple[int, str], int] = {}
@@ -593,6 +638,17 @@ class FeasibilityAnalyzer:
             events=tuple(self._events),
         )
 
+    def _entry_environment(self) -> RangeEnvironment:
+        ranges = dict(self._defaults)
+        if self._initialised:
+            for name in self._globals:
+                if self._table.variables[name].is_input:
+                    continue
+                initial = self._static_initial(name)
+                if initial is not None:
+                    ranges[name] = initial
+        return RangeEnvironment(ranges=ranges)
+
     # ------------------------------------------------------------------ #
     def _state_ranges(self, stored: dict[str, IntRange]) -> dict[str, IntRange]:
         """Per-variable domain used to size the model's state variables.
@@ -630,19 +686,24 @@ class FeasibilityAnalyzer:
         return ranges
 
     def _static_initial(self, name: str) -> IntRange | None:
-        decl = self._table.variables[name].decl
-        if decl is None:
+        """The declaration's constant initialiser (0 without one), wrapped
+        at the variable's type as the board stores it; ``None`` when it does
+        not fold to a constant."""
+        symbol = self._table.variables[name]
+        if symbol.decl is None:
             return None
-        init = getattr(decl, "init", None)
+        init = getattr(symbol.decl, "init", None)
         if init is None:
             return IntRange(0, 0)
         folded = fold_expr(init)
         if isinstance(folded, IntLiteral):
-            return IntRange(folded.value, folded.value)
-        if isinstance(folded, BoolLiteral):
+            value = folded.value
+        elif isinstance(folded, BoolLiteral):
             value = int(folded.value)
-            return IntRange(value, value)
-        return None
+        else:
+            return None
+        value = symbol.ctype.wrap(value)
+        return IntRange(value, value)
 
     def _note_event(self, event: EvalEvent) -> None:
         key = (event.kind, event.node_id)
@@ -688,7 +749,7 @@ class FeasibilityAnalyzer:
                 if fallback is not None:
                     env.ranges[stmt.name] = fallback
                 return
-            calls = has_calls(stmt.init)
+            calls = _calls_defined(stmt.init, self._defined)
             if calls:
                 self._havoc_globals(env)
             value = self._evaluator.evaluate(stmt.init, env)
@@ -697,7 +758,7 @@ class FeasibilityAnalyzer:
                 self._havoc_globals(env)
             return
         if isinstance(stmt, ExprStmt):
-            calls = has_calls(stmt.expr)
+            calls = _calls_defined(stmt.expr, self._defined)
             if calls:
                 self._havoc_globals(env)
             self._transfer_expr(stmt.expr, env)
@@ -705,7 +766,7 @@ class FeasibilityAnalyzer:
                 self._havoc_globals(env)
             return
         if isinstance(stmt, ReturnStmt) and stmt.value is not None:
-            calls = has_calls(stmt.value)
+            calls = _calls_defined(stmt.value, self._defined)
             if calls:
                 self._havoc_globals(env)
             if recording:
@@ -739,7 +800,8 @@ class FeasibilityAnalyzer:
         return value
 
     def _havoc_globals(self, env: RangeEnvironment) -> None:
-        """A call may write any global: widen them all to their type range."""
+        """A defined callee may write any global: widen them all to their
+        type range."""
         for name in self._globals:
             env.ranges[name] = self._store(name, self._type_ranges[name])
 
@@ -765,7 +827,7 @@ class FeasibilityAnalyzer:
                 fallback = self._type_ranges.get(name)
                 if fallback is not None:
                     havoced.ranges[name] = self._store(name, fallback)
-            if has_calls(condition):
+            if _calls_defined(condition, self._defined):
                 self._havoc_globals(havoced)
             return [(edge, havoced.copy()) for edge in edges]
 
@@ -835,10 +897,19 @@ class FeasibilityAnalyzer:
 
 
 def analyze_feasibility(
-    cfg: ControlFlowGraph, table: FunctionSymbolTable
+    cfg: ControlFlowGraph,
+    table: FunctionSymbolTable,
+    defined: frozenset[str],
+    *,
+    initialised: bool,
 ) -> FeasibilityResult:
-    """Run the sound feasibility analysis on *cfg*."""
-    return FeasibilityAnalyzer(cfg, table).run()
+    """Run the sound feasibility analysis on *cfg*.
+
+    *defined* is :func:`defined_functions` of the unit; *initialised* picks
+    the entry rule (initialisers for the prefilter and initialised models,
+    any value for models that leave variables uninitialised).
+    """
+    return FeasibilityAnalyzer(cfg, table, defined, initialised).run()
 
 
 class StaticPrefilter:
@@ -846,8 +917,11 @@ class StaticPrefilter:
 
     Plugged into :class:`repro.mc.query.QueryEngineOptions` (duck-typed — the
     mc layer never imports sa).  A ``True`` answer is a *proof*: the target
-    blocks can never execute or a required edge can never be taken, so the
-    model checker would necessarily report ``UNREACHABLE``.
+    blocks can never execute or a required edge can never be taken when the
+    board runs the function from its initialised globals, so the model
+    checker on an initialised model would necessarily report
+    ``UNREACHABLE``.  Build it from the initialised entry
+    (``initialised=True``).
     """
 
     def __init__(self, feasibility: FeasibilityResult):

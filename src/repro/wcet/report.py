@@ -84,7 +84,7 @@ class WcetReport:
             f"  program segments          : {len(self.partition.segments)}",
             f"  instrumentation points ip : {self.partition.instrumentation_points}",
             f"  required measurements m   : {self.partition.measurements}",
-            f"  measurement runs recorded : {len(self.database)}",
+            f"  segment observations      : {len(self.database)}",
             f"  test vectors used         : {self.test_vectors_used}",
             f"  infeasible paths          : {self.infeasible_paths}",
             f"  WCET bound (timing schema): {self.bound.bound_cycles} cycles",

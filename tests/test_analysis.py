@@ -14,7 +14,7 @@ from repro.analysis import (
 )
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
-from repro.sa import analyze_feasibility
+from repro.sa import analyze_feasibility, defined_functions
 
 from dataflow_reference import DataflowProblem, Direction, set_union, solve_reference
 
@@ -170,7 +170,13 @@ class TestRangeAnalysis:
 
     @staticmethod
     def state_ranges(analyzed, cfg, name: str = "f"):
-        return analyze_feasibility(cfg, analyzed.table(name)).state_ranges
+        # the any-value entry of models that leave variables uninitialised
+        return analyze_feasibility(
+            cfg,
+            analyzed.table(name),
+            defined_functions(analyzed.program),
+            initialised=False,
+        ).state_ranges
 
     def test_input_range_from_pragma(self):
         analyzed, cfg = build(

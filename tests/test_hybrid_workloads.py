@@ -10,7 +10,10 @@ returned.  The tests then check
   MODEL_CHECKING vector covers its target when replayed on a fresh board;
 * the sa skip: the genetic phase searches no target whose path the static
   analysis proved infeasible, each skipped target ends with exactly one
-  INFEASIBLE report, and no other search is lost;
+  INFEASIBLE report, and no other search is lost; on the controllers sa
+  proves every INFEASIBLE target before any search runs;
+* sa moves no result: the INFEASIBLE targets and the bounds are the same
+  with the static analysis off;
 * the work: on the controllers, the board runs and genetic evaluations of
   each analysis are pinned, so a change meant to make them cheaper cannot
   quietly change how many there are.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import pytest
 
@@ -55,24 +59,24 @@ WORKLOADS = {
 #: workload -> (searches run, searches skipped, searches run without sa).
 #: Without sa every target left uncovered by the random phase is searched
 #: unless an earlier search covered it as a by-product.  Searches on
-#: sa-infeasible targets produced some of those by-products on controllers
-#: 11 and 5, so there the skip hands 2 and 7 targets a search of their own.
-#: The call chain keeps 3 searches: their targets are infeasible only by a
-#: correlation between two branches, which the interval domain cannot prove
-#: and the model checker does.
+#: sa-infeasible targets produced some of those by-products on the
+#: controllers, so there the skip hands 6, 6 and 7 targets a search of their
+#: own.  The call chain keeps 3 searches: their targets are infeasible only
+#: by a correlation between two branches, which the interval domain cannot
+#: prove and the model checker does.
 SEARCHES = {
     "callchain": (3, 9, 12),
     "wiper": (1, 1, 2),
-    "controller_11": (16, 8, 22),
-    "controller_2": (18, 10, 28),
-    "controller_5": (13, 16, 22),
+    "controller_11": (9, 19, 22),
+    "controller_2": (16, 18, 28),
+    "controller_5": (12, 17, 22),
 }
 
 #: controller -> (``Interpreter.run`` calls, genetic evaluations) of its analysis
 WORK = {
-    "controller_11": (15780, 15622),
-    "controller_2": (11136, 10906),
-    "controller_5": (6911, 6559),
+    "controller_11": (4393, 4094),
+    "controller_2": (6472, 6188),
+    "controller_5": (5771, 5409),
 }
 
 
@@ -93,8 +97,16 @@ class Generation:
     board_runs: int = 0
 
 
-def record_generations(sources: dict[str, str], **config) -> list[Generation]:
-    """Analyse *sources* uncached and return every hybrid generation."""
+class Recording(NamedTuple):
+    """The hybrid generations and the bounds of one uncached project run."""
+
+    generations: list[Generation]
+    #: function -> WCET bound cycles
+    bounds: dict[str, int]
+
+
+def record_generations(sources: dict[str, str], **config) -> Recording:
+    """Analyse *sources* uncached and record every hybrid generation."""
     generations: list[Generation] = []
     board_options: dict[int, dict] = {}
     by_generator: dict[int, Generation] = {}
@@ -153,16 +165,40 @@ def record_generations(sources: dict[str, str], **config) -> list[Generation]:
             cache=ResultCache.disabled(),
         ).run()
     assert not report.failures
-    return generations
+    bounds = {summary.function: summary.wcet_bound_cycles for summary in report.functions}
+    return Recording(generations, bounds)
 
 
 @pytest.fixture(scope="module")
-def recorded() -> dict[str, list[Generation]]:
+def recordings() -> dict[str, Recording]:
     return {name: record_generations(sources()) for name, sources in WORKLOADS.items()}
+
+
+@pytest.fixture(scope="module")
+def recordings_without_sa() -> dict[str, Recording]:
+    return {
+        name: record_generations(sources(), static_analysis=False)
+        for name, sources in WORKLOADS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def recorded(recordings) -> dict[str, list[Generation]]:
+    return {name: recording.generations for name, recording in recordings.items()}
 
 
 def skipped_keys(generation: Generation) -> list:
     return [target.key for target in generation.suite.static_skips]
+
+
+def infeasible_targets(generations: list[Generation]) -> set:
+    """``(function, target key)`` of every target reported INFEASIBLE."""
+    return {
+        (generation.function, report.target.key)
+        for generation in generations
+        for report in generation.suite.reports
+        if report.source is CoverageSource.INFEASIBLE
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -253,9 +289,34 @@ def test_call_chain_searches_only_targets_sa_cannot_prove(recorded):
             assert generation.suite.mc_diagnostics["solver_runs"] > 0
 
 
+@pytest.mark.parametrize("workload", sorted(WORK))
+def test_sa_proves_every_infeasible_target_before_a_search(recorded, workload):
+    # skipped targets are never searched (test_skips_lose_no_other_search)
+    (generation,) = recorded[workload]
+    infeasible = infeasible_targets([generation])
+    assert infeasible
+    assert {(generation.function, key) for key in skipped_keys(generation)} == (
+        infeasible
+    )
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_sa_moves_no_infeasible_target(recorded, recordings_without_sa, workload):
+    assert infeasible_targets(recorded[workload]) == infeasible_targets(
+        recordings_without_sa[workload].generations
+    )
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_sa_moves_no_bound(recordings, recordings_without_sa, workload):
+    assert recordings[workload].bounds == recordings_without_sa[workload].bounds
+
+
 @pytest.mark.parametrize("workload", ["callchain", "controller_5"])
-def test_without_sa_every_skipped_target_is_searched_again(recorded, workload):
-    generations = record_generations(WORKLOADS[workload](), static_analysis=False)
+def test_without_sa_every_skipped_target_is_searched_again(
+    recorded, recordings_without_sa, workload
+):
+    generations = recordings_without_sa[workload].generations
     searched_off = [(g.function, key) for g in generations for key in g.searched]
     assert not any(g.suite.static_skips for g in generations)
     assert len(searched_off) == SEARCHES[workload][2]

@@ -126,9 +126,13 @@ class TestTimingSchema:
         # declaring it unreachable must not raise
         victim = partition.segments[-1].segment_id
         clean = MeasurementDatabase()
-        for measurement in database.measurements():
-            if measurement.segment_id != victim:
-                clean.add(measurement)
+        for segment in partition.segments:
+            stats = database.statistics(segment.segment_id)
+            if segment.segment_id == victim or stats is None:
+                continue
+            for path, cycles in stats.paths.items():
+                clean.add(SegmentMeasurement(segment.segment_id, path, cycles))
+        assert clean.statistics(victim) is None
         bound = TimingSchema(figure1_cfg, partition).compute(
             clean, unreachable_segments={victim}
         )

@@ -475,6 +475,16 @@ void f(void) {
 """
 
 
+ANY_START = """
+#pragma input a
+#pragma range a 0 3
+int a; int g = 0; int r;
+void f(void) {
+    if (g > 5) { r = 7; } else { r = a; }
+}
+"""
+
+
 class TestVariableRangeSoundness:
     """Every value the board stores fits the model domain of its variable.
 
@@ -528,6 +538,23 @@ class TestVariableRangeSoundness:
         analyzed = parse_and_analyze(CALLEE_STORE)
         runs = self.runs_with_final_values_in_domains(analyzed, "f", frozenset({"g"}))
         assert runs == 4
+
+    def test_uninitialised_model_lets_globals_start_anywhere(self):
+        # g starts at 0 on the board and in the initialised model, so r = 7
+        # never runs there; a model without variable initialisation starts
+        # g anywhere, so r's domain must hold 7
+        analyzed = parse_and_analyze(ANY_START)
+        domains = {
+            config.variable_initialisation: build_optimized_model(
+                analyzed, "f", config, keep_variables=frozenset({"r"})
+            ).system.variables["r"].domain
+            for config in (
+                OptimizationConfig.only("variable_range_analysis"),
+                OptimizationConfig.cfg_preserving(),
+            )
+        }
+        assert 7 in domains[False]
+        assert 7 not in domains[True]
 
     def test_wiper_on_its_whole_input_space(self, wiper_code, wiper_function_name):
         runs = self.runs_with_final_values_in_domains(

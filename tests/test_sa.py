@@ -3,16 +3,22 @@
 The heart of this file is the *differential* suite: every edge/block the
 static analysis calls infeasible is checked against the model checker on
 the optimised model, and the prefiltered query engine must return verdicts
-bit-identical to the unfiltered one.  Soundness is the whole contract --
-a single disagreement here is a bug in :mod:`repro.sa`, never in the MC.
+bit-identical to the unfiltered one.  The board oracle checks the same
+claims against real executions: no block sa calls unreachable and no edge
+it calls infeasible ever runs on the board.  Soundness is the whole
+contract -- a single disagreement here is a bug in :mod:`repro.sa`, never in
+the MC or the board.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.cfg import EdgeKind, build_cfg
+from repro.cfg import EdgeKind, TerminatorKind, build_cfg
 from repro.cfg.paths import enumerate_paths
+from repro.hw import Interpreter
 from repro.mc import ModelChecker, Verdict
 from repro.mc.property import GoalBuilder
 from repro.mc.query import QueryBudget, QueryEngine, QueryEngineOptions
@@ -22,6 +28,7 @@ from repro.pipeline.analyzer import AnalyzerConfig, WcetAnalyzer
 from repro.sa import (
     StaticPrefilter,
     analyze_feasibility,
+    defined_functions,
     diagnose,
     infer_loop_bounds,
     max_severity,
@@ -29,27 +36,45 @@ from repro.sa import (
     run_static_analysis,
 )
 from repro.partition import partition_function
-from repro.testgen import build_targets
+from repro.testgen import InputSpace, build_targets
 from repro.testgen.hybrid import HybridOptions
 from repro.transsys import edge_label
+from repro.wcet.end_to_end import enumerate_input_space
 from repro.workloads.multi import (
     generate_call_chain_workload,
     generate_multi_function_workload,
 )
 from repro.workloads.targetlink import generate_small_application
+from repro.workloads.wiper import wiper_case_study
 
 pytestmark = pytest.mark.sa
 
 
-def analyzed_function(body: str, header: str = "void f(void)", prelude: str = ""):
+def parsed_function(body: str, header: str = "void f(void)", prelude: str = ""):
     analyzed = parse_and_analyze(f"{prelude}\n{header} {{ {body} }}")
-    cfg = build_cfg(analyzed.program.function("f"))
+    return analyzed, build_cfg(analyzed.program.function("f"))
+
+
+def analyzed_function(body: str, **kwargs):
+    analyzed, cfg = parsed_function(body, **kwargs)
     return cfg, analyzed.table("f")
 
 
+def feasibility(analyzed, function_name: str, cfg=None):
+    """sa's result for one function under the prefilter's entry rule."""
+    if cfg is None:
+        cfg = build_cfg(analyzed.program.function(function_name))
+    return analyze_feasibility(
+        cfg,
+        analyzed.table(function_name),
+        defined_functions(analyzed.program),
+        initialised=True,
+    )
+
+
 def feasibility_of(body: str, **kwargs):
-    cfg, table = analyzed_function(body, **kwargs)
-    return cfg, table, analyze_feasibility(cfg, table)
+    analyzed, cfg = parsed_function(body, **kwargs)
+    return cfg, analyzed.table("f"), feasibility(analyzed, "f", cfg)
 
 
 # ---------------------------------------------------------------------- #
@@ -92,13 +117,45 @@ class TestFeasibility:
         )
         assert result.unreachable_blocks
 
-    def test_call_havocs_globals(self):
-        # ext() may write g, so the g > 5 arm must stay feasible
-        cfg, _, result = feasibility_of(
-            "g = 1; ext(); if (g > 5) { g = 2; }",
-            prelude="int g; void ext(void);",
-        )
+    def test_defined_callee_keeps_the_arm_feasible(self):
+        # set_g() runs on the board and writes g, so the g > 5 arm is taken
+        analyzed = parse_and_analyze(DEFINED_CALLEE)
+        result = feasibility(analyzed, "f")
         assert not result.infeasible_edges
+        assert not result.unreachable_blocks
+        assert Interpreter(analyzed).run("f").final_environment["g"] == 2
+
+    def test_undefined_external_writes_no_global(self):
+        # ext() only costs cycles on the board: g keeps a's [0, 3] across it
+        analyzed = parse_and_analyze(EXTERNAL_CALL)
+        result = feasibility(analyzed, "f")
+        assert {kind for _, _, kind in result.infeasible_edges} == {
+            EdgeKind.TRUE.value
+        }
+        vectors = every_input(analyzed, "f")
+        assert len(vectors) == 4
+        # one infeasible edge and the block it leads to, on every input
+        assert board_claims_hold(analyzed, "f", vectors) == 2
+
+    def test_non_input_globals_start_at_their_initialisers(self):
+        analyzed = parse_and_analyze(INITIALISED_GLOBALS)
+        cfg = build_cfg(analyzed.program.function("f"))
+        initialised = feasibility(analyzed, "f", cfg)
+        # aux >= 130, flag != 0 and wrapped != 44 (300 wraps at UInt8) are
+        # dead; the input u keeps its declared range
+        assert len(initialised.infeasible_edges) == 3
+        assert len(initialised.unreachable_blocks) == 3
+        vectors = every_input(analyzed, "f")
+        assert len(vectors) == 16
+        assert board_claims_hold(analyzed, "f", vectors) == 6
+        # the any-value entry of uninitialised models proves none of them
+        any_value = analyze_feasibility(
+            cfg,
+            analyzed.table("f"),
+            defined_functions(analyzed.program),
+            initialised=False,
+        )
+        assert not any_value.infeasible_edges
 
     def test_switch_case_outside_selector_range_is_dead(self):
         cfg, _, result = feasibility_of(
@@ -136,7 +193,7 @@ class TestFeasibility:
         analyzed = parse_and_analyze("void ext(void);\n" + source)
         function = analyzed.program.function("f")
         cfg = build_cfg(function)
-        result = analyze_feasibility(cfg, analyzed.table("f"))
+        result = feasibility(analyzed, "f", cfg)
         partition = PaperPartitioner(2).partition(function, cfg)
         dead = partition.segments_within(result.unreachable_blocks)
         for segment in dead:
@@ -149,6 +206,132 @@ class TestFeasibility:
             "int a; a = 30000; a = a + 30000; if (a > 0) { a = 1; }"
         )
         assert not result.infeasible_edges
+
+
+DEFINED_CALLEE = """
+int g;
+void set_g(void) { g = 9; }
+void f(void) { g = 1; set_g(); if (g > 5) { g = 2; } }
+"""
+
+EXTERNAL_CALL = """
+#pragma input a
+#pragma range a 0 3
+int a; int g;
+void ext(void);
+void f(void) { g = a; ext(); if (g > 5) { g = 2; } }
+"""
+
+INITIALISED_GLOBALS = """
+#pragma input u
+#pragma range u 0 15
+int u; int aux = 3; UInt8 flag; UInt8 wrapped = 300;
+void f(void) {
+    if (u > 7) { aux = aux + 1; }
+    if (aux >= 130) { flag = 1; }
+    if (flag != 0) { u = 0; }
+    if (wrapped != 44) { u = 1; }
+}
+"""
+
+
+# ---------------------------------------------------------------------- #
+# board oracle: sa's claims against the board's executions
+# ---------------------------------------------------------------------- #
+def every_input(analyzed, function_name: str) -> list[dict[str, int]]:
+    """Every vector of the function's input space (at most 20,000)."""
+    ranges = InputSpace.from_program(analyzed, function_name).ranges()
+    return enumerate_input_space(ranges, limit=20_000)
+
+
+def taken_edges(cfg, run):
+    """The ``(source, target, kind)`` edge of every step of *run*'s trace."""
+    branches = iter(run.branch_events)
+    switches = iter(run.switch_events)
+    for source, target in zip(run.trace, run.trace[1:]):
+        kind = cfg.block(source).terminator.kind
+        if kind is TerminatorKind.SWITCH:
+            edge = next(switches).taken_edge
+        else:
+            candidates = [e for e in cfg.out_edges(source) if e.target == target]
+            if kind is TerminatorKind.BRANCH:
+                event = next(branches)
+                assert event.block_id == source
+                taken = (
+                    (EdgeKind.TRUE, EdgeKind.BACK)
+                    if event.outcome
+                    else (EdgeKind.FALSE,)
+                )
+                candidates = [e for e in candidates if e.kind in taken]
+            edge = candidates[0]
+        assert (edge.source, edge.target) == (source, target)
+        yield (edge.source, edge.target, edge.kind.value)
+
+
+def board_claims_hold(analyzed, function_name: str, vectors) -> int:
+    """Run every vector; no run may enter a block or take an edge that sa
+    proved dead.  Returns the number of claims checked (0 = vacuous)."""
+    board = Interpreter(analyzed)
+    cfg = board.cfg(function_name)
+    result = feasibility(analyzed, function_name, cfg)
+    dead_blocks, dead_edges = result.unreachable_blocks, result.infeasible_edges
+    for vector in vectors:
+        run = board.run(function_name, vector)
+        assert not dead_blocks & set(run.trace), (function_name, vector)
+        for edge in taken_edges(cfg, run):
+            assert edge not in dead_edges, (function_name, edge, vector)
+    return len(dead_blocks) + len(dead_edges)
+
+
+class TestBoardOracle:
+    """sa's verdicts hold on the board, on every input where that is
+    enumerable (at most 20,000 vectors) and on seeded vectors elsewhere."""
+
+    def test_wiper_every_input(self):
+        case = wiper_case_study()
+        vectors = every_input(case.analyzed, case.function_name)
+        assert len(vectors) == 108
+        board_claims_hold(case.analyzed, case.function_name, vectors)
+
+    def test_call_chain_every_input(self):
+        functions = 0
+        for source in generate_call_chain_workload(2005).sources.values():
+            analyzed = parse_and_analyze(source)
+            for function in analyzed.program.functions:
+                vectors = every_input(analyzed, function.name)
+                board_claims_hold(analyzed, function.name, vectors)
+                functions += 1
+        assert functions == 9
+
+    def test_small_programs_every_input(
+        self, figure1, small_loop_program, branching_program
+    ):
+        programs = [
+            (figure1, "main"),
+            (small_loop_program, "accumulate"),
+            (branching_program, "classify"),
+        ]
+        for source in (DEFINED_CALLEE, EXTERNAL_CALL, INITIALISED_GLOBALS):
+            programs.append((parse_and_analyze(source), "f"))
+        workload = generate_multi_function_workload(seed=2005, functions=3, units=2)
+        for source in workload.sources.values():
+            analyzed = parse_and_analyze(source)
+            programs.extend(
+                (analyzed, function.name) for function in analyzed.program.functions
+            )
+        claims = sum(
+            board_claims_hold(analyzed, name, every_input(analyzed, name))
+            for analyzed, name in programs
+        )
+        assert claims > 0
+
+    @pytest.mark.parametrize("seed", [11, 2, 5])
+    def test_controller_on_seeded_vectors(self, seed):
+        app = generate_small_application(seed=seed)
+        space = InputSpace.from_program(app.analyzed, app.function_name)
+        rng = random.Random(seed)
+        vectors = [space.random_vector(rng) for _ in range(5_000)]
+        assert board_claims_hold(app.analyzed, app.function_name, vectors) > 0
 
 
 # ---------------------------------------------------------------------- #
@@ -260,7 +443,7 @@ class TestDiagnostics:
                         continue
                     cfg = build_cfg(function)
                     table = analyzed.table(function.name)
-                    result = analyze_feasibility(cfg, table)
+                    result = feasibility(analyzed, function.name, cfg)
                     diagnostics = diagnose(cfg, table, result)
                     assert max_severity(diagnostics) != "error", (
                         unit,
@@ -278,9 +461,7 @@ def _assert_static_claims_hold(analyzed, function_name: str) -> int:
     Returns the number of claims checked so callers can assert the suite
     exercised something.
     """
-    cfg = build_cfg(analyzed.program.function(function_name))
-    table = analyzed.table(function_name)
-    result = analyze_feasibility(cfg, table)
+    result = feasibility(analyzed, function_name)
     model = build_optimized_model(
         analyzed, function_name, OptimizationConfig.cfg_preserving()
     )
@@ -328,10 +509,9 @@ class TestDifferentialSoundness:
         model = build_optimized_model(
             app.analyzed, app.function_name, OptimizationConfig.cfg_preserving()
         )
-        feasibility = analyze_feasibility(
-            app.cfg, app.analyzed.table(app.function_name)
+        prefilter = StaticPrefilter(
+            feasibility(app.analyzed, app.function_name, app.cfg)
         )
-        prefilter = StaticPrefilter(feasibility)
         builder = GoalBuilder(block_location=model.translation.block_location)
         targets = sorted(model.translation.block_location)
 
@@ -379,10 +559,9 @@ class TestPathPrefilter:
 
     def test_goal_check_agrees_with_path_check(self):
         app = generate_small_application(seed=5)
-        feasibility = analyze_feasibility(
-            app.cfg, app.analyzed.table(app.function_name)
+        prefilter = StaticPrefilter(
+            feasibility(app.analyzed, app.function_name, app.cfg)
         )
-        prefilter = StaticPrefilter(feasibility)
         partition = partition_function(
             app.analyzed.program.function(app.function_name), 4, app.cfg
         )
@@ -469,7 +648,9 @@ class TestPipelineIntegration:
         source = "int f(int x) { int a; a = 0; if (x > 0) { a = 1; } return a; }"
         analyzed = parse_and_analyze(source)
         cfg = build_cfg(analyzed.program.function("f"))
-        result = run_static_analysis(cfg, analyzed.table("f"))
+        result = run_static_analysis(
+            cfg, analyzed.table("f"), defined_functions(analyzed.program)
+        )
         assert result.prefilter is not None
         payload = result.payload()
         assert {"edges_pruned", "loop_bounds_inferred", "diagnostics"} <= set(payload)
