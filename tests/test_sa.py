@@ -55,11 +55,6 @@ def parsed_function(body: str, header: str = "void f(void)", prelude: str = ""):
     return analyzed, build_cfg(analyzed.program.function("f"))
 
 
-def analyzed_function(body: str, **kwargs):
-    analyzed, cfg = parsed_function(body, **kwargs)
-    return cfg, analyzed.table("f")
-
-
 def feasibility(analyzed, function_name: str, cfg=None):
     """sa's result for one function under the prefilter's entry rule."""
     if cfg is None:
@@ -339,8 +334,8 @@ class TestBoardOracle:
 # ---------------------------------------------------------------------- #
 class TestLoopBounds:
     def bounds_of(self, body: str, **kwargs):
-        cfg, table = analyzed_function(body, **kwargs)
-        return infer_loop_bounds(cfg, table)
+        analyzed, cfg = parsed_function(body, **kwargs)
+        return infer_loop_bounds(cfg, analyzed.table("f"))
 
     def test_classic_counted_loop(self):
         bounds = self.bounds_of(
