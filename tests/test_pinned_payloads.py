@@ -1,9 +1,11 @@
-"""Pinned analysis results: the call-chain demo, the wiper and one controller.
+"""Pinned analysis results: the call-chain demo, the wiper and three controllers.
 
 ``fixtures/pinned_payloads.json`` holds :meth:`FunctionSummary.result_payload`
 of every function of ``generate_call_chain_workload(2005)``, of the wiper
-case study and of the wide-input controller ``generate_small_application(11)``
-under the default :class:`AnalyzerConfig`, uncached.  The payload
+case study and of the wide-input controllers
+``generate_small_application(seed)`` for seeds 11, 2 and 5 (the controllers
+of the ``controller_cold`` benchmark) under the default
+:class:`AnalyzerConfig`, uncached.  The payload
 carries the generator statistics (genetic evaluations, random vectors used),
 so a change to how test data is searched for shows up here even when the
 bounds stay the same.  Regenerate the fixture only for a change that is
@@ -29,7 +31,10 @@ def current_payloads() -> dict[str, dict]:
     projects = [
         generate_call_chain_workload(2005).sources,
         {"wiper.c": wiper_case_study().source},
-        {"controller_11.c": generate_small_application(seed=11).source},
+        *(
+            {f"controller_{seed}.c": generate_small_application(seed=seed).source}
+            for seed in (11, 2, 5)
+        ),
     ]
     payloads: dict[str, dict] = {}
     for sources in projects:

@@ -116,3 +116,39 @@ def test_narrowing_casts_wrap_in_the_solver():
     """
     bound, cycles = _bound_and_cycles(source, {"a": 3221, "b": 1})
     assert bound >= cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(d): the model checker reads an assignment "
+    "inside an expression as its value and drops the store",
+)
+def test_assignments_inside_conditions_store():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; Int16 x = 0; Int16 r = 0;
+    void f(void) {{ r = 0; if ((x = a) > 10) {{ r = 1; }}
+      if (x > 20) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 3221})
+    assert bound >= cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(e): the model checker clamps an out-of-range "
+    "initialiser instead of wrapping it",
+)
+def test_initialisers_wrap_in_the_model():
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; UInt8 w = 300; Int16 r;
+    void f(void) {{ r = 0;
+      if (w == 44) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 3221})
+    assert bound >= cycles
