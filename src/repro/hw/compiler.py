@@ -13,7 +13,8 @@ compilation after Feeley & Lapalme, *Using closures for code generation*,
 * a call to a defined, unstubbed function evaluates its arguments, wraps
   them into the callee's parameters and runs the callee's compiled code,
   looked up when the call runs (so compilation stays lazy and recursion
-  works);
+  works); the callee's parameters and locals form a C call frame, so the
+  caller's values of those names are restored on return;
 * the Tracey branch distances are closures over a side-effect-free value
   semantics.
 
@@ -169,6 +170,17 @@ def compile_function(
 
 
 # ---------------------------------------------------------------------- #
+#: a name the caller's environment did not bind before a call
+_UNBOUND = object()
+
+
+def frame_names(function: FunctionDef) -> tuple[str, ...]:
+    """The names of *function*'s call frame: its parameters and locals."""
+    names = [param.name for param in function.params]
+    names.extend(node.name for node in function.body.walk() if isinstance(node, DeclStmt))
+    return tuple(dict.fromkeys(names))
+
+
 def _value_wrapper(ctype: CType | None) -> Callable[[int], int]:
     """The wrap of an expression result: its type's, int16 for none or void."""
     if ctype is None or ctype.is_void:
@@ -393,15 +405,27 @@ class _Compiler:
         name, run_function = expr.name, self._run_function
         # callee environment: globals are shared, parameters are local copies
         params = tuple((param.name, _type_wrapper(param.param_type)) for param in callee.params)
+        frame = frame_names(callee)
 
         def call_defined(env, state):
             values = [run(env, state) for run in runs]
+            # the callee's parameters and locals live in its own frame: the
+            # caller's values of those names come back on return, also when
+            # the callee raises
+            saved = [env.get(local, _UNBOUND) for local in frame]
             for (param, wrap), value in zip(params, values):
                 env[param] = wrap(value)
             # the caller's block charged its later steps on entry; the
             # callee's block ends must see only the steps executed so far
             state.steps -= after
-            result = run_function(name, env, state, False)
+            try:
+                result = run_function(name, env, state, False)
+            finally:
+                for local, value in zip(frame, saved):
+                    if value is _UNBOUND:
+                        env.pop(local, None)
+                    else:
+                        env[local] = value
             state.steps += after
             return 0 if result is None else result
 

@@ -368,10 +368,21 @@ class BoardWalker:
             state.cycles += self._cost.external_call_cost(expr.name)
             return 0
         callee = self._program.function(expr.name)
-        # callee environment: globals are shared, parameters are local copies
+        # callee environment: globals are shared; parameters and locals form
+        # the callee's frame, and the caller's values of those names come
+        # back on return (also when the callee raises)
+        frame = {param.name for param in callee.params} | {
+            node.name for node in callee.body.walk() if isinstance(node, DeclStmt)
+        }
+        saved = {name: environment[name] for name in frame if name in environment}
         for param, value in zip(callee.params, argument_values):
             environment[param.name] = param.param_type.wrap(value)
-        result = self._walk_function(expr.name, environment, state, record=False)
+        try:
+            result = self._walk_function(expr.name, environment, state, record=False)
+        finally:
+            for name in frame:
+                environment.pop(name, None)
+            environment.update(saved)
         return result if result is not None else 0
 
     # ------------------------------------------------------------------ #

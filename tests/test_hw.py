@@ -105,6 +105,45 @@ class TestInterpreterSemantics:
         board = board_for(source)
         assert board.run("f", {"x": 5}).final_environment["y"] == 11
 
+    def test_a_callee_local_does_not_overwrite_the_callers(self):
+        # C: g's t lives in g's frame, so f still reads its own t == 1
+        source = """
+        void g(void) { Int16 t = 0; t = 100; }
+        Int16 out;
+        void f(void) { Int16 t = 0; t = 1; g(); out = t; }
+        """
+        result = board_for(source).run("f")
+        assert result.final_environment["out"] == 1
+        assert result.final_environment["t"] == 1
+
+    def test_recursive_calls_keep_their_own_locals(self):
+        # C: every activation returns the k it set, so r(3) == 3
+        source = """
+        Int16 r(Int16 n) { Int16 k = 0; k = n; if (n > 0) { r(n - 1); } return k; }
+        Int16 out;
+        void f(void) { out = r(3); }
+        """
+        result = board_for(source).run("f")
+        assert result.final_environment["out"] == 3
+        assert "k" not in result.final_environment
+        assert "n" not in result.final_environment
+
+    def test_a_raising_callee_restores_the_callers_frame(self):
+        from repro.hw.interpreter import _RunState
+
+        source = """
+        Int16 d; Int16 out;
+        Int16 g(Int16 t) { Int16 u = 0; u = 10 / d; return u; }
+        void f(void) { Int16 t = 7; out = g(3); }
+        """
+        interpreter = Interpreter(parse_and_analyze(source))
+        environment = interpreter._environment_for({})
+        with pytest.raises(ExecutionError, match="division by zero"):
+            interpreter._run_compiled("f", environment, _RunState(1_000), True)
+        # g's parameter t and local u are gone, f's t is back
+        assert environment["t"] == 7
+        assert "u" not in environment
+
     def test_division_by_zero_raises(self):
         source = "#pragma input d\nint d; int r; void f(void) { r = 10 / d; }"
         board = board_for(source)
