@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import perf
 from ..minic.ast_nodes import (
     BoolLiteral,
     BreakStmt,
@@ -420,4 +421,5 @@ class CfgBuilder:
 
 def build_cfg(function: FunctionDef) -> ControlFlowGraph:
     """Build the CFG of *function*."""
+    perf.add("cfg.builds")
     return CfgBuilder().build_function(function)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .artifacts import RunArtifacts
 from .board import EvaluationBoard, InstrumentedRun, PointReading
 from .cost_model import (
     DEFAULT_EXTERNAL_CALL_CYCLES,
@@ -21,6 +22,7 @@ __all__ = [
     "EvaluationBoard",
     "InstrumentedRun",
     "PointReading",
+    "RunArtifacts",
     "DEFAULT_EXTERNAL_CALL_CYCLES",
     "HCS12_COST_MODEL",
     "CostModel",

@@ -4,11 +4,18 @@ The paper's flow compiles the instrumented application for the Motorola HCS12,
 uploads it to an evaluation board, forces the generated test data onto the
 input variables through glue code and reads back the cycle-counter values at
 the instrumentation points.  :class:`EvaluationBoard` packages that flow:
-programs are *loaded* once (parsed program + cost model; a function's CFG is
-built when the board first runs or is asked for it), then *run*
-any number of times with different test vectors, optionally with an
+programs are *loaded* once (parsed program + cost model), then *run* any
+number of times with different test vectors, optionally with an
 instrumentation plan attached so each run also yields the cycle-counter
 readings of every instrumentation point that fired.
+
+A board takes its CFGs and compiled code from a
+:class:`~repro.hw.artifacts.RunArtifacts` store: a function's CFG is built
+when some user of the store first asks for it, and its code compiles on its
+first run on any unstubbed board of the store with the same program and
+cost model.  So the analyzer, its test-generation board and every
+verification board of a project run share one CFG and one compiled board
+per function.  A board given no store makes a private one.
 
 Execution is deterministic, so a board can *memoise* its runs: with
 ``memoise=True`` every distinct ``(function, input vector)`` pair runs on the
@@ -28,6 +35,7 @@ from ..cfg.graph import ControlFlowGraph
 from ..minic.semantic import AnalyzedProgram
 from ..partition.instrument import InstrumentationPlan, InstrumentationPoint
 from ..resilience import faults as _resilience
+from .artifacts import RunArtifacts
 from .cost_model import CostModel, HCS12_COST_MODEL
 from .interpreter import Interpreter, RunResult
 
@@ -63,6 +71,7 @@ class EvaluationBoard:
         max_steps: int = 1_000_000,
         stub_functions: Iterable[str] = (),
         memoise: bool = False,
+        artifacts: RunArtifacts | None = None,
     ):
         self._analyzed = analyzed
         self._interpreter = Interpreter(
@@ -70,6 +79,7 @@ class EvaluationBoard:
             cost_model=cost_model,
             max_steps=max_steps,
             stub_functions=stub_functions,
+            artifacts=artifacts,
         )
         #: (function, sorted input items) -> run result; None = no memo
         self._memo: dict[tuple, RunResult] | None = {} if memoise else None

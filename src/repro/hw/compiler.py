@@ -41,6 +41,7 @@ import operator
 from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple
 
+from .. import perf
 from ..cfg.graph import ControlFlowGraph, Edge, EdgeKind, TerminatorKind
 from ..minic.ast_nodes import (
     AssignExpr,
@@ -156,6 +157,7 @@ def compile_function(
     A call into one of *callees* runs it through *run_function*; a call to
     any other name is an external call that only consumes cycles.
     """
+    perf.add("hw.compiles")
     compiler = _Compiler(cost, callees, run_function)
     blocks = {block.block_id: CompiledBlock(block.block_id) for block in cfg.blocks()}
     exit_id = cfg.exit.block_id

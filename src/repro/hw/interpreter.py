@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from ..cfg.builder import build_cfg
 from ..cfg.graph import ControlFlowGraph, Edge
-from ..minic.ast_nodes import BinaryOp, BoolLiteral, Expr, IntLiteral, UnaryOp
+from ..minic.ast_nodes import BinaryOp, BoolLiteral, Expr, FunctionDef, IntLiteral, UnaryOp
 from ..minic.folding import apply_binary, apply_unary
 from ..minic.semantic import AnalyzedProgram
 from ..resilience import faults as _resilience
@@ -49,6 +48,9 @@ from .compiler import (
     compile_function,
 )
 from .cost_model import CostModel, HCS12_COST_MODEL
+
+if TYPE_CHECKING:
+    from .artifacts import RunArtifacts
 
 #: steps between two deadline polls
 POLL_INTERVAL = 1024
@@ -121,9 +123,12 @@ class RunResult(NamedTuple):
 class Interpreter:
     """Executes functions of one analysed program with cycle accounting.
 
-    A function's CFG is built the first time it is asked for and its
-    compiled code on its first run, so a CFG must not change after the
-    function's first run.
+    A function's CFG comes from the interpreter's
+    :class:`~repro.hw.artifacts.RunArtifacts` the first time it is asked
+    for, and its compiled code is built on its first run and shared by every
+    interpreter on the same store with the same cost model and stubs (see
+    :meth:`RunArtifacts.compiled`).  Without a store the interpreter makes a
+    private one.  A CFG must not change after the function's first run.
     """
 
     def __init__(
@@ -132,42 +137,33 @@ class Interpreter:
         cost_model: CostModel = HCS12_COST_MODEL,
         max_steps: int = 1_000_000,
         stub_functions: "Iterable[str]" = (),
+        artifacts: "RunArtifacts | None" = None,
     ):
+        if artifacts is None:
+            from .artifacts import RunArtifacts
+
+            artifacts = RunArtifacts()
         self._analyzed = analyzed
         self._program = analyzed.program
         self._cost = cost_model
-        #: function name -> its CFG, built on first use
-        self._cfgs: dict[str, ControlFlowGraph] = {}
         self._max_steps = max_steps
         #: defined functions treated as opaque external calls: their body is
         #: not executed and each call is charged the cost model's external
         #: cost for the name instead.  The interprocedural analysis uses this
         #: to replace already-summarised callees with their WCET bound.
-        self._stubbed = set(stub_functions)
-        #: the functions whose calls run their body
-        self._callees = {
-            func.name: func
-            for func in analyzed.program.functions
-            if func.name not in self._stubbed
-        }
-        #: function name -> its compiled CFG, built on the function's first run
-        self._compiled: dict[str, CompiledFunction] = {}
-        #: (global environment before inputs, global name -> wrap function
-        #: of its declared type), built on the first run
-        self._globals: tuple[dict[str, int], dict[str, Callable[[int], int]]] | None = None
+        self._stubbed = frozenset(stub_functions)
+        self._artifacts = artifacts
+        self._code = artifacts.compiled(analyzed, cost_model, self._stubbed)
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def cfg(self, function_name: str) -> ControlFlowGraph:
-        cfg = self._cfgs.get(function_name)
-        if cfg is None:
-            try:
-                function = self._program.function(function_name)
-            except KeyError as exc:
-                raise ExecutionError(f"no CFG for function {function_name!r}") from exc
-            cfg = self._cfgs[function_name] = build_cfg(function)
-        return cfg
+        try:
+            function = self._program.function(function_name)
+        except KeyError as exc:
+            raise ExecutionError(f"no CFG for function {function_name!r}") from exc
+        return self._artifacts.cfg(function)
 
     def run(
         self,
@@ -182,7 +178,8 @@ class Interpreter:
         through ``inputs`` by name.
         """
         inputs = dict(inputs or {})
-        environment = self._environment_for(inputs)
+        code = self._code
+        environment = code.environment_for(inputs)
         state = _RunState(self._max_steps)
         function = self._program.function(function_name)
 
@@ -191,7 +188,7 @@ class Interpreter:
             value = inputs.get(param.name, 0)
             environment[param.name] = param.param_type.wrap(value)
 
-        return_value = self._run_compiled(function_name, environment, state, True)
+        return_value = code.run_function(function_name, environment, state, True)
         # positional: keyword arguments would add about 0.5 µs to every run
         return RunResult(
             function_name,
@@ -205,13 +202,45 @@ class Interpreter:
             MappingProxyType(environment),
         )
 
-    # ------------------------------------------------------------------ #
-    # execution machinery
-    # ------------------------------------------------------------------ #
-    def _environment_for(self, inputs: dict[str, int]) -> dict[str, int]:
+
+class CompiledProgram:
+    """One program's functions compiled for one cost model and stub set.
+
+    Each function compiles on its first run, from the CFG *cfg_of* gives
+    for it; a call into a defined, unstubbed function runs the callee's
+    code from the same program.  Nothing here depends on an interpreter's
+    step limit, so every interpreter with the same program, cost model and
+    stubs can share one instance.
+    """
+
+    def __init__(
+        self,
+        analyzed: AnalyzedProgram,
+        cost_model: CostModel,
+        stubbed: frozenset[str],
+        cfg_of: Callable[[FunctionDef], ControlFlowGraph],
+    ):
+        self.analyzed = analyzed
+        self.cost_model = cost_model
+        self.stubbed = stubbed
+        self._program = analyzed.program
+        self._cfg_of = cfg_of
+        #: the functions whose calls run their body
+        self._callees = {
+            func.name: func
+            for func in analyzed.program.functions
+            if func.name not in stubbed
+        }
+        #: function name -> its compiled CFG, built on the function's first run
+        self._compiled: dict[str, CompiledFunction] = {}
+        #: (global environment before inputs, global name -> wrap function
+        #: of its declared type), built on the first run
+        self._globals: tuple[dict[str, int], dict[str, Callable[[int], int]]] | None = None
+
+    def environment_for(self, inputs: dict[str, int]) -> dict[str, int]:
         """The globals at their initialisers, then *inputs* (a global's
         value wrapped to its declared type).  The initial values and each
-        global's wrap function are built once per board."""
+        global's wrap function are built once per program."""
         if self._globals is None:
             initial: dict[str, int] = {}
             wraps: dict[str, Callable[[int], int]] = {}
@@ -227,17 +256,22 @@ class Interpreter:
             environment[name] = value if wrap is None else wrap(value)
         return environment
 
-    def _run_compiled(
+    def run_function(
         self,
         function_name: str,
         environment: dict[str, int],
         state: "_RunState",
         record: bool,
     ) -> int | None:
+        """Run *function_name*'s compiled code on *environment*; only the
+        top-level function records its trace and events."""
         code = self._compiled.get(function_name)
         if code is None:
             code = self._compiled[function_name] = compile_function(
-                self.cfg(function_name), self._cost, self._callees, self._run_compiled
+                self._cfg_of(self._program.function(function_name)),
+                self.cost_model,
+                self._callees,
+                self.run_function,
             )
         enter, stamp = state.trace.append, state.stamps.append
         branch_events = state.branch_events.append

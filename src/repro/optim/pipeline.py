@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..cfg.builder import build_cfg
+from ..cfg.graph import ControlFlowGraph
 from ..minic.pretty import print_program
 from ..minic.semantic import AnalyzedProgram, analyze_program
 from ..minic.parser import parse_program
-from ..sa.feasibility import analyze_feasibility, defined_functions
+from ..sa.feasibility import FeasibilityResult, analyze_feasibility, defined_functions
 from ..transsys.translate import (
     TranslationOptions,
     TranslationResult,
@@ -172,12 +173,21 @@ def build_optimized_model(
     function_name: str,
     config: OptimizationConfig,
     keep_variables: frozenset[str] = frozenset(),
+    cfg: ControlFlowGraph | None = None,
+    feasibility: FeasibilityResult | None = None,
 ) -> OptimizedModel:
     """Apply *config* to *function_name* and translate the result.
 
     ``keep_variables`` protects variables from dead-variable/dead-code
     elimination (used when generating test data for paths through otherwise
     irrelevant code).
+
+    ``cfg`` and ``feasibility`` hand in work the caller has already done on
+    the untransformed function: its CFG, and the initialised sa fixpoint of
+    that CFG (``analyze_feasibility(cfg, table, defined_functions(program),
+    initialised=True)``, as the prefilter runs it).  They are used only
+    while no source-level transform has run, and ``feasibility`` only for
+    an initialised model, whose range analysis would run that same fixpoint.
     """
     notes: list[str] = []
     current = analyzed
@@ -215,7 +225,10 @@ def build_optimized_model(
         notes.append(f"dead-code elimination removed {dead_report.removed_statements} statements")
 
     # ---- analyses feeding the translator -------------------------------- #
-    cfg = build_cfg(current.program.function(function_name))
+    if current is not analyzed or cfg is None:
+        cfg = build_cfg(current.program.function(function_name))
+    if current is not analyzed or not config.variable_initialisation:
+        feasibility = None
     options = TranslationOptions()
 
     if config.dead_variable_elimination:
@@ -236,12 +249,14 @@ def build_optimized_model(
         # infeasible (repro.sa).  An uninitialised model lets a global start
         # at any value, so only an initialised one may start the fixpoint at
         # the initialisers.
-        ranges = analyze_feasibility(
-            cfg,
-            current.table(function_name),
-            defined_functions(current.program),
-            initialised=config.variable_initialisation,
-        ).state_ranges
+        if feasibility is None:
+            feasibility = analyze_feasibility(
+                cfg,
+                current.table(function_name),
+                defined_functions(current.program),
+                initialised=config.variable_initialisation,
+            )
+        ranges = feasibility.state_ranges
         options = replace(options, variable_ranges=ranges)
         total_bits = sum(
             rng.bits()

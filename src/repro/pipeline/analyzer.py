@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .. import obs, perf
 from ..cfg.builder import build_cfg
+from ..hw.artifacts import RunArtifacts
 from ..hw.board import EvaluationBoard
 from ..hw.cost_model import CostModel, HCS12_COST_MODEL
 from ..measurement.database import MeasurementDatabase
@@ -178,6 +179,7 @@ class WcetAnalyzer:
         function_name: str,
         config: AnalyzerConfig | None = None,
         callee_bounds: Mapping[str, int] | None = None,
+        artifacts: RunArtifacts | None = None,
     ):
         """``callee_bounds`` enables the interprocedural (compositional) mode.
 
@@ -198,11 +200,16 @@ class WcetAnalyzer:
         -- the project scheduler does so automatically for jobs on a
         recursion cycle), as real recursion does not terminate on the
         bounded interpreter.
+
+        ``artifacts`` is the run's store of CFGs and compiled boards (see
+        :mod:`repro.hw.artifacts`); without one, each :meth:`analyze` call
+        makes its own.
         """
         self._analyzed = analyzed
         self._function = function_name
         self._config = config or AnalyzerConfig()
         self._callee_bounds = dict(callee_bounds or {})
+        self._artifacts = artifacts
         if not any(f.name == function_name for f in analyzed.program.functions):
             raise AnalysisError(f"program has no function {function_name!r}")
 
@@ -230,8 +237,9 @@ class WcetAnalyzer:
         # at their boundaries, so a job over its deadline stops at the next
         # checkpoint even when an individual stage finished quickly
         poll_deadline()
+        artifacts = self._artifacts if self._artifacts is not None else RunArtifacts()
         function = self._analyzed.program.function(self._function)
-        cfg = build_cfg(function)
+        cfg = artifacts.cfg(function)
 
         # 0. sound static analysis: branch feasibility (feeding the query
         #    engine's prefilter and letting the genetic phase skip targets it
@@ -282,6 +290,7 @@ class WcetAnalyzer:
             max_steps=config.max_steps_per_run,
             stub_functions=sorted(self._callee_bounds),
             memoise=input_space.size() <= config.hybrid.genetic.evaluation_budget,
+            artifacts=artifacts,
         )
 
         # 3. hybrid test-data generation
@@ -377,6 +386,7 @@ class WcetAnalyzer:
                 self._analyzed,
                 cost_model=config.cost_model,
                 max_steps=config.max_steps_per_run,
+                artifacts=artifacts,
             )
         try:
             with obs.region("analyze.exhaustive", function=self._function):

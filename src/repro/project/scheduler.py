@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import obs, perf
+from ..hw.artifacts import RunArtifacts
 from ..mc.store import QueryStore, using_query_store
 from ..minic import AnalyzedProgram, parse_and_analyze
 from ..pipeline.analyzer import (
@@ -143,6 +144,7 @@ def _attempt(
     job_plan: FaultPlan | None,
     job_timeout: float | None,
     execute_spec: FaultSpec | None,
+    artifacts: RunArtifacts | None,
 ) -> FunctionSummary:
     """One analysis attempt of one function, serial or inside a pool worker.
 
@@ -156,6 +158,8 @@ def _attempt(
     name and attempt number): ``raise`` crashes the attempt, ``delay``
     sleeps before the analysis, inside the attempt's deadline.  Without a
     plan, a timeout or a spec no resilience context is activated at all.
+    ``artifacts`` is the run's store of CFGs and compiled boards, or None
+    for a store of the attempt's own.
     """
     injector = FaultInjector(job_plan) if job_plan is not None else None
     deadline = Deadline(job_timeout) if job_timeout else None
@@ -171,7 +175,11 @@ def _attempt(
         if execute_spec is not None and execute_spec.kind is FaultKind.DELAY:
             time.sleep(execute_spec.delay_ms / 1000.0)
         report = WcetAnalyzer(
-            analyzed, function_name, config, callee_bounds=callee_bounds
+            analyzed,
+            function_name,
+            config,
+            callee_bounds=callee_bounds,
+            artifacts=artifacts,
         ).analyze()
         return FunctionSummary.from_report(unit_name, config.partitioner, report)
 
@@ -240,6 +248,9 @@ def _pool_attempt(
                 job_plan,
                 job_timeout,
                 execute_spec,
+                # the unit was parsed for this attempt alone, so nothing
+                # outside it could share its CFGs or compiled boards
+                None,
             ).to_dict()
     except Exception as error:
         # returned, not raised, so the failed attempt's counters and spans
@@ -491,6 +502,9 @@ class ProjectScheduler:
             if root is not None:
                 self.trace_id = root.trace_id
 
+            # one store of CFGs and compiled boards for the in-process
+            # attempts of this run; a pool attempt keeps its own
+            artifacts = RunArtifacts()
             waves = self._waves(jobs)
             self.waves_executed = len(waves)
             perf.add("project.scheduler.waves", len(waves))
@@ -504,7 +518,7 @@ class ProjectScheduler:
                     "project.wave", wave=wave_index, jobs=len(ready)
                 ):
                     runnable = self._probe_cache(ready)
-                    self._execute(runnable)
+                    self._execute(runnable, artifacts)
                 self._harvest_summaries(wave)
 
             if (
@@ -795,7 +809,7 @@ class ProjectScheduler:
         ]
 
     # ------------------------------------------------------------------ #
-    def _execute(self, jobs: list[AnalysisJob]) -> None:
+    def _execute(self, jobs: list[AnalysisJob], artifacts: RunArtifacts) -> None:
         if not jobs:
             return
         if self._workers > 1 and len(jobs) > 1:
@@ -803,7 +817,7 @@ class ProjectScheduler:
         else:
             remaining = jobs
         for job in remaining:
-            self._execute_serial(job)
+            self._execute_serial(job, artifacts)
 
     def _job_execute_spec(self, job: AnalysisJob, attempt: int) -> FaultSpec | None:
         """The ``job.execute`` fault firing on this job's *attempt*, if any.
@@ -965,7 +979,7 @@ class ProjectScheduler:
                 self._complete(job, FunctionSummary.from_dict(outcome))
         return retry_serially
 
-    def _execute_serial(self, job: AnalysisJob) -> None:
+    def _execute_serial(self, job: AnalysisJob, artifacts: RunArtifacts) -> None:
         """Run one job in-process, retrying transient failures with backoff."""
         unit = self._project.unit(job.function.unit)
         while True:
@@ -994,6 +1008,7 @@ class ProjectScheduler:
                         self._job_plan,
                         self._job_timeout,
                         self._job_execute_spec(job, job.attempts),
+                        artifacts,
                     )
             except Exception as error:
                 if self._attempt_failed(job, error):

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from collections import deque
 from collections.abc import Iterable
 
+from .. import perf
 from ..analysis.liveness import block_liveness
 from ..cfg.graph import (
     BasicBlock,
@@ -909,6 +910,7 @@ def analyze_feasibility(
     the entry rule (initialisers for the prefilter and initialised models,
     any value for models that leave variables uninitialised).
     """
+    perf.add("sa.fixpoints")
     return FeasibilityAnalyzer(cfg, table, defined, initialised).run()
 
 
@@ -925,6 +927,9 @@ class StaticPrefilter:
     """
 
     def __init__(self, feasibility: FeasibilityResult):
+        #: the fixpoint the answers come from; the cfg-preserving model
+        #: reads its state ranges instead of running it again
+        self.feasibility = feasibility
         self._unreachable = set(feasibility.unreachable_blocks)
         self._infeasible_edges = set(feasibility.infeasible_edges)
 

@@ -280,7 +280,7 @@ class HybridTestDataGenerator:
 
     def _model_checking_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
         generator = ModelCheckingTestDataGenerator(
-            self._analyzed, self._function, self._options.model_checking
+            self._analyzed, self._function, self._options.model_checking, self._cfg
         )
         # one query plan for every remaining target: shared path prefixes are
         # probed once, and an infeasible one settles every target extending it

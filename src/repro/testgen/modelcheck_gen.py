@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ..analysis.relevance import control_relevant_variables
 from ..cfg.builder import build_cfg
+from ..cfg.graph import ControlFlowGraph
 from ..minic.semantic import AnalyzedProgram
 from ..mc.checker import ModelChecker
 from ..mc.query import QueryBudget, QueryEngineOptions, QueryPlan
@@ -79,10 +80,13 @@ class ModelCheckingTestDataGenerator:
         analyzed: AnalyzedProgram,
         function_name: str,
         options: QueryEngineOptions | None = None,
+        cfg: ControlFlowGraph | None = None,
     ):
+        """``cfg`` is the function's CFG when the caller has built it."""
         self._analyzed = analyzed
         self._function = function_name
         self._options = options or default_options()
+        self._cfg = cfg
         self.statistics = ModelCheckGeneratorStatistics()
         self._checker: ModelChecker | None = None
 
@@ -129,13 +133,19 @@ class ModelCheckingTestDataGenerator:
         """
         if self._checker is not None:
             return self._checker
-        cfg = build_cfg(self._analyzed.program.function(self._function))
+        cfg = self._cfg
+        if cfg is None:
+            cfg = build_cfg(self._analyzed.program.function(self._function))
         protected = control_relevant_variables(cfg)
+        # the prefilter ran the fixpoint the model's range analysis needs
+        prefilter = self._options.prefilter
         model = build_optimized_model(
             self._analyzed,
             self._function,
             OptimizationConfig.cfg_preserving(),
             keep_variables=protected,
+            cfg=cfg,
+            feasibility=prefilter.feasibility if prefilter is not None else None,
         )
         self._checker = ModelChecker(model.translation, self._options)
         return self._checker

@@ -11,6 +11,7 @@ from repro.hw import (
     ExecutionError,
     HCS12_COST_MODEL,
     Interpreter,
+    RunArtifacts,
     uniform_cost_model,
 )
 from repro.minic import parse_and_analyze
@@ -136,10 +137,12 @@ class TestInterpreterSemantics:
         Int16 g(Int16 t) { Int16 u = 0; u = 10 / d; return u; }
         void f(void) { Int16 t = 7; out = g(3); }
         """
-        interpreter = Interpreter(parse_and_analyze(source))
-        environment = interpreter._environment_for({})
+        code = RunArtifacts().compiled(
+            parse_and_analyze(source), HCS12_COST_MODEL, frozenset()
+        )
+        environment = code.environment_for({})
         with pytest.raises(ExecutionError, match="division by zero"):
-            interpreter._run_compiled("f", environment, _RunState(1_000), True)
+            code.run_function("f", environment, _RunState(1_000), True)
         # g's parameter t and local u are gone, f's t is back
         assert environment["t"] == 7
         assert "u" not in environment
@@ -511,7 +514,7 @@ int f(int x) { int r; r = g(x); r = h(r); r = s(r); return r; }
 """
 
     def test_board_builds_cfgs_of_the_functions_it_runs(self, monkeypatch):
-        import repro.hw.interpreter as interpreter_module
+        import repro.hw.artifacts as artifacts_module
 
         built = []
 
@@ -519,7 +522,7 @@ int f(int x) { int r; r = g(x); r = h(r); r = s(r); return r; }
             built.append(function.name)
             return build_cfg(function)
 
-        monkeypatch.setattr(interpreter_module, "build_cfg", counting_build_cfg)
+        monkeypatch.setattr(artifacts_module, "build_cfg", counting_build_cfg)
         board = board_for(self.SOURCE, stub_functions=("s",))
         assert built == []
         board.run("f", {"x": 3})
