@@ -409,6 +409,9 @@ class WcetAnalyzer:
         perf.add("hw.board.runs", runs)
         perf.add("hw.board.memo_hits", board.memo_hits)
         perf.add("testgen.static_skips", len(suite.static_skips))
+        # the CFG stays in the run's store, where later boards only run it;
+        # its dataflow caches served this analysis alone
+        cfg.invalidate_analysis_caches()
 
         return WcetReport(
             function_name=self._function,

@@ -7,7 +7,8 @@ than 90% of the required test cases".
 
 The GA here is the standard search-based-testing setup:
 
-* an individual is an input vector;
+* an individual is a *genome*: an input vector as a tuple of values in
+  :class:`~repro.testgen.inputs.InputSpace` variable order;
 * the fitness of an individual w.r.t. a target path combines the *approach
   level* (how many blocks of the target path the execution matched before
   diverging) with the *normalised branch distance* at the point of divergence
@@ -18,10 +19,18 @@ The GA here is the standard search-based-testing setup:
 The GA runs per target path; the hybrid driver gives it a budget and falls
 back to model checking for whatever remains uncovered.
 
-The selection and variation operators draw with ``rng.random()`` and
-``getrandbits`` rejection loops that consume exactly what ``random.sample``,
-``randint`` and ``choice`` consume, so a seed gives the same searches as
-the stdlib formulation (``tests/test_testgen.py::TestStreamIdentity``).
+Each child is bred in one loop: two tournaments, crossover and mutation on
+tuples, with no per-child objects or dicts.  The loop draws with
+``rng.random()`` and ``getrandbits`` rejection loops that consume exactly
+what ``random.sample``, ``randint`` and ``choice`` consume, so a seed gives
+the same searches as the stdlib formulation
+(``tests/test_testgen.py::TestStreamIdentity``).
+
+The board is deterministic, so no work is repeated that cannot change a
+result: a search scores each genome once, and the searches of one
+generator (one genetic phase) share the runs of their seed vectors.  Both
+reuses stop while a fault injector is armed, so fault-site hits are
+numbered as if every evaluation ran.
 """
 
 from __future__ import annotations
@@ -30,12 +39,15 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from math import ceil, log
-from operator import attrgetter
+from operator import itemgetter
 
 from ..hw.board import EvaluationBoard
 from ..hw.interpreter import RunResult
 from ..resilience import injector_armed
 from .inputs import InputSpace, draw_below
+
+#: the +/- 1..4 nudges of a mutation, in draw order
+_NUDGES = (-4, -3, -2, -1, 1, 2, 3, 4)
 from .targets import CoverageTracker, PathTarget
 
 
@@ -76,13 +88,8 @@ class GeneticOutcome:
     evaluations: int = 0
 
 
-@dataclass(slots=True)
-class _Individual:
-    vector: dict[str, int]
-    fitness: float = float("inf")
-
-
-_by_fitness = attrgetter("fitness")
+#: a scored individual: (fitness, genome)
+_fitness_of = itemgetter(0)
 
 
 class GeneticTestDataGenerator:
@@ -106,6 +113,8 @@ class GeneticTestDataGenerator:
         self._guidance_cache: dict[
             tuple, tuple[tuple[int, ...], dict[int, tuple[str, tuple[int, ...]]]]
         ] = {}
+        #: seed genome -> its run, shared by the searches of this generator
+        self._seed_runs: dict[tuple[int, ...], RunResult] = {}
 
     # ------------------------------------------------------------------ #
     def search(
@@ -119,103 +128,116 @@ class GeneticTestDataGenerator:
         ``coverage`` (when given) is updated with every evaluated run, so the
         GA's by-products (other targets covered accidentally) are not lost.
 
-        The board is deterministic, so a vector scored earlier in the same
-        search keeps its fitness and is not run again: a repeated run can
-        neither change the fitness nor cover anything new.  It still counts
-        as an evaluation.  While a fault injector is armed every evaluation
-        runs, so fault-site hits are numbered as without the reuse.  Runs
-        that take the same block trace share one approach level.
+        A genome scored earlier in the same search keeps its fitness and is
+        not run again: a repeated run can neither change the fitness nor
+        cover anything new.  It still counts as an evaluation.  Runs that
+        take the same block trace share one approach level.  The first
+        ``population_size`` seed vectors, clamped, open the population; their
+        runs are shared with the generator's other searches.
         """
         options = self._options
+        size = options.population_size
+        space, rng = self._space, self._rng
         self.statistics.targets_attempted += 1
         outcome = GeneticOutcome(target=target, covered=False)
-        # every vector of a search is in InputSpace variable order (the
-        # initial population is clamped or drawn by the space, and crossover
-        # and mutation keep the order), so its values identify it
-        scored: dict[tuple[int, ...], float] | None = None if injector_armed() else {}
+        armed = injector_armed()
+        scored: dict[tuple[int, ...], float] | None = None if armed else {}
+        seed_runs = None if armed else self._seed_runs
         matched: dict[tuple[int, ...], int] = {}
+        evaluate = self._evaluate
 
-        population = self._initial_population(seed_vectors)
-        for individual in population:
-            self._evaluate(individual, target, coverage, outcome, scored, matched)
-            if individual.fitness == 0.0:
-                return self._finish(outcome, individual)
+        # the initial population: the seeds, then random genomes
+        genomes = [space.genome(vector) for vector in (seed_vectors or [])[:size]]
+        seeded = len(genomes)
+        while len(genomes) < size:
+            genomes.append(space.random_genome(rng))
+        population: list[tuple[float, tuple[int, ...]]] = []
+        for index, genome in enumerate(genomes):
+            fitness = evaluate(
+                genome, target, coverage, outcome, scored, matched,
+                seed_runs if index < seeded else None,
+            )
+            if fitness == 0.0:
+                return self._finish(outcome, genome)
+            population.append((fitness, genome))
 
-        space, rng, tournament = self._space, self._rng, self._tournament
+        # every tournament is the fittest of rng.sample(population, k), the
+        # first of equally fit contenders winning as with min(); sample()
+        # draws distinct indices from a large population and picks from a
+        # shrinking pool in a small one
+        n = len(population)
+        k = min(options.tournament_size, n)
+        by_index = n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+        bits = n.bit_length()
+        uniform, getrandbits = rng.random, rng.getrandbits
+        crossover_rate, mutation_rate = options.crossover_rate, options.mutation_rate
+        genes = tuple(enumerate(space.genes))
         for _ in range(options.max_generations):
             self.statistics.generations += 1
-            population.sort(key=_by_fitness)
-            next_population: list[_Individual] = population[: options.elitism]
-            while len(next_population) < options.population_size:
-                parent_a = tournament(population)
-                parent_b = tournament(population)
-                if rng.random() < options.crossover_rate:
-                    child_vector = space.crossover(parent_a.vector, parent_b.vector, rng)
+            population.sort(key=_fitness_of)
+            next_population = population[: options.elitism]
+            while len(next_population) < size:
+                parents = []
+                for _ in (0, 1):
+                    best = None
+                    if by_index:
+                        picked: list[int] = []
+                        for _ in range(k):
+                            index = getrandbits(bits)
+                            while index >= n or index in picked:
+                                index = getrandbits(bits)
+                            picked.append(index)
+                            contender = population[index]
+                            if best is None or contender[0] < best[0]:
+                                best = contender
+                    else:
+                        # position -> index moved there
+                        moved: dict[int, int] = {}
+                        for remaining in range(n, n - k, -1):
+                            j = draw_below(getrandbits, remaining)
+                            contender = population[moved.get(j, j)]
+                            moved[j] = moved.get(remaining - 1, remaining - 1)
+                            if best is None or contender[0] < best[0]:
+                                best = contender
+                    parents.append(best[1])
+                parent_a, parent_b = parents
+                # uniform crossover, one draw per gene
+                if uniform() < crossover_rate:
+                    child = [a if uniform() < 0.5 else b for a, b in zip(parent_a, parent_b)]
                 else:
-                    child_vector = dict(parent_a.vector)
-                # parents are in range and in variable order, and crossover
-                # and mutation keep both, so a child needs no clamp
-                child = _Individual(
-                    vector=space.mutate(child_vector, rng, options.mutation_rate)
-                )
-                self._evaluate(child, target, coverage, outcome, scored, matched)
-                if child.fitness == 0.0:
-                    return self._finish(outcome, child)
-                next_population.append(child)
+                    child = list(parent_a)
+                # per-gene mutation, one of three flavours chosen uniformly:
+                # a full random reset (exploration), a proportional jump
+                # (coarse search) and a +/- 1..4 nudge (the local search that
+                # lets the branch-distance gradient close the final gap to an
+                # equality condition).  Parents are in range, so only a
+                # mutated gene needs a clamp.
+                for position, (lo, hi, values, span) in genes:
+                    if uniform() >= mutation_rate:
+                        continue
+                    flavour = uniform()
+                    if flavour < 1.0 / 3.0:
+                        child[position] = lo + draw_below(getrandbits, values)
+                        continue
+                    if flavour < 2.0 / 3.0:
+                        delta = draw_below(getrandbits, 2 * span + 1) - span
+                    else:
+                        delta = _NUDGES[draw_below(getrandbits, 8)]
+                    value = child[position] + delta
+                    child[position] = hi if value > hi else lo if value < lo else value
+                genome = tuple(child)
+                fitness = evaluate(genome, target, coverage, outcome, scored, matched, None)
+                if fitness == 0.0:
+                    return self._finish(outcome, genome)
+                next_population.append((fitness, genome))
             population = next_population
-        population.sort(key=_by_fitness)
-        outcome.best_fitness = population[0].fitness if population else float("inf")
+        population.sort(key=_fitness_of)
+        outcome.best_fitness = population[0][0] if population else float("inf")
         return outcome
 
-    # ------------------------------------------------------------------ #
-    def _initial_population(
-        self, seed_vectors: list[dict[str, int]] | None
-    ) -> list[_Individual]:
-        population: list[_Individual] = []
-        for vector in seed_vectors or []:
-            population.append(_Individual(vector=self._space.clamp(vector)))
-            if len(population) >= self._options.population_size:
-                break
-        while len(population) < self._options.population_size:
-            population.append(_Individual(vector=self._space.random_vector(self._rng)))
-        return population
-
-    def _tournament(self, population: list[_Individual]) -> _Individual:
-        """The fittest of ``rng.sample(population, tournament_size)``.
-
-        Draws what ``random.Random.sample`` draws, and the first of equally
-        fit contenders wins, as with ``min``.
-        """
-        n = len(population)
-        k = min(self._options.tournament_size, n)
-        getrandbits = self._rng.getrandbits
-        best: _Individual | None = None
-        if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
-            # draw_below(n) inlined; sample() redraws an index picked before
-            bits = n.bit_length()
-            picked: list[int] = []
-            for _ in range(k):
-                index = getrandbits(bits)
-                while index >= n or index in picked:
-                    index = getrandbits(bits)
-                picked.append(index)
-                contender = population[index]
-                if best is None or contender.fitness < best.fitness:
-                    best = contender
-            return best
-        # sample() picks from a shrinking pool: position -> index moved there
-        moved: dict[int, int] = {}
-        for remaining in range(n, n - k, -1):
-            j = draw_below(getrandbits, remaining)
-            contender = population[moved.get(j, j)]
-            moved[j] = moved.get(remaining - 1, remaining - 1)
-            if best is None or contender.fitness < best.fitness:
-                best = contender
-        return best
-
-    def _finish(self, outcome: GeneticOutcome, winner: _Individual) -> GeneticOutcome:
+    def _finish(self, outcome: GeneticOutcome, winner: tuple[int, ...]) -> GeneticOutcome:
         outcome.covered = True
-        outcome.vector = dict(winner.vector)
+        outcome.vector = self._space.vector(winner)
         outcome.best_fitness = 0.0
         self.statistics.targets_covered += 1
         return outcome
@@ -225,25 +247,31 @@ class GeneticTestDataGenerator:
     # ------------------------------------------------------------------ #
     def _evaluate(
         self,
-        individual: _Individual,
+        genome: tuple[int, ...],
         target: PathTarget,
         coverage: CoverageTracker | None,
         outcome: GeneticOutcome,
         scored: dict[tuple[int, ...], float] | None,
         matched: dict[tuple[int, ...], int],
-    ) -> None:
-        key = tuple(individual.vector.values())
-        fitness = scored.get(key) if scored is not None else None
+        seed_runs: dict[tuple[int, ...], RunResult] | None,
+    ) -> float:
+        """Score *genome*: from ``scored``, or from its run (looked up in
+        ``seed_runs`` when given, run on the board otherwise)."""
+        fitness = scored.get(genome) if scored is not None else None
         if fitness is None:
-            run = self._board.run(self._function, individual.vector)
+            run = seed_runs.get(genome) if seed_runs is not None else None
+            if run is None:
+                run = self._board.run(self._function, self._space.vector(genome))
+                if seed_runs is not None:
+                    seed_runs[genome] = run
             fitness = self._fitness(run, run.trace, target, matched)
             if coverage is not None:
                 coverage.record_trace(run.trace, run.inputs)
             if scored is not None:
-                scored[key] = fitness
+                scored[genome] = fitness
         self.statistics.evaluations += 1
         outcome.evaluations += 1
-        individual.fitness = fitness
+        return fitness
 
     def fitness(self, run: RunResult, target: PathTarget) -> float:
         """Approach level + normalised branch distance (lower is better, 0 = hit).

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..minic.semantic import AnalyzedProgram
 from ..minic.types import IntRange
@@ -39,29 +40,41 @@ def draw_below(getrandbits, n: int) -> int:
     return value
 
 
-#: the +/- 1..4 nudges of :meth:`InputSpace.mutate`, in draw order
-_NUDGES = (-4, -3, -2, -1, 1, 2, 3, 4)
+class Gene(NamedTuple):
+    """One input variable's range, as the genetic operators read it."""
+
+    lo: int
+    hi: int
+    #: values in [lo, hi]
+    size: int
+    #: the largest proportional jump of a mutation
+    span: int
 
 
 @dataclass
 class InputSpace:
     """The set of input variables and their ranges.
 
-    :meth:`random_vector`, :meth:`mutate` and :meth:`crossover` draw with
-    ``rng.random()`` and :func:`draw_below` only, and consume exactly the
-    values their ``randint``/``choice`` formulation consumed, so a seed
-    gives the same vectors (``tests/test_testgen.py::TestStreamIdentity``).
+    A *genome* is an input vector as a tuple of values in variable order;
+    the genetic search breeds genomes and the board runs their vectors
+    (:meth:`vector`).  :meth:`random_vector` and :meth:`random_genome` draw
+    with :func:`draw_below` only and consume exactly what one
+    ``rng.randint(lo, hi)`` per variable consumes, so a seed gives the same
+    vectors (``tests/test_testgen.py::TestStreamIdentity``).
     """
 
     variables: list[InputVariable] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        #: per variable: (name, lo, hi, values in [lo, hi], largest jump)
-        self._genes: list[tuple[str, int, int, int, int]] = []
-        for variable in self.variables:
-            lo, hi = variable.value_range.lo, variable.value_range.hi
-            size = hi - lo + 1
-            self._genes.append((variable.name, lo, hi, size, max(1, size // 16)))
+        self._names = tuple(variable.name for variable in self.variables)
+        #: per variable, in order: its :class:`Gene`
+        self.genes: tuple[Gene, ...] = tuple(
+            Gene(lo, hi, hi - lo + 1, max(1, (hi - lo + 1) // 16))
+            for lo, hi in (
+                (variable.value_range.lo, variable.value_range.hi)
+                for variable in self.variables
+            )
+        )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -81,7 +94,7 @@ class InputSpace:
     # ------------------------------------------------------------------ #
     @property
     def names(self) -> list[str]:
-        return [variable.name for variable in self.variables]
+        return list(self._names)
 
     def ranges(self) -> dict[str, IntRange]:
         return {variable.name: variable.value_range for variable in self.variables}
@@ -95,53 +108,26 @@ class InputSpace:
                 return 2**63
         return total
 
-    def random_vector(self, rng: random.Random) -> dict[str, int]:
+    def random_genome(self, rng: random.Random) -> tuple[int, ...]:
         """One uniform value per variable (``rng.randint(lo, hi)`` each)."""
         getrandbits = rng.getrandbits
-        return {
-            name: lo + draw_below(getrandbits, size)
-            for name, lo, _, size, _ in self._genes
-        }
+        return tuple(gene.lo + draw_below(getrandbits, gene.size) for gene in self.genes)
+
+    def random_vector(self, rng: random.Random) -> dict[str, int]:
+        """:meth:`random_genome` as a vector."""
+        return dict(zip(self._names, self.random_genome(rng)))
+
+    def genome(self, vector: dict[str, int]) -> tuple[int, ...]:
+        """*vector* clamped into range, in variable order; a missing
+        variable reads as its lower bound."""
+        return tuple(
+            min(gene.hi, max(gene.lo, vector.get(name, gene.lo)))
+            for name, gene in zip(self._names, self.genes)
+        )
+
+    def vector(self, genome: tuple[int, ...]) -> dict[str, int]:
+        """The input vector of *genome*."""
+        return dict(zip(self._names, genome))
 
     def clamp(self, vector: dict[str, int]) -> dict[str, int]:
-        return {
-            name: min(hi, max(lo, vector.get(name, lo)))
-            for name, lo, hi, _, _ in self._genes
-        }
-
-    def mutate(
-        self, vector: dict[str, int], rng: random.Random, mutation_rate: float = 0.3
-    ) -> dict[str, int]:
-        """Return a mutated copy of *vector*.
-
-        Three mutation flavours, chosen uniformly per mutated gene: a full
-        random reset (exploration), a proportional jump (coarse search) and a
-        +/- 1..4 nudge (the local search that lets the branch-distance
-        gradient close the final gap to an equality condition).
-        """
-        mutated = dict(vector)
-        uniform, getrandbits = rng.random, rng.getrandbits
-        for name, lo, hi, size, span in self._genes:
-            if uniform() >= mutation_rate:
-                continue
-            flavour = uniform()
-            if flavour < 1.0 / 3.0:
-                mutated[name] = lo + draw_below(getrandbits, size)
-                continue
-            if flavour < 2.0 / 3.0:
-                delta = draw_below(getrandbits, 2 * span + 1) - span
-            else:
-                delta = _NUDGES[draw_below(getrandbits, 8)]
-            value = mutated[name] + delta
-            mutated[name] = hi if value > hi else lo if value < lo else value
-        return mutated
-
-    def crossover(
-        self, left: dict[str, int], right: dict[str, int], rng: random.Random
-    ) -> dict[str, int]:
-        """Uniform crossover of two vectors."""
-        uniform = rng.random
-        return {
-            name: (left if uniform() < 0.5 else right).get(name, lo)
-            for name, lo, _, _, _ in self._genes
-        }
+        return self.vector(self.genome(vector))

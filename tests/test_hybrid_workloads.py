@@ -72,11 +72,14 @@ SEARCHES = {
     "controller_5": (12, 17, 22),
 }
 
-#: controller -> (``Interpreter.run`` calls, genetic evaluations) of its analysis
+#: controller -> (``Interpreter.run`` calls, genetic evaluations) of its
+#: analysis.  The searches of a genetic phase share their seed vectors'
+#: runs, so board runs are below the 4393/6472/5771 of one run per seed
+#: evaluation; the evaluations are what they were.
 WORK = {
-    "controller_11": (4393, 4094),
-    "controller_2": (6472, 6188),
-    "controller_5": (5771, 5409),
+    "controller_11": (4265, 4094),
+    "controller_2": (6277, 6188),
+    "controller_5": (5595, 5409),
 }
 
 

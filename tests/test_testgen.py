@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,19 +87,29 @@ class TestInputSpace:
         _, _, _, _, space = needle
         assert space.clamp({"key": 99999, "level": -5}) == {"key": 2000, "level": 0}
 
-    def test_mutate_stays_in_range(self, needle):
+    def test_search_vectors_stay_in_range(self, needle):
         _, _, _, _, space = needle
-        rng = random.Random(1)
-        vector = {"key": 1000, "level": 50}
-        for _ in range(50):
-            vector = space.mutate(vector, rng, mutation_rate=1.0)
+        board = _RecordingBoard()
+        options = GeneticOptions(population_size=8, max_generations=20, mutation_rate=1.0)
+        generator = _ScoredGenerator(board, "f", space, options)
+        generator.search(None, seed_vectors=[{"key": 99999, "level": -5}])
+        assert board.vectors[0] == {"key": 2000, "level": 0}
+        assert len(board.vectors) > 100
+        for vector in board.vectors:
+            assert list(vector) == ["key", "level"]
             assert 0 <= vector["key"] <= 2000 and 0 <= vector["level"] <= 100
 
-    def test_crossover_mixes_parents(self, needle):
+    def test_genomes_are_vectors_in_variable_order(self, needle):
         _, _, _, _, space = needle
-        rng = random.Random(2)
-        child = space.crossover({"key": 1, "level": 2}, {"key": 3, "level": 4}, rng)
-        assert child["key"] in (1, 3) and child["level"] in (2, 4)
+        assert space.genome({"level": 7, "key": 3}) == (3, 7)
+        assert space.genome({"key": 99999, "level": -5}) == (2000, 0)
+        # a variable the vector leaves out reads as its lower bound
+        assert space.genome({"level": 7}) == (0, 7)
+        assert space.vector((3, 7)) == {"key": 3, "level": 7}
+        assert list(space.vector((3, 7))) == ["key", "level"]
+        rng = random.Random(0)
+        genome = space.random_genome(rng)
+        assert space.genome(space.vector(genome)) == genome
 
     def test_function_parameters_are_inputs(self):
         analyzed = parse_and_analyze("void f(UInt8 p) { if (p) { act(); } }")
@@ -107,7 +118,7 @@ class TestInputSpace:
 
 
 def _stdlib_mutate(space, vector, rng, mutation_rate):
-    """``InputSpace.mutate`` written with ``randint`` and ``choice``."""
+    """The GA's mutation written with ``randint`` and ``choice``."""
     mutated = dict(vector)
     for variable in space.variables:
         lo, hi = variable.value_range.lo, variable.value_range.hi
@@ -135,12 +146,83 @@ def _stdlib_crossover(space, left, right, rng):
     }
 
 
+def _stdlib_search(space, options, seeds, score):
+    """The GA of :meth:`GeneticTestDataGenerator.search` on dict vectors,
+    written with ``randint``, ``sample``, ``min`` and the stdlib operators.
+
+    Returns (winning vector or None, every evaluated vector, the generator).
+    """
+    rng = random.Random(options.seed)
+    evaluated = []
+
+    def evaluate(vector):
+        evaluated.append(vector)
+        return score(vector)
+
+    vectors = [space.clamp(vector) for vector in seeds[: options.population_size]]
+    while len(vectors) < options.population_size:
+        vectors.append(
+            {
+                variable.name: rng.randint(variable.value_range.lo, variable.value_range.hi)
+                for variable in space.variables
+            }
+        )
+    population = []
+    for vector in vectors:
+        fitness = evaluate(vector)
+        if fitness == 0.0:
+            return vector, evaluated, rng
+        population.append((vector, fitness))
+    for _ in range(options.max_generations):
+        population.sort(key=lambda individual: individual[1])
+        next_population = population[: options.elitism]
+        while len(next_population) < options.population_size:
+            k = min(options.tournament_size, len(population))
+            parent_a = min(rng.sample(population, k), key=lambda individual: individual[1])
+            parent_b = min(rng.sample(population, k), key=lambda individual: individual[1])
+            if rng.random() < options.crossover_rate:
+                child = _stdlib_crossover(space, parent_a[0], parent_b[0], rng)
+            else:
+                child = dict(parent_a[0])
+            child = _stdlib_mutate(space, child, rng, options.mutation_rate)
+            fitness = evaluate(child)
+            if fitness == 0.0:
+                return child, evaluated, rng
+            next_population.append((child, fitness))
+        population = next_population
+    return None, evaluated, rng
+
+
+class _RecordingBoard:
+    """A board stand-in that records every vector it runs."""
+
+    def __init__(self):
+        self.vectors = []
+
+    def run(self, function, inputs):
+        self.vectors.append(dict(inputs))
+        return SimpleNamespace(trace=(), inputs=inputs)
+
+
+def _score(vector):
+    """Five fitness levels, so ties are common; rarely 0 (a hit)."""
+    weighted = sum((index + 3) * value for index, value in enumerate(vector.values()))
+    return 0.0 if weighted % 1009 == 0 else 1.0 + weighted % 5
+
+
+class _ScoredGenerator(GeneticTestDataGenerator):
+    """Scores a run by its input vector alone (:func:`_score`)."""
+
+    def _fitness(self, run, trace, target, matched_by_trace):
+        return _score(run.inputs)
+
+
 class TestStreamIdentity:
     """The GA's draws against the stdlib calls they replace.
 
-    Each operator must return what the ``randint``/``choice``/``sample``
-    version returns and leave the generator in the same state, so every
-    search sees the same vectors.
+    Each search must evaluate the vectors the ``randint``/``choice``/
+    ``sample`` version evaluates and leave the generator in the same state,
+    so every search sees the same vectors.
     """
 
     SPACE = InputSpace(
@@ -158,55 +240,68 @@ class TestStreamIdentity:
         ]
     )
 
-    def test_random_vector_mutate_and_crossover(self):
+    def test_random_genome_matches_randint(self):
         space = self.SPACE
         for seed in range(300):
             mine, theirs = random.Random(seed), random.Random(seed)
-            vector = space.random_vector(mine)
-            expected = {
-                variable.name: theirs.randint(variable.value_range.lo, variable.value_range.hi)
-                for variable in space.variables
-            }
-            assert vector == expected
-            for rate in (0.3, 0.9, 1.0):
-                other = space.random_vector(mine)
-                expected_other = space.random_vector(theirs)
-                for _ in range(4):
-                    vector = space.mutate(vector, mine, rate)
-                    expected = _stdlib_mutate(space, expected, theirs, rate)
-                    assert vector == expected and list(vector) == list(expected)
-                vector = space.crossover(vector, other, mine)
-                expected = _stdlib_crossover(space, expected, expected_other, theirs)
-                assert vector == expected and list(vector) == list(expected)
-                assert mine.getstate() == theirs.getstate()
+            for _ in range(3):
+                genome = space.random_genome(mine)
+                vector = space.random_vector(mine)
+                expected = [
+                    {
+                        variable.name: theirs.randint(
+                            variable.value_range.lo, variable.value_range.hi
+                        )
+                        for variable in space.variables
+                    }
+                    for _ in range(2)
+                ]
+                assert space.vector(genome) == expected[0]
+                assert vector == expected[1] and list(vector) == list(expected[1])
+            assert mine.getstate() == theirs.getstate()
 
-    def test_crossover_of_partial_parents_reads_the_lower_bound(self):
-        child = self.SPACE.crossover({}, {}, random.Random(0))
-        assert child == {v.name: v.value_range.lo for v in self.SPACE.variables}
+    def _assert_same_search(self, space, options, seeds):
+        board = _RecordingBoard()
+        generator = _ScoredGenerator(board, "f", space, options)
+        outcome = generator.search(None, seed_vectors=seeds)
+        winner, evaluated, reference = _stdlib_search(space, options, seeds, _score)
+        # a search runs each distinct vector once, in first-evaluation order
+        distinct = list(dict.fromkeys(tuple(vector.values()) for vector in evaluated))
+        assert [tuple(vector.values()) for vector in board.vectors] == distinct
+        assert outcome.evaluations == len(evaluated)
+        assert outcome.covered == (winner is not None)
+        assert outcome.vector == winner
+        assert generator._rng.getstate() == reference.getstate()
+
+    def test_searches_match_the_stdlib_ga(self):
+        space = self.SPACE
+        seeds = [
+            {"fixed": 7, "pair": 1, "small": 40, "odd": 5, "wide": 3, "signed": -1, "huge": 0},
+            {"pair": 0},
+        ]
+        for seed in range(12):
+            for rate in (0.3, 0.9, 1.0):
+                options = GeneticOptions(
+                    population_size=12, max_generations=6, mutation_rate=rate, seed=seed
+                )
+                self._assert_same_search(space, options, seeds if seed % 2 else [])
 
     def test_tournament_matches_sample_and_min(self):
-        from operator import attrgetter
-
-        from repro.testgen.genetic import _Individual
-
-        ties = random.Random(99)
-        for population_size in range(1, 65):
+        # both of sample()'s strategies: a shrinking pool for small
+        # populations, distinct random indices for large ones
+        space = InputSpace(
+            variables=[InputVariable(name, IntRange(0, 9)) for name in ("a", "b")]
+        )
+        for population_size in (1, 2, 3, 5, 8, 13, 21, 22, 30, 45, 64):
             for tournament_size in range(1, 9):
                 seed = 100 * population_size + tournament_size
-                options = GeneticOptions(tournament_size=tournament_size, seed=seed)
-                generator = GeneticTestDataGenerator(None, "f", InputSpace(), options)
-                reference = random.Random(seed)
-                # few distinct fitnesses, so the first of equals must win
-                population = [
-                    _Individual({}, float(ties.randrange(3))) for _ in range(population_size)
-                ]
-                k = min(tournament_size, population_size)
-                for _ in range(3):
-                    expected = min(
-                        reference.sample(population, k), key=attrgetter("fitness")
-                    )
-                    assert generator._tournament(population) is expected
-                assert generator._rng.getstate() == reference.getstate()
+                options = GeneticOptions(
+                    population_size=population_size,
+                    max_generations=3,
+                    tournament_size=tournament_size,
+                    seed=seed,
+                )
+                self._assert_same_search(space, options, [])
 
 
 class TestTargetsAndCoverage:
@@ -484,6 +579,66 @@ class TestGeneticFitnessReuse:
             generator, _, outcomes = self._search_all(board, analyzed, cfg, partition)
         assert board.runs == generator.statistics.evaluations == 1200
         assert outcomes[-1].best_fitness == 1.8888888888888888
+
+
+class TestSharedSeedRuns:
+    """The searches of one generator run each seed vector once."""
+
+    SEEDS = [{"a": 1, "b": 2}, {"a": 6, "b": 0}, {"a": 9, "b": 9}]
+
+    def _search_all(self, small_space):
+        """(vectors each search ran on the board, outcomes) of one phase."""
+        analyzed, cfg, partition = small_space
+        ran = []
+
+        class RecordingBoard(EvaluationBoard):
+            def run(self, function_name, inputs=None):
+                ran[-1].append(dict(inputs))
+                return super().run(function_name, inputs)
+
+        board = RecordingBoard(analyzed)
+        space = InputSpace.from_program(analyzed, "f")
+        generator = GeneticTestDataGenerator(board, "f", space, GeneticOptions(seed=4))
+        outcomes = []
+        for target in build_targets(partition, cfg):
+            ran.append([])
+            outcomes.append(generator.search(target, seed_vectors=self.SEEDS))
+        return ran, outcomes
+
+    @pytest.fixture(scope="class")
+    def small_space(self):
+        analyzed = parse_and_analyze(SMALL_SPACE_SOURCE)
+        cfg = build_cfg(analyzed.program.function("f"))
+        partition = partition_function(analyzed.program.function("f"), 1, cfg)
+        return analyzed, cfg, partition
+
+    def test_each_seed_runs_once_per_phase(self, small_space):
+        ran, outcomes = self._search_all(small_space)
+        clamped = [{"a": 1, "b": 2}, {"a": 6, "b": 0}, {"a": 7, "b": 7}]
+        # the first search finds its target with the first seed
+        assert ran[0] == clamped[:1] and outcomes[0].evaluations == 1
+        assert len(outcomes) == 5 and all(o.evaluations >= 3 for o in outcomes[1:])
+        runs_of_seeds = [
+            sum(vector == seed for search in ran for vector in search) for seed in clamped
+        ]
+        assert runs_of_seeds == [1, 1, 1]
+
+    def test_armed_injector_reruns_the_seeds(self, small_space):
+        from repro.resilience import (
+            FaultInjector,
+            FaultPlan,
+            ResilienceContext,
+            activate,
+        )
+
+        _, clean = self._search_all(small_space)
+        plan = FaultPlan.from_args(["interp.step:raise@1000000"])
+        with activate(ResilienceContext(injector=FaultInjector(plan))):
+            ran, outcomes = self._search_all(small_space)
+        assert [len(search) for search in ran] == [o.evaluations for o in outcomes]
+        assert [(o.vector, o.evaluations, o.best_fitness) for o in outcomes] == [
+            (o.vector, o.evaluations, o.best_fitness) for o in clean
+        ]
 
 
 class TestPerTraceMemos:
