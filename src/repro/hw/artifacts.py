@@ -20,9 +20,9 @@ A store lives exactly as long as the run that made it:
 :meth:`ProjectScheduler.run <repro.project.scheduler.ProjectScheduler.run>`
 makes one per worker, and a standalone
 :meth:`WcetAnalyzer.analyze <repro.pipeline.analyzer.WcetAnalyzer.analyze>`
-makes its own.  Nothing is cached on the analysed program, a function or a
-module global, so a second run of the same parsed program builds
-everything again, as a cold run should.
+makes its own; each closes it when it ends.  Nothing is cached on the
+analysed program, a function or a module global, so a second run of the
+same parsed program builds everything again, as a cold run should.
 """
 
 from __future__ import annotations
@@ -71,3 +71,22 @@ class RunArtifacts:
         program = CompiledProgram(analyzed, cost_model, stubbed, self.cfg)
         self._programs.append(program)
         return program
+
+    def close(self) -> None:
+        """Release the run's CFGs and compiled code.
+
+        Compiled code refers to itself through calls and loops, and each
+        program to this store, so without the release they would stay in
+        memory until the cyclic garbage collector next runs.  A board still
+        holding a program builds what it needs again.
+        """
+        for program in self._programs:
+            program.release()
+        self._programs.clear()
+        self._cfgs.clear()
+
+    def __enter__(self) -> "RunArtifacts":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

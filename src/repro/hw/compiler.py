@@ -1,9 +1,10 @@
 """Closure compilation of CFGs for the simulated board.
 
-:class:`~repro.hw.interpreter.Interpreter` compiles each function once, on
-its first run, into one :class:`CompiledBlock` per basic block (closure
+A :class:`~repro.hw.interpreter.CompiledProgram` compiles each function once,
+on its first run, into one :class:`CompiledBlock` per basic block (closure
 compilation after Feeley & Lapalme, *Using closures for code generation*,
-1987):
+1987); every interpreter of a run with the same program, cost model and
+stubs shares the result (:mod:`repro.hw.artifacts`):
 
 * statements and conditions become closures ``run(env, state) -> value``;
 * the block's step count and cycle charge are summed once from the

@@ -14,12 +14,15 @@ surrounding tooling needs:
 * *branch events* with objective branch distances (Tracey-style), which the
   genetic algorithm uses as its fitness signal.
 
-Defined functions can call each other (arguments by value, globals shared);
+Defined functions can call each other (arguments by value, globals shared,
+and each call's parameters and locals in a frame of its own, as in C);
 external functions only consume cycles.  Execution is deterministic.
 
 :meth:`Interpreter.run` executes closures compiled from each function's CFG
 on its first run (:mod:`repro.hw.compiler`); every block compiles, calls
-included.  A run counts *steps* (one per block, statement and evaluated
+included.  The compiled code lives in a :class:`CompiledProgram`, which the
+interpreters of one run share through their
+:class:`~repro.hw.artifacts.RunArtifacts` store.  A run counts *steps* (one per block, statement and evaluated
 expression node).  At each block end it checks the step limit and polls the
 resilience context (deadline and the ``interp.step`` fault site) once for
 every multiple of 1024 steps passed since the last poll; one comparison per
@@ -255,6 +258,10 @@ class CompiledProgram:
             wrap = wraps.get(name)
             environment[name] = value if wrap is None else wrap(value)
         return environment
+
+    def release(self) -> None:
+        """Drop the compiled code; a later run compiles it again."""
+        self._compiled.clear()
 
     def run_function(
         self,

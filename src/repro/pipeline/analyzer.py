@@ -231,13 +231,18 @@ class WcetAnalyzer:
 
     # ------------------------------------------------------------------ #
     def analyze(self) -> WcetReport:
+        if self._artifacts is not None:
+            return self._analyze(self._artifacts)
+        with RunArtifacts() as artifacts:
+            return self._analyze(artifacts)
+
+    def _analyze(self, artifacts: RunArtifacts) -> WcetReport:
         config = self._config
         # cooperative wall-clock timeout: the interpreter and the query
         # engine poll inside their hot loops, and the analysis stages poll
         # at their boundaries, so a job over its deadline stops at the next
         # checkpoint even when an individual stage finished quickly
         poll_deadline()
-        artifacts = self._artifacts if self._artifacts is not None else RunArtifacts()
         function = self._analyzed.program.function(self._function)
         cfg = artifacts.cfg(function)
 

@@ -504,7 +504,7 @@ class ProjectScheduler:
 
             # one store of CFGs and compiled boards for the in-process
             # attempts of this run; a pool attempt keeps its own
-            artifacts = RunArtifacts()
+            artifacts = stack.enter_context(RunArtifacts())
             waves = self._waves(jobs)
             self.waves_executed = len(waves)
             perf.add("project.scheduler.waves", len(waves))

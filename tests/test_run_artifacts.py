@@ -7,14 +7,19 @@ fixpoint.  The ``cfg.builds``, ``hw.compiles`` and ``sa.fixpoints``
 counters make that observable: a call-chain project run builds each of its
 nine functions' CFGs and fixpoints once, a controller analysis does one of
 each, and a second run of the same parsed program starts from nothing.
+A run also frees its CFGs when it ends, without waiting for the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
+import repro.hw.artifacts as artifacts_module
 import repro.hw.interpreter as interpreter_module
 from repro import perf
 from repro.minic import parse_and_analyze
@@ -74,3 +79,25 @@ def test_a_controller_analysis_builds_each_artifact_once(compiles):
     assert _counted(run) == dict.fromkeys(COUNTERS, 1)
     assert _counted(run) == dict.fromkeys(COUNTERS, 1)
     assert list(compiles.values()) == [2]
+
+
+def test_a_run_frees_its_cfgs_when_it_ends(monkeypatch):
+    built = []
+    build_cfg = artifacts_module.build_cfg
+
+    def tracked_build_cfg(function):
+        cfg = build_cfg(function)
+        built.append(weakref.ref(cfg))
+        return cfg
+
+    monkeypatch.setattr(artifacts_module, "build_cfg", tracked_build_cfg)
+    project = Project.from_sources(generate_call_chain_workload(2005).sources)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ProjectScheduler(project, cache=ResultCache.disabled()).run()
+        assert len(built) == 9
+        assert [ref() for ref in built] == [None] * 9
+    finally:
+        if collecting:
+            gc.enable()
