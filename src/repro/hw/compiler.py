@@ -177,7 +177,7 @@ def compile_function(
 _UNBOUND = object()
 
 
-def frame_names(function: FunctionDef) -> tuple[str, ...]:
+def _frame_names(function: FunctionDef) -> tuple[str, ...]:
     """The names of *function*'s call frame: its parameters and locals."""
     names = [param.name for param in function.params]
     names.extend(node.name for node in function.body.walk() if isinstance(node, DeclStmt))
@@ -408,7 +408,7 @@ class _Compiler:
         name, run_function = expr.name, self._run_function
         # callee environment: globals are shared, parameters are local copies
         params = tuple((param.name, _type_wrapper(param.param_type)) for param in callee.params)
-        frame = frame_names(callee)
+        frame = _frame_names(callee)
 
         def call_defined(env, state):
             values = [run(env, state) for run in runs]

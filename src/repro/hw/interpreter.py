@@ -22,11 +22,12 @@ external functions only consume cycles.  Execution is deterministic.
 on its first run (:mod:`repro.hw.compiler`); every block compiles, calls
 included.  The compiled code lives in a :class:`CompiledProgram`, which the
 interpreters of one run share through their
-:class:`~repro.hw.artifacts.RunArtifacts` store.  A run counts *steps* (one per block, statement and evaluated
-expression node).  At each block end it checks the step limit and polls the
-resilience context (deadline and the ``interp.step`` fault site) once for
-every multiple of 1024 steps passed since the last poll; one comparison per
-block decides whether there is anything to do.  The test suite keeps the
+:class:`~repro.hw.artifacts.RunArtifacts` store.  A run counts *steps* (one
+per block, statement and evaluated expression node).  At each block end it
+checks the step limit and polls the resilience context (deadline and the
+``interp.step`` fault site) once for every multiple of 1024 steps passed
+since the last poll; one comparison per block decides whether there is
+anything to do.  The test suite keeps the
 step-by-step walker the board used to run as the oracle of :meth:`run`.
 """
 
@@ -225,7 +226,6 @@ class CompiledProgram:
     ):
         self.analyzed = analyzed
         self.cost_model = cost_model
-        self.stubbed = stubbed
         self._program = analyzed.program
         self._cfg_of = cfg_of
         #: the functions whose calls run their body

@@ -45,10 +45,10 @@ from ..hw.board import EvaluationBoard
 from ..hw.interpreter import RunResult
 from ..resilience import injector_armed
 from .inputs import InputSpace, draw_below
+from .targets import CoverageTracker, PathTarget
 
 #: the +/- 1..4 nudges of a mutation, in draw order
 _NUDGES = (-4, -3, -2, -1, 1, 2, 3, 4)
-from .targets import CoverageTracker, PathTarget
 
 
 @dataclass

@@ -67,14 +67,13 @@ class InputSpace:
 
     def __post_init__(self) -> None:
         self._names = tuple(variable.name for variable in self.variables)
+        genes: list[Gene] = []
+        for variable in self.variables:
+            lo, hi = variable.value_range.lo, variable.value_range.hi
+            size = hi - lo + 1
+            genes.append(Gene(lo, hi, size, max(1, size // 16)))
         #: per variable, in order: its :class:`Gene`
-        self.genes: tuple[Gene, ...] = tuple(
-            Gene(lo, hi, hi - lo + 1, max(1, (hi - lo + 1) // 16))
-            for lo, hi in (
-                (variable.value_range.lo, variable.value_range.hi)
-                for variable in self.variables
-            )
-        )
+        self.genes: tuple[Gene, ...] = tuple(genes)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -111,7 +110,7 @@ class InputSpace:
     def random_genome(self, rng: random.Random) -> tuple[int, ...]:
         """One uniform value per variable (``rng.randint(lo, hi)`` each)."""
         getrandbits = rng.getrandbits
-        return tuple(gene.lo + draw_below(getrandbits, gene.size) for gene in self.genes)
+        return tuple(lo + draw_below(getrandbits, size) for lo, _, size, _ in self.genes)
 
     def random_vector(self, rng: random.Random) -> dict[str, int]:
         """:meth:`random_genome` as a vector."""
@@ -121,8 +120,8 @@ class InputSpace:
         """*vector* clamped into range, in variable order; a missing
         variable reads as its lower bound."""
         return tuple(
-            min(gene.hi, max(gene.lo, vector.get(name, gene.lo)))
-            for name, gene in zip(self._names, self.genes)
+            min(hi, max(lo, vector.get(name, lo)))
+            for name, (lo, hi, _, _) in zip(self._names, self.genes)
         )
 
     def vector(self, genome: tuple[int, ...]) -> dict[str, int]:
