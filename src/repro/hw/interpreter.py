@@ -38,8 +38,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from ..cfg.graph import ControlFlowGraph, Edge
-from ..minic.ast_nodes import BinaryOp, BoolLiteral, Expr, FunctionDef, IntLiteral, UnaryOp
-from ..minic.folding import apply_binary, apply_unary
+from ..minic.ast_nodes import FunctionDef
+from ..minic.folding import initial_value
 from ..minic.semantic import AnalyzedProgram
 from ..resilience import faults as _resilience
 from .compiler import (
@@ -177,9 +177,10 @@ class Interpreter:
         """Execute *function_name* with the given input-variable values.
 
         ``inputs`` assigns values to the analysis input variables (and may
-        override any global); unspecified globals start at their initialiser
-        or zero.  Parameters of the top-level function may also be supplied
-        through ``inputs`` by name.
+        override any global); every other global starts at
+        :func:`~repro.minic.folding.initial_value`, the value its initialiser
+        gets in a function body (0 without one).  Parameters of the
+        top-level function may also be supplied through ``inputs`` by name.
         """
         inputs = dict(inputs or {})
         code = self._code
@@ -241,15 +242,14 @@ class CompiledProgram:
         self._globals: tuple[dict[str, int], dict[str, Callable[[int], int]]] | None = None
 
     def environment_for(self, inputs: dict[str, int]) -> dict[str, int]:
-        """The globals at their initialisers, then *inputs* (a global's
+        """The globals at their initial values, then *inputs* (a global's
         value wrapped to its declared type).  The initial values and each
         global's wrap function are built once per program."""
         if self._globals is None:
             initial: dict[str, int] = {}
             wraps: dict[str, Callable[[int], int]] = {}
             for decl in self._program.globals:
-                value = 0 if decl.init is None else _constant_value(decl.init)
-                initial[decl.name] = decl.var_type.wrap(value)
+                initial[decl.name] = initial_value(decl)
                 wraps.setdefault(decl.name, _type_wrapper(decl.var_type))
             self._globals = (initial, wraps)
         initial, wraps = self._globals
@@ -330,19 +330,6 @@ class CompiledProgram:
                     stamp(state.cycles)
                 return return_value
             block = target
-
-
-def _constant_value(expr: Expr) -> int:
-    """Evaluate a global initialiser (no variables allowed)."""
-    if isinstance(expr, IntLiteral):
-        return expr.value
-    if isinstance(expr, BoolLiteral):
-        return int(expr.value)
-    if isinstance(expr, UnaryOp):
-        return apply_unary(expr.op, _constant_value(expr.operand))
-    if isinstance(expr, BinaryOp):
-        return apply_binary(expr.op, _constant_value(expr.left), _constant_value(expr.right))
-    raise ExecutionError("global initialisers must be constant expressions")
 
 
 class _RunState:

@@ -2,10 +2,11 @@
 
 Folding is used by:
 
-* the variable-range analysis (tight literal bounds),
 * the transition-system translator (smaller guard expressions),
-* the reverse-CSE optimisation (substituted expressions are re-folded), and
-* the interpreter (pre-simplified expressions execute in fewer steps).
+* the solver and sa's loop bounds (literal operands), and
+* :func:`initial_value`, the one rule for where a variable starts: the
+  frontend rejects a global whose initialiser does not fold, and the board,
+  sa and the translator start every global at this value.
 
 Folding never changes observable semantics: arithmetic respects mini-C
 wrap-around only when a result type is known, otherwise the fold is skipped.
@@ -20,7 +21,9 @@ from .ast_nodes import (
     CallExpr,
     CastExpr,
     Conditional,
+    DeclStmt,
     Expr,
+    GlobalDecl,
     Identifier,
     IntLiteral,
     UnaryOp,
@@ -191,6 +194,17 @@ def fold_expr(expr: Expr) -> Expr:
             location=expr.location, ctype=expr.ctype,
         )
     return expr
+
+
+def initial_value(decl: GlobalDecl | DeclStmt) -> int | None:
+    """The value *decl*'s variable starts at: its initialiser folded and
+    wrapped at the declared type, the value the same expression gets in a
+    function body; 0 without an initialiser, ``None`` when it does not fold.
+    """
+    if decl.init is None:
+        return 0
+    value = _as_int(fold_expr(decl.init))
+    return None if value is None else decl.var_type.wrap(value)
 
 
 def _to_bool(expr: Expr, template: Expr) -> Expr:

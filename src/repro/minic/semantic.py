@@ -8,8 +8,9 @@ and
 * assigns a :class:`~repro.minic.types.CType` to every expression
   (``expr.ctype``) using simplified C conversion rules,
 * checks that conditions are scalar, case labels fit the switch operand type
-  and are pairwise distinct, assignments target variables, and calls to known
-  functions pass the right number of arguments, and
+  and are pairwise distinct, assignments target variables, calls to known
+  functions pass the right number of arguments, and every global initialiser
+  folds to a constant (:func:`~repro.minic.folding.initial_value`), and
 * produces a :class:`~repro.minic.symbols.FunctionSymbolTable` per function,
   which downstream stages (CFG builder, transition-system translator,
   interpreter, test-data generator) use as the authoritative variable list.
@@ -53,6 +54,7 @@ from .ast_nodes import (
     RELATIONAL_OPERATORS,
 )
 from .errors import SemanticError
+from .folding import initial_value
 from .symbols import (
     FunctionSymbolTable,
     Scope,
@@ -177,7 +179,7 @@ class _FunctionChecker:
             defaults = 0
             for case in stmt.cases:
                 for value in case.values:
-                    wrapped = ctype.wrap(value) if not ctype.is_bool else int(bool(value))
+                    wrapped = ctype.wrap(value)
                     if wrapped in seen:
                         raise SemanticError(
                             f"duplicate case label {value}", case.location
@@ -329,6 +331,12 @@ class _Analyzer:
                                       body=CompoundStmt(statements=[]))
                 )
                 checker._check_expr(decl.init, self.global_scope)
+                if initial_value(decl) is None:
+                    # static storage needs a constant initialiser (C11 6.7.9p4)
+                    raise SemanticError(
+                        f"initialiser of global {decl.name!r} is not a constant expression",
+                        decl.location,
+                    )
         for function in self.program.functions:
             checker = _FunctionChecker(self, function)
             result.function_tables[function.name] = checker.check()

@@ -66,8 +66,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: and the model-checking query namespace (persisted per-(slice, goal)
 #: verdicts + witnesses, see :mod:`repro.mc.store`); /6 added the
 #: static-analysis fields (sa_diagnostics/sa_edges_pruned/
-#: sa_loop_bounds_inferred) to :class:`FunctionSummary` payloads
-CACHE_SCHEMA = "repro-project-cache/6"
+#: sa_loop_bounds_inferred) to :class:`FunctionSummary` payloads; /7
+#: starts every global at :func:`~repro.minic.folding.initial_value` (a
+#: result keyed on an unchanged source may hold a bound from the old rule)
+CACHE_SCHEMA = "repro-project-cache/7"
 
 #: sibling directory quarantined (corrupt) entries are moved into
 CORRUPT_DIR = "corrupt"

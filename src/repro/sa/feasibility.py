@@ -30,12 +30,13 @@ as its entry point:
   a call to a function the unit does not define writes nothing, as on the
   board and in the model checker, and every call's value keeps its type
   range;
-* with ``initialised`` entry a non-input global starts at its static
-  initialiser (0 without one), as the board resets it before every run and
-  the variable-initialisation model (Section 3.2.5) starts it; inputs keep
-  their declared or type range and parameters their type range.  Models that
-  leave variables uninitialised let a global start at any value, so their
-  state ranges come from the any-value entry (``initialised=False``).
+* with ``initialised`` entry a non-input global starts at its
+  :func:`~repro.minic.folding.initial_value`, as the board resets it before
+  every run and the variable-initialisation model (Section 3.2.5) starts
+  it; inputs keep their declared or type range and parameters their type
+  range.  Models that leave variables uninitialised let a global start at
+  any value, so their state ranges come from the any-value entry
+  (``initialised=False``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from ..minic.ast_nodes import (
     UnaryOp,
     RELATIONAL_OPERATORS,
 )
-from ..minic.folding import apply_binary, assigned_variables, fold_expr, has_calls
+from ..minic.folding import apply_binary, assigned_variables, has_calls, initial_value
 from ..minic.symbols import FunctionSymbolTable, SymbolKind
 from ..minic.types import IntRange
 
@@ -645,9 +646,9 @@ class FeasibilityAnalyzer:
             for name in self._globals:
                 if self._table.variables[name].is_input:
                     continue
-                initial = self._static_initial(name)
-                if initial is not None:
-                    ranges[name] = initial
+                # the frontend rejects a global whose initialiser does not fold
+                value = initial_value(self._table.variables[name].decl)
+                ranges[name] = IntRange(value, value)
         return RangeEnvironment(ranges=ranges)
 
     # ------------------------------------------------------------------ #
@@ -659,7 +660,7 @@ class FeasibilityAnalyzer:
           entry) keep their default range too -- their uninitialised value is
           part of the state space;
         * every other variable gets the hull of the values it is stored (plus
-          its static initialiser), which is exactly the information the
+          its initial value), which is exactly the information the
           paper's variable range analysis feeds back into the model.
         """
         entry_successors = self._cfg.successors(self._cfg.entry)
@@ -675,8 +676,9 @@ class FeasibilityAnalyzer:
                 ranges[name] = default
                 continue
             hull = stored.get(name)
-            initial = self._static_initial(name)
-            if initial is not None:
+            value = initial_value(self._table.variables[name].decl)
+            if value is not None:
+                initial = IntRange(value, value)
                 hull = initial if hull is None else hull.union(initial)
             if hull is None:
                 # never stored and never read before written: one value is
@@ -685,26 +687,6 @@ class FeasibilityAnalyzer:
             clamped = hull.intersect(default)
             ranges[name] = clamped if clamped is not None else default
         return ranges
-
-    def _static_initial(self, name: str) -> IntRange | None:
-        """The declaration's constant initialiser (0 without one), wrapped
-        at the variable's type as the board stores it; ``None`` when it does
-        not fold to a constant."""
-        symbol = self._table.variables[name]
-        if symbol.decl is None:
-            return None
-        init = getattr(symbol.decl, "init", None)
-        if init is None:
-            return IntRange(0, 0)
-        folded = fold_expr(init)
-        if isinstance(folded, IntLiteral):
-            value = folded.value
-        elif isinstance(folded, BoolLiteral):
-            value = int(folded.value)
-        else:
-            return None
-        value = symbol.ctype.wrap(value)
-        return IntRange(value, value)
 
     def _note_event(self, event: EvalEvent) -> None:
         key = (event.kind, event.node_id)

@@ -13,8 +13,10 @@ The translator mirrors the paper's conversion tool:
 * variables are *uninitialised* in the initial state -- "All variables
   contained in the model that are not input variables are uninitialised"
   (Section 3.2.5) -- unless the variable-initialisation optimisation is
-  enabled, in which case non-input variables start at their declared
-  initialiser (or 0).
+  enabled, in which case a non-input global starts where the board starts
+  it (:func:`~repro.minic.folding.initial_value`: the initialiser folded
+  and wrapped at the declared type, 0 without one) and a local at 0, or
+  at its domain's nearest value when 0 lies outside it.
 
 The result is a :class:`TranslationResult` bundling the transition system with
 the CFG-provenance maps the test-data generator needs (which location
@@ -39,7 +41,7 @@ from ..minic.ast_nodes import (
     Stmt,
     UnaryOp,
 )
-from ..minic.folding import fold_expr
+from ..minic.folding import fold_expr, initial_value
 from ..minic.semantic import AnalyzedProgram
 from ..minic.symbols import SymbolKind
 from ..minic.types import INT16, IntRange
@@ -253,13 +255,10 @@ class CToTransitionSystem:
             return None  # inputs are always free
         if not self._options.initialize_variables:
             return None  # unoptimised: uninitialised variables
-        # optimisation 3.2.5: concrete initial values
+        # optimisation 3.2.5: concrete initial values; a global starts where
+        # the board starts it
         if kind is SymbolKind.GLOBAL:
-            decl = self._analyzed.program.global_decl(name)
-            if decl.init is not None:
-                folded = fold_expr(decl.init)
-                if isinstance(folded, IntLiteral):
-                    return domain.clamp(folded.value)
+            return initial_value(self._analyzed.program.global_decl(name))
         return domain.clamp(0)
 
     # ------------------------------------------------------------------ #
@@ -355,10 +354,12 @@ class CToTransitionSystem:
     def _sanitize_expr(self, expr: Expr) -> Expr:
         """Fold constants and strip nested assignments/calls from expressions.
 
-        Calls have no data semantics in the model (external library calls);
-        they are replaced by the literal 0.  Nested assignments are replaced
-        by their right-hand side (the assignment itself is emitted as its own
-        update).
+        Every call is replaced by the literal 0: an undefined (external)
+        callee returns 0 on the board too, but a defined callee's return
+        value and global writes are not modelled.  Nested assignments are
+        replaced by their right-hand side: an expression statement emits the
+        assignment as its own update, but in a branch or switch condition
+        the store is dropped.
         """
         folded = fold_expr(expr)
         return self._strip(folded)

@@ -3,16 +3,19 @@
 The board used to run every block on this walker, which evaluates the AST
 one step at a time.  It now runs only closures compiled from the CFGs
 (:mod:`repro.hw.compiler`), and the walker is kept here, verbatim, as the
-reference those closures are compared against field for field.  One thing
-moved: the step limit and the deadline poll (every 1024 steps) are checked
-at each block end, for the steps the block took, instead of at each step.
-That is where the compiled board checks them, so the two raise the same
-errors on the same runs and hit ``interp.step`` equally often.
+reference those closures are compared against field for field.  Two things
+changed.  The step limit and the deadline poll (every 1024 steps) are
+checked at each block end, for the steps the block took, instead of at each
+step.  That is where the compiled board checks them, so the two raise the
+same errors on the same runs and hit ``interp.step`` equally often.  And a
+global's initialiser is evaluated like any expression in a function body,
+the rule the board starts globals by; the walker keeps its own evaluator for
+it rather than calling the board's.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import repro.hw.interpreter as interpreter_module
 from repro.cfg.graph import ControlFlowGraph, Edge, EdgeKind, TerminatorKind
@@ -100,10 +103,13 @@ class BoardWalker:
 
     def _initial_environment(self, inputs: dict[str, int]) -> dict[str, int]:
         environment: dict[str, int] = {}
+        # an initialiser evaluates as in a function body; its steps and
+        # cycles are not part of the run
+        scratch = SimpleNamespace(steps=0, cycles=0)
         for decl in self._program.globals:
             value = 0
             if decl.init is not None:
-                value = self._evaluate_static(decl.init)
+                value = self._evaluate(decl.init, environment, scratch)
             environment[decl.name] = decl.var_type.wrap(value)
         for name, value in inputs.items():
             if name in environment:
@@ -112,22 +118,6 @@ class BoardWalker:
             else:
                 environment[name] = value
         return environment
-
-    def _evaluate_static(self, expr: Expr) -> int:
-        """Evaluate a global initialiser (no variables allowed)."""
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        if isinstance(expr, BoolLiteral):
-            return int(expr.value)
-        if isinstance(expr, UnaryOp):
-            return apply_unary(expr.op, self._evaluate_static(expr.operand))
-        if isinstance(expr, BinaryOp):
-            return apply_binary(
-                expr.op,
-                self._evaluate_static(expr.left),
-                self._evaluate_static(expr.right),
-            )
-        raise ExecutionError("global initialisers must be constant expressions")
 
     def _walk_function(
         self,

@@ -170,6 +170,11 @@ class TestInterpreterSemantics:
         board = board_for(source)
         assert board.run("f").final_environment["r"] == 42
 
+    def test_global_initialisers_wrap_as_in_a_body(self):
+        source = "Int32 w = 200 * 200; Int32 v; void f(void) { v = 200 * 200; }"
+        final = board_for(source).run("f").final_environment
+        assert final["w"] == final["v"] == -25536
+
 
 class TestCycleAccounting:
     def test_cycles_deterministic(self, figure1):
@@ -462,6 +467,28 @@ void spin(void) {
 }
 """
 
+#: globals started by wrapping, bool, cast and ``?:`` initialisers
+INITIALISERS_SOURCE = """
+#pragma input a
+#pragma range a -40 40
+Int16 a; Int32 big = 200 * 200; UInt8 wrapped = 300; UInt8 flag = true; Bool on = 7;
+Int8 narrow = (Int8)300; Int16 pick = 1 ? 5 : -6; Int16 out;
+void start(void) {
+    out = 0;
+    if (big + a < -25500) {
+        out = out + 1;
+    }
+    if (wrapped == a + 4) {
+        out = out + 2;
+    }
+    if (flag && on) {
+        out = out + narrow;
+    }
+    big = big * pick + a;
+    out = out + (Int16)big;
+}
+"""
+
 #: defined callees run inside a loop: a counted loop, self-recursion bounded
 #: by the parameter, calls inside && and ?:, a division by zero in a callee
 CALLS_SOURCE = """
@@ -557,6 +584,7 @@ def _differential_programs():
             programs.append((f"{unit}:{function.name}", analyzed, function.name))
     programs.append(("wiper", parse_and_analyze(wiper_case_study().source), WIPER_FUNCTION_NAME))
     programs.append(("figure1", figure1_analyzed(), "main"))
+    programs.append(("initialisers", parse_and_analyze(INITIALISERS_SOURCE), "start"))
     programs.append(("calls", parse_and_analyze(CALLS_SOURCE), "nest"))
     programs.append(("loop", parse_and_analyze(LOOP_SOURCE), "spin"))
     return programs
@@ -596,7 +624,7 @@ class TestCompiledBoard:
 
     def test_the_oracle_covers_every_named_program(self, programs):
         names = [name for name, _, _ in programs]
-        assert len(names) == 3 + 9 + 4
+        assert len(names) == 3 + 9 + 5
         assert len([name for name in names if name.startswith("unit_")]) == 9
 
     def test_run_results_are_identical(self, programs, monkeypatch):

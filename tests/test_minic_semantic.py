@@ -6,6 +6,7 @@ import pytest
 
 from repro.minic import parse_and_analyze
 from repro.minic.errors import SemanticError
+from repro.minic.folding import initial_value
 from repro.minic.types import BOOL, INT16, UINT8, VOID
 
 
@@ -138,6 +139,31 @@ class TestTypeChecking:
         )
         symbol = analyzed.table("f").variables["x"]
         assert symbol.declared_range.lo == 2 and symbol.declared_range.hi == 9
+
+
+class TestGlobalInitialisers:
+    @pytest.mark.parametrize("initialiser", ["b", "h()", "1 / 0"])
+    def test_initialiser_that_does_not_fold_raises(self, initialiser):
+        source = f"Int16 b;\nInt16 w = {initialiser};\nInt16 h(void) {{ return 1; }}"
+        with pytest.raises(SemanticError, match="'w' is not a constant") as caught:
+            parse_and_analyze(source)
+        assert caught.value.location.line == 2
+
+    @pytest.mark.parametrize(
+        "declaration, value",
+        [
+            ("Int16 w = (Int8)300", 44),
+            ("Int16 w = 1 ? 5 : 6", 5),
+            ("Int32 w = 200 * 200", -25536),  # wraps at Int16, as in a body
+            ("UInt8 w = 300", 44),
+            ("UInt8 w = true", 1),
+            ("Bool w = 7", 1),
+            ("Int16 w", 0),
+        ],
+    )
+    def test_constant_initialisers_are_accepted(self, declaration, value):
+        analyzed = parse_and_analyze(f"{declaration}; void f(void) {{ }}")
+        assert initial_value(analyzed.program.global_decl("w")) == value
 
 
 class TestWorkloadPrograms:

@@ -497,6 +497,18 @@ class TestDifferentialSoundness:
         checked = _assert_static_claims_hold(app.analyzed, app.function_name)
         assert checked > 0
 
+    @pytest.mark.parametrize(
+        "declaration, guard",
+        [("UInt8 w = 300;", "w != 44"), ("UInt8 w = true;", "w == 0")],
+    )
+    def test_wrapped_and_bool_initialisers(self, declaration, guard):
+        # the model starts w where the board and sa do (44 and 1), so the
+        # model checker proves the guarded block unreachable too
+        analyzed = parse_and_analyze(
+            f"{declaration} Int16 r; void f(void) {{ r = 0; if ({guard}) {{ r = 1; }} }}"
+        )
+        assert _assert_static_claims_hold(analyzed, "f") == 1
+
     def test_prefilter_verdicts_match_unfiltered_engine(self):
         # every block goal of the small app, answered with and without the
         # prefilter: identical verdicts, strictly fewer solver runs

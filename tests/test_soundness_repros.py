@@ -1,15 +1,17 @@
-"""Known soundness bugs, pinned as strict expected failures.
+"""Soundness bugs, each pinned by a program and a witness input vector.
 
-Each program below makes the analyzer report a WCET bound that the board
-exceeds at a known input vector.  Every input space is wider than the
-20,000-vector exhaustive limit, so no end-to-end run happens and each wrong
-report still says ``is_safe()``.  The tests assert the property that should
-hold, ``bound >= board cycles at the witness``, and are marked
-``xfail(strict=True, raises=AssertionError)``: the fix for a bug turns its
-test into an unexpected pass, which fails the suite until the marker goes,
-and a crash is not mistaken for the known failure.  The ``reason`` names the
-ROADMAP direction that fixes the bug.  Do not loosen these tests or change
-their programs or witnesses to make a failure disappear.
+Each program below makes (or, once its bug is fixed, made) the analyzer
+report a WCET bound that the board exceeds at a known input vector.  Every
+input space is wider than the 20,000-vector exhaustive limit, so no
+end-to-end run happens and each wrong report still says ``is_safe()``.  The
+tests assert the property that should hold, ``bound >= board cycles at the
+witness``.  An open bug's test is marked
+``xfail(strict=True, raises=AssertionError)``: the fix turns it into an
+unexpected pass, which fails the suite until the marker goes, and a crash is
+not mistaken for the known failure.  The ``reason`` names the ROADMAP
+direction that fixes the bug; a fixed bug's test stays as a plain test.  Do
+not loosen these tests or change their programs or witnesses to make a
+failure disappear.
 """
 
 from __future__ import annotations
@@ -136,12 +138,6 @@ def test_assignments_inside_conditions_store():
     assert bound >= cycles
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP direction 3(e): the model checker clamps an out-of-range "
-    "initialiser instead of wrapping it",
-)
 def test_initialisers_wrap_in_the_model():
     source = f"""
     #pragma input a
@@ -149,6 +145,20 @@ def test_initialisers_wrap_in_the_model():
     UInt16 a; UInt8 w = 300; Int16 r;
     void f(void) {{ r = 0;
       if (w == 44) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 3221})
+    assert bound >= cycles
+
+
+def test_global_initialisers_wrap_on_the_board():
+    # 200 * 200 wraps at Int16 in a function body, so w starts at -25536 on
+    # the board as in sa and the model, and the guard is dead
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; Int32 w = 200 * 200; Int16 r;
+    void f(void) {{ r = 0;
+      if (w == 40000) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
     """
     bound, cycles = _bound_and_cycles(source, {"a": 3221})
     assert bound >= cycles
