@@ -8,7 +8,8 @@ The example uses a program with a "needle in the haystack" condition
 (``key == 4711``) that random testing essentially never hits, plus an
 infeasible branch.  It shows the three phases of the paper's Section 3:
 
-1. random test data until the coverage plateau,
+1. random test data: a small input space runs whole, once per vector in
+   a seeded order; a larger one is sampled until the coverage plateau,
 2. genetic-algorithm search guided by branch distances,
 3. model checking for whatever remains -- producing either a witness vector
    or an infeasibility proof.
@@ -35,7 +36,7 @@ SOURCE = """
 #pragma range key 0 60000
 #pragma range level 0 100
 #pragma range mode 0 3
-int key; int level; int mode;
+UInt16 key; int level; int mode;
 int out;
 
 void unlock(void);

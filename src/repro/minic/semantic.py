@@ -90,6 +90,27 @@ class AnalyzedProgram:
             raise SemanticError(f"no analysed function named {name!r}") from exc
 
 
+def _declared_range(program: Program, name: str, ctype: CType, location):
+    """The ``#pragma range`` of *name*, checked to fit *ctype*.
+
+    The generators draw from the declared range and the board wraps what
+    they draw at the type, while the model checker takes the range as the
+    variable's domain; a range the type cannot hold would let the two
+    disagree, so it is an error, as an initialiser that does not fit is.
+    """
+    declared = program.range_annotations.get(name)
+    if declared is None:
+        return None
+    representable = ctype.value_range()
+    if declared.lo not in representable or declared.hi not in representable:
+        raise SemanticError(
+            f"range [{declared.lo}, {declared.hi}] of {name!r} does not fit "
+            f"its type {ctype} [{ctype.min_value}, {ctype.max_value}]",
+            location,
+        )
+    return declared
+
+
 class _FunctionChecker:
     """Type checks one function body."""
 
@@ -110,6 +131,11 @@ class _FunctionChecker:
     # ------------------------------------------------------------------ #
     def check(self) -> FunctionSymbolTable:
         for param in self._function.params:
+            # a parameter's range is checked but not used: it is an input
+            # over its whole type
+            _declared_range(
+                self._analyzer.program, param.name, param.param_type, param.location
+            )
             symbol = Symbol(
                 name=param.name,
                 kind=SymbolKind.PARAMETER,
@@ -145,7 +171,9 @@ class _FunctionChecker:
                 raise SemanticError(f"variable {stmt.name!r} declared void", stmt.location)
             if stmt.init is not None:
                 self._check_expr(stmt.init, scope)
-            declared_range = self._analyzer.program.range_annotations.get(stmt.name)
+            declared_range = _declared_range(
+                self._analyzer.program, stmt.name, stmt.var_type, stmt.location
+            )
             symbol = Symbol(
                 name=stmt.name,
                 kind=SymbolKind.LOCAL,
@@ -325,6 +353,7 @@ class _Analyzer:
         for decl in self.program.globals:
             if decl.var_type.is_void:
                 raise SemanticError(f"global {decl.name!r} declared void", decl.location)
+            _declared_range(self.program, decl.name, decl.var_type, decl.location)
             if decl.init is not None:
                 checker = _FunctionChecker(
                     self, FunctionDef(name="<global-init>", return_type=VOID, params=[],

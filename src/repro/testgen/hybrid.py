@@ -12,12 +12,19 @@ Section 3 of the paper:
 
 :class:`HybridTestDataGenerator` implements exactly that control loop:
 
-1. random sampling until no new segment path is covered for
-   ``plateau_patterns`` consecutive vectors,
+1. random data: a space of at most ``max_random_vectors`` vectors is run
+   once, in a seeded random order, until every target is covered or the
+   space is exhausted (the paper's own case study measures the wiper's whole
+   input space); a larger space is sampled until no new segment path is
+   covered for ``plateau_patterns`` consecutive vectors,
 2. one genetic-algorithm search per still-uncovered path target, except
-   targets the static analysis (:mod:`repro.sa`) already proved infeasible,
+   targets the static analysis (:mod:`repro.sa`) already proved infeasible;
+   skipped when phase 1 ran the whole space, since no vector can cover
+   more on the board,
 3. one model-checking query per target that the heuristics missed, yielding
-   either a test vector or an infeasibility proof.
+   either a test vector or an infeasibility proof.  An exhausted space does
+   not make a target infeasible: the analysis board stubs summarised
+   callees, so only the model checker decides.
 
 The resulting :class:`TestSuite` carries the vectors, the per-target
 provenance (random / genetic / model checking / infeasible) and the statistics
@@ -28,6 +35,7 @@ above 90 %).
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass, field
 
 from ..cfg.graph import ControlFlowGraph
@@ -50,6 +58,7 @@ from .targets import CoverageTracker, PathTarget
 class CoverageSource(enum.Enum):
     """How a path target was covered."""
 
+    #: by a vector of the first phase (sampled or permuted)
     RANDOM = "random"
     GENETIC = "genetic"
     MODEL_CHECKING = "model-checking"
@@ -61,15 +70,17 @@ class CoverageSource(enum.Enum):
 class HybridOptions:
     """Budgets of the hybrid generation process."""
 
-    #: stop the random phase after this many consecutive vectors without a
-    #: newly covered path (the paper suggests 10^6; simulation is slower than
-    #: silicon, so the default is smaller but plays the same role)
+    #: stop sampling after this many consecutive vectors without a newly
+    #: covered path (the paper suggests 10^6; simulation is slower than
+    #: silicon, so the default is smaller but plays the same role); a
+    #: permuted space never repeats a vector and ignores it
     plateau_patterns: int = 200
-    #: hard cap on random vectors
+    #: hard cap on random vectors; a space with no more vectors than this is
+    #: run as a seeded permutation instead of sampled
     max_random_vectors: int = 2_000
     genetic: GeneticOptions = field(default_factory=GeneticOptions)
     model_checking: QueryEngineOptions = field(default_factory=default_options)
-    #: random seed of the random phase
+    #: random seed of the random phase (sampling stream or permutation)
     seed: int = 0
     #: skip the genetic phase entirely (for experiments)
     use_genetic: bool = True
@@ -93,6 +104,8 @@ class TestSuite:
     function_name: str
     vectors: list[dict[str, int]] = field(default_factory=list)
     reports: list[TargetReport] = field(default_factory=list)
+    #: vectors the first phase ran, also when a fault cut it short (at most
+    #: the space size when permuted)
     random_vectors_used: int = 0
     genetic_evaluations: int = 0
     #: targets whose genetic search was skipped because sa proved their
@@ -188,20 +201,14 @@ class HybridTestDataGenerator:
         # remaining phases cover still improves the suite, uncovered targets
         # keep their pessimistic static charge, and the analyzer floors the
         # whole bound once any fault fired
-        phases = [("random", lambda: self._random_phase(coverage, suite))]
-        if self._options.use_genetic:
-            phases.append(("genetic", lambda: self._genetic_phase(coverage, suite)))
+        exhausted = self._run_phase("random", suite, self._random_phase, coverage)
+        # once every vector of the space ran, no search can cover more
+        if self._options.use_genetic and not exhausted:
+            self._run_phase("genetic", suite, self._genetic_phase, coverage)
         if self._options.use_model_checking:
-            phases.append(
-                ("model-checking", lambda: self._model_checking_phase(coverage, suite))
+            self._run_phase(
+                "model-checking", suite, self._model_checking_phase, coverage
             )
-        for phase_name, phase in phases:
-            try:
-                phase()
-            except InjectedFault as fault:
-                suite.fault_events.append(
-                    f"{phase_name} phase cut short by injected fault: {fault}"
-                )
 
         # final bookkeeping: record provenance of targets covered in phase 1/2
         reported = {report.target.key for report in suite.reports}
@@ -220,31 +227,59 @@ class HybridTestDataGenerator:
         return suite
 
     # ------------------------------------------------------------------ #
-    def _random_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
+    @staticmethod
+    def _run_phase(name: str, suite: TestSuite, phase, coverage: CoverageTracker):
+        """``phase(coverage, suite)``, or None when an injected fault cut it short."""
+        try:
+            return phase(coverage, suite)
+        except InjectedFault as fault:
+            suite.fault_events.append(
+                f"{name} phase cut short by injected fault: {fault}"
+            )
+            return None
+
+    def _random_phase(self, coverage: CoverageTracker, suite: TestSuite) -> bool:
+        """Run random vectors; True when every vector of the space ran."""
+        if self._space.size() > self._options.max_random_vectors:
+            self._sample(coverage, suite)
+            return False
+        genomes = self._space.genomes()
+        random.Random(self._options.seed).shuffle(genomes)
+        for genome in genomes:
+            if coverage.is_complete():
+                return False
+            self._run_random(self._space.vector(genome), coverage, suite)
+        return True
+
+    def _sample(self, coverage: CoverageTracker, suite: TestSuite) -> None:
         generator = RandomTestDataGenerator(self._space, seed=self._options.seed)
         without_progress = 0
-        produced = 0
         while (
-            produced < self._options.max_random_vectors
+            suite.random_vectors_used < self._options.max_random_vectors
             and without_progress < self._options.plateau_patterns
             and not coverage.is_complete()
         ):
-            vector = generator.generate(1)[0]
-            produced += 1
-            run = self._board.run(self._function, vector)
-            newly = coverage.record_run(run)
-            if newly:
+            if self._run_random(generator.generate(1)[0], coverage, suite):
                 without_progress = 0
-                suite.add_vector(vector)
-                for target in newly:
-                    suite.reports.append(
-                        TargetReport(
-                            target=target, source=CoverageSource.RANDOM, vector=dict(vector)
-                        )
-                    )
             else:
                 without_progress += 1
-        suite.random_vectors_used = produced
+
+    def _run_random(
+        self, vector: dict[str, int], coverage: CoverageTracker, suite: TestSuite
+    ) -> bool:
+        """Run *vector* and count it; report the targets it newly covers as
+        RANDOM."""
+        newly = coverage.record_run(self._board.run(self._function, vector))
+        suite.random_vectors_used += 1
+        if newly:
+            suite.add_vector(vector)
+            for target in newly:
+                suite.reports.append(
+                    TargetReport(
+                        target=target, source=CoverageSource.RANDOM, vector=dict(vector)
+                    )
+                )
+        return bool(newly)
 
     def _genetic_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
         generator = GeneticTestDataGenerator(

@@ -9,12 +9,17 @@ Section 3.2.4) and fall back to the declared C type's range otherwise.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..minic.semantic import AnalyzedProgram
 from ..minic.types import IntRange
+
+
+class InputSpaceTooLarge(Exception):
+    """Raised when enumerating an input space would need too many vectors."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,17 @@ class InputSpace:
             if total > 2**63:
                 return 2**63
         return total
+
+    def genomes(self, limit: int = 1_000_000) -> list[tuple[int, ...]]:
+        """Every genome of the space in product order (the last variable
+        varies fastest); raises :class:`InputSpaceTooLarge` above *limit*."""
+        if self.size() > limit:
+            raise InputSpaceTooLarge(
+                f"input space has more than {limit} combinations; "
+                "end-to-end measurement is computationally intractable here "
+                "(which is exactly the paper's motivation for partitioning)"
+            )
+        return list(itertools.product(*(range(lo, hi + 1) for lo, hi, _, _ in self.genes)))
 
     def random_genome(self, rng: random.Random) -> tuple[int, ...]:
         """One uniform value per variable (``rng.randint(lo, hi)`` each)."""

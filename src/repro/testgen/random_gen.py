@@ -9,14 +9,8 @@ on what is left, and model checking finishes the job.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .inputs import InputSpace
-
-
-@dataclass
-class RandomGeneratorStatistics:
-    vectors_generated: int = 0
 
 
 class RandomTestDataGenerator:
@@ -25,16 +19,7 @@ class RandomTestDataGenerator:
     def __init__(self, input_space: InputSpace, seed: int = 0):
         self._space = input_space
         self._rng = random.Random(seed)
-        self.statistics = RandomGeneratorStatistics()
-
-    @property
-    def input_space(self) -> InputSpace:
-        return self._space
 
     def generate(self, count: int) -> list[dict[str, int]]:
         """Generate *count* random input vectors."""
-        vectors = []
-        for _ in range(count):
-            vectors.append(self._space.random_vector(self._rng))
-        self.statistics.vectors_generated += count
-        return vectors
+        return [self._space.random_vector(self._rng) for _ in range(count)]

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from ..testgen.inputs import InputSpaceTooLarge
 from .end_to_end import (
     EndToEndResult,
-    InputSpaceTooLarge,
     enumerate_input_space,
     exhaustive_end_to_end,
     measure_vectors,

@@ -9,15 +9,11 @@ case study and is reproduced by ``benchmarks/test_bench_case_study.py``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..hw.board import EvaluationBoard
 from ..minic.types import IntRange
-
-
-class InputSpaceTooLarge(Exception):
-    """Raised when exhaustive measurement would need too many runs."""
+from ..testgen.inputs import InputSpace, InputVariable
 
 
 @dataclass
@@ -39,22 +35,12 @@ class EndToEndResult:
 def enumerate_input_space(
     input_ranges: dict[str, IntRange], limit: int = 1_000_000
 ) -> list[dict[str, int]]:
-    """All combinations of the given input ranges (bounded by *limit*)."""
-    names = sorted(input_ranges)
-    total = 1
-    for name in names:
-        total *= input_ranges[name].size()
-        if total > limit:
-            raise InputSpaceTooLarge(
-                f"input space has more than {limit} combinations; "
-                "end-to-end measurement is computationally intractable here "
-                "(which is exactly the paper's motivation for partitioning)"
-            )
-    vectors: list[dict[str, int]] = []
-    value_lists = [range(input_ranges[name].lo, input_ranges[name].hi + 1) for name in names]
-    for combination in itertools.product(*value_lists):
-        vectors.append(dict(zip(names, combination)))
-    return vectors
+    """All combinations of the given input ranges, by variable name
+    (bounded by *limit*, see :meth:`InputSpace.genomes`)."""
+    space = InputSpace(
+        [InputVariable(name, input_ranges[name]) for name in sorted(input_ranges)]
+    )
+    return [space.vector(genome) for genome in space.genomes(limit)]
 
 
 def exhaustive_end_to_end(

@@ -141,6 +141,58 @@ class TestTypeChecking:
         assert symbol.declared_range.lo == 2 and symbol.declared_range.hi == 9
 
 
+#: a range a UInt8 cannot hold: the board stores -8 as 248, so ``u > 200``
+#: is taken, while a model whose domain is the declared range proves it
+#: unreachable (the analysis used to report 33 cycles, the board reaches 98
+#: at u = -8, a = 3221)
+NARROW_TYPE_SOURCE = """
+#pragma input u
+#pragma input a
+#pragma range u -8 10
+#pragma range a 0 30000
+UInt8 u;
+UInt16 a;
+Int16 s0; Int16 s1; Int16 s2; Int16 s3; Int16 s4;
+Int16 s5; Int16 s6; Int16 s7; Int16 s8; Int16 s9;
+void f(void) {
+    if (u > 200) {
+        if ((a % 97) == 20 && (a % 89) == 17) {
+            s0 = 1; s1 = 1; s2 = 1; s3 = 1; s4 = 1;
+            s5 = 1; s6 = 1; s7 = 1; s8 = 1; s9 = 1;
+        }
+    }
+}
+"""
+
+
+class TestDeclaredRanges:
+    def test_range_outside_the_global_type_raises(self):
+        with pytest.raises(SemanticError, match="range \\[-8, 10\\] of 'u'") as caught:
+            parse_and_analyze(NARROW_TYPE_SOURCE)
+        assert caught.value.location.line == 6
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "#pragma range v 0 300\nvoid f(void) { UInt8 v; v = 1; }",
+            "#pragma range p -1 3\nvoid f(UInt16 p) { p = p; }",
+            "#pragma range b 0 2\nBool b; void f(void) { }",
+            "#pragma range w -32769 0\nInt16 w; void f(void) { }",
+        ],
+        ids=["local", "parameter", "bool", "below-int16"],
+    )
+    def test_range_outside_any_declared_type_raises(self, source):
+        with pytest.raises(SemanticError, match="does not fit its type"):
+            parse_and_analyze(source)
+
+    def test_range_at_the_type_limits_is_accepted(self):
+        analyzed = parse_and_analyze(
+            "#pragma range u 0 255\n#pragma range w -32768 32767\n"
+            "UInt8 u; Int16 w; void f(Bool w2) { }"
+        )
+        assert analyzed.program.global_decl("u").declared_range.hi == 255
+
+
 class TestGlobalInitialisers:
     @pytest.mark.parametrize("initialiser", ["b", "h()", "1 / 0"])
     def test_initialiser_that_does_not_fold_raises(self, initialiser):

@@ -47,7 +47,16 @@ int right(int y) { if (y > 1) { y = y + 2; } return y; }
 
 TINY = {"unit": "int only(int x) { if (x > 1) { x = x - 1; } return x; }"}
 #: one branch sa proves never taken, so the genetic phase skips its target
+#: (the space is wider than QUICK_HYBRID's 60 random vectors, so it is
+#: sampled and the genetic phase runs)
 PRUNED = {
+    "unit": "#pragma input x\n#pragma range x 0 300\nint x;\n"
+    "int f(void) { int a; a = 0; if (x > 1000) { a = 9; } return a; }"
+}
+
+#: the same branch over a 4-value space: the first phase runs all of it, so
+#: no genetic phase starts and nothing is skipped
+PRUNED_WHOLE = {
     "unit": "#pragma input x\n#pragma range x 0 3\nint x;\n"
     "int f(void) { int a; a = 0; if (x > 100) { a = 9; } return a; }"
 }
@@ -422,6 +431,19 @@ def test_metrics_endpoint_serves_prometheus_histograms(tmp_path):
             assert response.headers["Content-Type"] == (
                 obs.PROMETHEUS_CONTENT_TYPE
             )
+
+
+def test_no_static_skip_when_the_whole_space_ran():
+    registry = perf.PerfRegistry()
+    with perf.using_registry(registry):
+        report = ProjectScheduler(
+            Project.from_sources(PRUNED_WHOLE),
+            config=quick_config(),
+            cache=ResultCache.disabled(),
+        ).run()
+    (summary,) = report.functions
+    assert summary.result_payload()["generator_statistics"]["genetic_evaluations"] == 0
+    assert registry.report()["counters"]["testgen.static_skips"] == 0
 
 
 @pytest.mark.service

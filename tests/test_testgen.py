@@ -193,6 +193,22 @@ def _stdlib_search(space, options, seeds, score):
     return None, evaluated, rng
 
 
+class TestEnumeration:
+    def test_genomes_in_product_order(self):
+        space = InputSpace(
+            [InputVariable("b", IntRange(0, 1)), InputVariable("a", IntRange(5, 7))]
+        )
+        assert space.genomes() == [(0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7)]
+        assert InputSpace().genomes() == [()]
+
+    def test_too_large_a_space_raises(self, needle):
+        from repro.testgen.inputs import InputSpaceTooLarge
+
+        _, _, _, _, space = needle
+        with pytest.raises(InputSpaceTooLarge):
+            space.genomes(limit=space.size() - 1)
+
+
 class _RecordingBoard:
     """A board stand-in that records every vector it runs."""
 
@@ -810,3 +826,112 @@ class TestHybridGenerator:
             if report.source in (CoverageSource.RANDOM, CoverageSource.GENETIC,
                                  CoverageSource.MODEL_CHECKING):
                 assert report.vector is not None
+
+
+#: ten input vectors; the ``x > 100`` target is never covered, so the first
+#: phase runs every vector it is allowed to
+TEN_VECTORS_SOURCE = """
+#pragma input x
+#pragma range x 0 9
+int x; int out;
+void f(void) {
+    out = 0;
+    if (x > 100) { out = 2; }
+    if (x == 3) { out = 1; }
+}
+"""
+
+#: sixteen vectors whose runs each pass one ``interp.step`` fault site
+#: (over 1024 steps); only ``x == 15`` takes the last branch
+LOOPING_SOURCE = """
+#pragma input x
+#pragma range x 0 15
+int x; int out;
+void f(void) {
+    int i;
+    out = 0;
+    for (i = 0; i < 100; i = i + 1) { out = out + x; }
+    if (x == 15) { out = 1; }
+}
+"""
+
+
+class TestFirstPhase:
+    """A space of at most ``max_random_vectors`` vectors runs as a seeded
+    permutation, once each; a larger one is sampled."""
+
+    def _generate(self, source, **options):
+        analyzed = parse_and_analyze(source)
+        cfg = build_cfg(analyzed.program.function("f"))
+        partition = partition_function(analyzed.program.function("f"), 2, cfg)
+        ran = []
+
+        class RecordingBoard(EvaluationBoard):
+            def run(self, function_name, inputs=None):
+                ran.append(dict(inputs))
+                return super().run(function_name, inputs)
+
+        generator = HybridTestDataGenerator(
+            analyzed,
+            "f",
+            RecordingBoard(analyzed),
+            partition,
+            cfg,
+            HybridOptions(use_model_checking=False, seed=5, **options),
+        )
+        space = InputSpace.from_program(analyzed, "f")
+        return generator.generate(), ran, space
+
+    def test_a_space_at_the_cap_is_permuted(self):
+        suite, ran, space = self._generate(TEN_VECTORS_SOURCE, max_random_vectors=10)
+        genomes = space.genomes()
+        random.Random(5).shuffle(genomes)
+        # every vector once, in the seeded order, and no search after it
+        assert ran == [space.vector(genome) for genome in genomes]
+        assert suite.random_vectors_used == 10
+        assert suite.genetic_evaluations == 0
+        assert len(suite.uncovered_targets) == 1
+
+    def test_one_vector_over_the_cap_is_sampled(self):
+        suite, ran, space = self._generate(TEN_VECTORS_SOURCE, max_random_vectors=9)
+        assert ran[:9] == RandomTestDataGenerator(space, seed=5).generate(9)
+        assert len(set(map(tuple, (v.values() for v in ran[:9])))) < 9
+        assert suite.random_vectors_used == 9
+        # the genetic phase searches the uncovered target
+        assert suite.genetic_evaluations > 0 and len(ran) > 9
+
+    def test_the_plateau_does_not_stop_a_permutation(self):
+        suite, ran, _ = self._generate(
+            TEN_VECTORS_SOURCE, max_random_vectors=10, plateau_patterns=1
+        )
+        assert suite.random_vectors_used == len(ran) == 10
+
+    def test_a_fault_in_the_permutation_runs_the_genetic_phase_and_degrades(self):
+        from repro.pipeline import AnalyzerConfig
+        from repro.pipeline.analyzer import WcetAnalyzer
+        from repro.resilience import (
+            FaultInjector,
+            FaultPlan,
+            ResilienceContext,
+            activate,
+        )
+
+        analyzed = parse_and_analyze(LOOPING_SOURCE)
+        clean = WcetAnalyzer(analyzed, "f", AnalyzerConfig()).analyze()
+        assert clean.generator_statistics["genetic_evaluations"] == 0
+        assert not clean.degraded
+        # one fault-site hit per run: fail the run just before x == 15's
+        space = InputSpace.from_program(analyzed, "f")
+        genomes = space.genomes()
+        random.Random(AnalyzerConfig().hybrid.seed).shuffle(genomes)
+        hit = genomes.index((15,))
+        assert 2 <= hit < len(genomes) - 1
+        plan = FaultPlan.from_args([f"interp.step:raise@{hit}"])
+        with activate(ResilienceContext(injector=FaultInjector(plan))):
+            report = WcetAnalyzer(analyzed, "f", AnalyzerConfig()).analyze()
+        assert report.fault_events[0].startswith("random phase cut short")
+        # the runs before the failed one count
+        assert report.generator_statistics["random_vectors_used"] == hit - 1
+        assert report.generator_statistics["genetic_evaluations"] > 0
+        assert report.degraded
+        assert report.wcet_bound_cycles >= clean.wcet_bound_cycles
