@@ -96,7 +96,7 @@ def _declared_range(program: Program, name: str, ctype: CType, location):
     The generators draw from the declared range and the board wraps what
     they draw at the type, while the model checker takes the range as the
     variable's domain; a range the type cannot hold would let the two
-    disagree, so it is an error, as an initialiser that does not fit is.
+    disagree, so it is an error, as a global initialiser that does not fold is.
     """
     declared = program.range_annotations.get(name)
     if declared is None:
