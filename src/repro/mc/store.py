@@ -15,8 +15,8 @@ Trust model: **nothing loaded from disk is believed without evidence.**
 * REACHABLE entries carry the witness (initial state + trace step
   signatures); on load the witness is *replayed* against the current
   sliced system with the explicit engine's concrete semantics
-  (simultaneous updates, domain clamping, guard via
-  :func:`~repro.solver.expression.concrete_eval`).  The verdict served is
+  (simultaneous updates, domain clamping, expressions wrapped like the
+  board's by :func:`~repro.solver.expression.concrete_eval`).  The verdict served is
   the replay's outcome, so a poisoned or stale entry can fail (a counted,
   flight-recorded miss) but can never change a verdict.
 * UNREACHABLE entries are proofs over the sliced system; they carry a
@@ -118,12 +118,14 @@ def replay_witness(
 ) -> Counterexample | None:
     """Re-execute a stored witness on *system*; ``None`` on any mismatch.
 
-    Mirrors the explicit engine's concrete semantics exactly: guards are
-    true iff :func:`concrete_eval` is non-zero, updates are computed
-    simultaneously from the pre-state and clamped into their domains.  A
-    successful replay is a genuine execution of the *current* system, so
-    the REACHABLE verdict it supports is sound regardless of what the
-    entry claimed.
+    Mirrors the explicit engine's concrete semantics exactly: expressions
+    evaluate with :func:`concrete_eval`, which wraps each result at its type
+    as the board does; guards are true iff it is non-zero; updates are
+    computed simultaneously from the pre-state and clamped into their
+    domains (a narrowing store that leaves the domain wraps on the board
+    instead: ROADMAP direction 3(b)).  A successful replay is a genuine
+    execution of the *current* system, so the REACHABLE verdict it supports
+    is sound regardless of what the entry claimed.
     """
     if not isinstance(payload, dict):
         return None

@@ -68,8 +68,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: static-analysis fields (sa_diagnostics/sa_edges_pruned/
 #: sa_loop_bounds_inferred) to :class:`FunctionSummary` payloads; /7
 #: starts every global at :func:`~repro.minic.folding.initial_value` (a
-#: result keyed on an unchanged source may hold a bound from the old rule)
-CACHE_SCHEMA = "repro-project-cache/7"
+#: result keyed on an unchanged source may hold a bound from the old rule);
+#: /8 evaluates model expressions with the board's wrap and sa's interval
+#: domain (a bound or UNREACHABLE verdict from the old semantics has the
+#: same key as one from the new)
+CACHE_SCHEMA = "repro-project-cache/8"
 
 #: sibling directory quarantined (corrupt) entries are moved into
 CORRUPT_DIR = "corrupt"

@@ -8,7 +8,6 @@ from .expression import (
     EvaluationError,
     concrete_eval,
     expression_node_count,
-    interval_eval,
     substitute,
 )
 from .search import (
@@ -27,7 +26,6 @@ __all__ = [
     "EvaluationError",
     "concrete_eval",
     "expression_node_count",
-    "interval_eval",
     "substitute",
     "ConstraintSolver",
     "Solution",

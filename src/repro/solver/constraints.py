@@ -4,14 +4,19 @@ A :class:`Constraint` requires its expression to evaluate to a non-zero value.
 Constraint filtering uses interval evaluation (definitely satisfied /
 definitely violated / unknown) and a modest amount of bounds propagation for
 the comparison shapes that dominate path constraints of generated control code
-(``x == c``, ``state <= 3``, ``(sel == 2) && (pos != 0)``, ...).
+(``x == c``, ``state <= 3``, ``(sel == 2) && (pos != 0)``, ...).  The
+intervals come from :class:`~repro.minic.intervals.SoundEvaluator`, the
+wrap-aware interval domain :mod:`repro.sa` runs too, over the bounds of the
+constraint's own variables' domains (excluded values narrow those domains in
+propagation but not the intervals).
 
 Both filtering and propagation are pure functions of the domains of the
-constraint's own variables, so each constraint memoises them, keyed by the
-tuple of those domains.  The memo lives on the constraint: the symbolic
-engine extends a path condition by sharing its parent's constraint objects,
-so every solve along one search path reuses the answers of the solves before
-it, and the memo is freed with the path.
+constraint's own variables (the evaluator records nothing), so each
+constraint memoises them, keyed by the tuple of those domains.  The memo
+lives on the constraint: the symbolic engine extends a path condition by
+sharing its parent's constraint objects, so every solve along one search
+path reuses the answers of the solves before it, and the memo is freed with
+the path.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from dataclasses import dataclass, field
 
 from ..minic.ast_nodes import BinaryOp, Expr, Identifier, UnaryOp
 from ..minic.folding import expression_variables
+from ..minic.intervals import RangeEnvironment, SoundEvaluator
 from ..minic.pretty import print_expression
 from .domain import Domain, EmptyDomainError
-from .expression import concrete_eval, expression_node_count, interval_eval
+from .expression import concrete_eval, expression_node_count
 
 
 class Satisfaction(enum.Enum):
@@ -71,8 +77,16 @@ class Constraint:
         key = tuple(map(domains.get, self._key_names))
         status = self._statuses.get(key)
         if status is None:
-            status = self._statuses[key] = _interval_status(self.expr, domains)
+            status = self._statuses[key] = _interval_status(
+                self.expr, self._ranges(domains)
+            )
         return status
+
+    def _ranges(self, domains: dict[str, Domain]) -> RangeEnvironment:
+        """The bounds of the constraint's own variables' *domains*."""
+        return RangeEnvironment(
+            {name: domains[name].to_range() for name in self._key_names if name in domains}
+        )
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.description or print_expression(self.expr)
@@ -113,8 +127,9 @@ class Constraint:
                 changed.update(self._propagate_expr(expr.right, merged))
                 return changed
             if expr.op == "||":
-                left_status = _interval_status(expr.left, domains)
-                right_status = _interval_status(expr.right, domains)
+                ranges = self._ranges(domains)
+                left_status = _interval_status(expr.left, ranges)
+                right_status = _interval_status(expr.right, ranges)
                 if left_status is Satisfaction.VIOLATED:
                     return self._propagate_expr(expr.right, domains)
                 if right_status is Satisfaction.VIOLATED:
@@ -150,8 +165,9 @@ class Constraint:
         changed: dict[str, Domain] = {}
         left_var = expr.left.name if isinstance(expr.left, Identifier) else None
         right_var = expr.right.name if isinstance(expr.right, Identifier) else None
-        left_range = interval_eval(expr.left, domains)
-        right_range = interval_eval(expr.right, domains)
+        ranges = self._ranges(domains)
+        left_range = _EVALUATOR.evaluate(expr.left, ranges)
+        right_range = _EVALUATOR.evaluate(expr.right, ranges)
 
         if left_var is not None and left_var in domains:
             changed.update(
@@ -203,9 +219,14 @@ class Constraint:
         return {name: narrowed}
 
 
-def _interval_status(expr: Expr, domains: dict[str, Domain]) -> Satisfaction:
-    """Whether ``expr != 0`` holds for all, none or some values of *domains*."""
-    interval = interval_eval(expr, domains)
+#: no type ranges of its own: an unbound name gets its expression's type
+#: range; no recorder, so evaluation stays a pure function of the ranges
+_EVALUATOR = SoundEvaluator({})
+
+
+def _interval_status(expr: Expr, ranges: RangeEnvironment) -> Satisfaction:
+    """Whether ``expr != 0`` holds for all, none or some values of *ranges*."""
+    interval = _EVALUATOR.evaluate(expr, ranges)
     if interval.lo == 0 and interval.hi == 0:
         return Satisfaction.VIOLATED
     if interval.lo > 0 or interval.hi < 0:

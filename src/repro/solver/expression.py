@@ -1,16 +1,18 @@
-"""Expression evaluation over domains and concrete assignments.
+"""Expression evaluation over concrete assignments, and substitution.
 
 The constraint solver manipulates mini-C expressions directly (no separate
 constraint language): this module provides
 
 * :func:`concrete_eval` -- evaluate an expression under a complete integer
-  assignment,
-* :func:`interval_eval` -- conservative interval evaluation under a partial
-  assignment given as variable domains (the basis of constraint filtering and
-  bounds propagation), and
+  assignment, wrapping each result as the board does, and
 * :func:`substitute` -- replace variables by expressions/constants (used by
   the symbolic model-checking engine to express everything in terms of the
   initial state).
+
+Interval evaluation under partial assignments (constraint filtering and
+bounds propagation) is :class:`repro.minic.intervals.SoundEvaluator`, the
+interval domain :mod:`repro.sa` runs too; its intervals enclose the values
+:func:`concrete_eval` computes.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from ..minic.ast_nodes import (
     UnaryOp,
 )
 from ..minic.folding import apply_binary, apply_unary, fold_expr
-from ..minic.types import BOOL, INT16, IntRange
-from .domain import Domain
+from ..minic.types import BOOL, INT16, CType
 
 
 class EvaluationError(Exception):
@@ -40,11 +41,11 @@ class EvaluationError(Exception):
 # concrete evaluation
 # --------------------------------------------------------------------------- #
 def concrete_eval(expr: Expr, assignment: dict[str, int]) -> int:
-    """Evaluate *expr* under a complete assignment (C semantics, no wrapping).
+    """Evaluate *expr* under a complete assignment, with the board's semantics.
 
-    The solver works over mathematical integers restricted by domains, which
-    matches how the transition-system domains were derived from the C types;
-    wrap-around is modelled by the domains themselves.
+    Each unary, binary and assignment result wraps at its type (Int16 for an
+    untyped or void expression) and each cast at its target type, as
+    :mod:`repro.hw.compiler` wraps them; a call reads 0.
     """
     if isinstance(expr, IntLiteral):
         return expr.value
@@ -55,7 +56,7 @@ def concrete_eval(expr: Expr, assignment: dict[str, int]) -> int:
             raise EvaluationError(f"unbound variable {expr.name!r}")
         return assignment[expr.name]
     if isinstance(expr, UnaryOp):
-        return apply_unary(expr.op, concrete_eval(expr.operand, assignment))
+        return _wrap(expr.ctype, apply_unary(expr.op, concrete_eval(expr.operand, assignment)))
     if isinstance(expr, BinaryOp):
         if expr.op == "&&":
             if concrete_eval(expr.left, assignment) == 0:
@@ -66,11 +67,11 @@ def concrete_eval(expr: Expr, assignment: dict[str, int]) -> int:
                 return 1
             return int(concrete_eval(expr.right, assignment) != 0)
         try:
-            return apply_binary(
+            return _wrap(expr.ctype, apply_binary(
                 expr.op,
                 concrete_eval(expr.left, assignment),
                 concrete_eval(expr.right, assignment),
-            )
+            ))
         except ZeroDivisionError as exc:
             raise EvaluationError("division by zero during evaluation") from exc
     if isinstance(expr, Conditional):
@@ -80,162 +81,17 @@ def concrete_eval(expr: Expr, assignment: dict[str, int]) -> int:
     if isinstance(expr, CastExpr):
         return expr.target_type.wrap(concrete_eval(expr.operand, assignment))
     if isinstance(expr, AssignExpr):
-        return concrete_eval(expr.value, assignment)
+        return _wrap(expr.target.ctype or expr.ctype, concrete_eval(expr.value, assignment))
     if isinstance(expr, CallExpr):
         return 0
     raise EvaluationError(f"cannot evaluate {type(expr).__name__}")
 
 
-# --------------------------------------------------------------------------- #
-# interval evaluation
-# --------------------------------------------------------------------------- #
-_FULL = IntRange(-(2**31), 2**31 - 1)
-
-
-def interval_eval(expr: Expr, domains: dict[str, Domain]) -> IntRange:
-    """Conservative interval of the values *expr* can take under *domains*."""
-    if isinstance(expr, IntLiteral):
-        return IntRange(expr.value, expr.value)
-    if isinstance(expr, BoolLiteral):
-        v = int(expr.value)
-        return IntRange(v, v)
-    if isinstance(expr, Identifier):
-        domain = domains.get(expr.name)
-        if domain is None:
-            return _FULL
-        return domain.to_range()
-    if isinstance(expr, UnaryOp):
-        operand = interval_eval(expr.operand, domains)
-        if expr.op == "-":
-            return IntRange(-operand.hi, -operand.lo)
-        if expr.op == "+":
-            return operand
-        if expr.op == "!":
-            if operand.lo > 0 or operand.hi < 0:
-                return IntRange(0, 0)
-            if operand.lo == 0 and operand.hi == 0:
-                return IntRange(1, 1)
-            return IntRange(0, 1)
-        if expr.op == "~":
-            return IntRange(~operand.hi, ~operand.lo)
-        return _FULL
-    if isinstance(expr, BinaryOp):
-        return _interval_binary(expr, domains)
-    if isinstance(expr, Conditional):
-        cond = interval_eval(expr.cond, domains)
-        then = interval_eval(expr.then, domains)
-        otherwise = interval_eval(expr.otherwise, domains)
-        if cond.lo > 0 or cond.hi < 0:
-            return then
-        if cond.lo == 0 and cond.hi == 0:
-            return otherwise
-        return then.union(otherwise)
-    if isinstance(expr, CastExpr):
-        operand = interval_eval(expr.operand, domains)
-        target = expr.target_type.value_range()
-        clamped = operand.intersect(target)
-        return clamped if clamped is not None else target
-    if isinstance(expr, AssignExpr):
-        return interval_eval(expr.value, domains)
-    if isinstance(expr, CallExpr):
-        return IntRange(0, 0)
-    return _FULL
-
-
-def _interval_binary(expr: BinaryOp, domains: dict[str, Domain]) -> IntRange:
-    op = expr.op
-    left = interval_eval(expr.left, domains)
-    right = interval_eval(expr.right, domains)
-    if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-        return _interval_relational(op, left, right)
-    if op in ("+", "-", "*"):
-        candidates = [
-            apply_binary(op, a, b)
-            for a in (left.lo, left.hi)
-            for b in (right.lo, right.hi)
-        ]
-        return IntRange(min(candidates), max(candidates))
-    if op == "/":
-        if right.lo <= 0 <= right.hi:
-            return _FULL
-        candidates = [
-            apply_binary("/", a, b)
-            for a in (left.lo, left.hi)
-            for b in (right.lo, right.hi)
-        ]
-        return IntRange(min(candidates), max(candidates))
-    if op == "%":
-        if right.lo <= 0 <= right.hi:
-            return _FULL
-        magnitude = max(abs(right.lo), abs(right.hi)) - 1
-        lo = -magnitude if left.lo < 0 else 0
-        return IntRange(lo, magnitude)
-    if op == "&":
-        if left.lo >= 0 and right.lo >= 0:
-            return IntRange(0, min(left.hi, right.hi))
-        return _FULL
-    if op in ("|", "^"):
-        if left.lo >= 0 and right.lo >= 0:
-            bits = max(left.hi, right.hi).bit_length() or 1
-            return IntRange(0, (1 << bits) - 1)
-        return _FULL
-    if op in ("<<", ">>"):
-        if left.lo >= 0 and 0 <= right.lo <= right.hi <= 31:
-            lo = apply_binary(op, left.lo, right.hi if op == ">>" else right.lo)
-            hi = apply_binary(op, left.hi, right.lo if op == ">>" else right.hi)
-            return IntRange(min(lo, hi), max(lo, hi))
-        return _FULL
-    return _FULL
-
-
-def _interval_relational(op: str, left: IntRange, right: IntRange) -> IntRange:
-    definitely_true = False
-    definitely_false = False
-    if op == "==":
-        if left.lo == left.hi == right.lo == right.hi:
-            definitely_true = True
-        elif left.hi < right.lo or right.hi < left.lo:
-            definitely_false = True
-    elif op == "!=":
-        if left.hi < right.lo or right.hi < left.lo:
-            definitely_true = True
-        elif left.lo == left.hi == right.lo == right.hi:
-            definitely_false = True
-    elif op == "<":
-        if left.hi < right.lo:
-            definitely_true = True
-        elif left.lo >= right.hi:
-            definitely_false = True
-    elif op == "<=":
-        if left.hi <= right.lo:
-            definitely_true = True
-        elif left.lo > right.hi:
-            definitely_false = True
-    elif op == ">":
-        if left.lo > right.hi:
-            definitely_true = True
-        elif left.hi <= right.lo:
-            definitely_false = True
-    elif op == ">=":
-        if left.lo >= right.hi:
-            definitely_true = True
-        elif left.hi < right.lo:
-            definitely_false = True
-    elif op == "&&":
-        if (left.lo > 0 or left.hi < 0) and (right.lo > 0 or right.hi < 0):
-            definitely_true = True
-        elif (left.lo == 0 and left.hi == 0) or (right.lo == 0 and right.hi == 0):
-            definitely_false = True
-    elif op == "||":
-        if (left.lo > 0 or left.hi < 0) or (right.lo > 0 or right.hi < 0):
-            definitely_true = True
-        elif left.lo == 0 and left.hi == 0 and right.lo == 0 and right.hi == 0:
-            definitely_false = True
-    if definitely_true:
-        return IntRange(1, 1)
-    if definitely_false:
-        return IntRange(0, 0)
-    return IntRange(0, 1)
+def _wrap(ctype: CType | None, value: int) -> int:
+    """The board's wrap of an expression result: its type's, Int16 for none or void."""
+    if ctype is None or ctype.is_void:
+        return INT16.wrap(value)
+    return ctype.wrap(value)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,8 @@ from repro.minic import parse_and_analyze, parse_program, print_program
 from repro.minic.parser import parse_expression
 from repro.minic.types import BOOL, INT8, INT16, UINT8, UINT16, IntRange
 from repro.partition import partition_function
-from repro.solver import Constraint, ConstraintSolver, concrete_eval, interval_eval, Domain
+from repro.minic.intervals import RangeEnvironment, SoundEvaluator
+from repro.solver import Constraint, ConstraintSolver, concrete_eval
 
 # --------------------------------------------------------------------------- #
 # program generator (deterministic from a seed drawn by hypothesis)
@@ -178,18 +179,43 @@ def test_solver_models_satisfy_their_constraints(seed: int, count: int):
                     assert not all(c.check(assignment) for c in constraints)
 
 
-@settings(max_examples=80, deadline=None)
+def _gen_typed_expr(rng: stdlib_random.Random, depth: int) -> str:
+    """An Int16 expression over ``x`` and ``y`` with narrowing casts and
+    products that overflow Int16."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(["x", "y", str(rng.randint(0, 20)), str(rng.randint(100, 3000))])
+    if rng.random() < 0.3:
+        return f"(({rng.choice(['Int8', 'UInt8'])}) {_gen_typed_expr(rng, depth - 1)})"
+    op = rng.choice(["+", "-", "*", "*"])
+    return f"({_gen_typed_expr(rng, depth - 1)} {op} {_gen_typed_expr(rng, depth - 1)})"
+
+
+_X_RANGE, _Y_RANGE = IntRange(-2000, 30000), IntRange(-300, 300)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
-    x=st.integers(0, 30),
-    y=st.integers(-10, 20),
+    x=st.integers(_X_RANGE.lo, _X_RANGE.hi),
+    y=st.integers(_Y_RANGE.lo, _Y_RANGE.hi),
 )
 def test_interval_eval_encloses_concrete_eval(seed: int, x: int, y: int):
-    rng = stdlib_random.Random(seed)
-    text = f"({_gen_expr(rng, 2)})".replace("a", "x").replace("b", "y").replace(
-        "c", "3"
-    ).replace("d", "7").replace("u", "x").replace("v", "y")
-    expr = parse_expression(text)
-    concrete = concrete_eval(expr, {"x": x, "y": y})
-    interval = interval_eval(expr, {"x": Domain(0, 30), "y": Domain(-10, 20)})
-    assert interval.lo <= concrete <= interval.hi
+    """The solver's interval encloses ``concrete_eval``, which is the value the
+    board stores, on typed (Int16, casts) and untyped expressions."""
+    text = _gen_typed_expr(stdlib_random.Random(seed), 3)
+    source = f"""
+    #pragma input x
+    #pragma input y
+    Int16 x; Int16 y; Int16 out;
+    void f(void) {{ out = {text}; }}
+    """
+    analyzed = parse_and_analyze(source)
+    typed = analyzed.program.functions[0].body.statements[0].expr.value
+    ranges = RangeEnvironment({"x": _X_RANGE, "y": _Y_RANGE})
+    assignment = {"x": x, "y": y}
+    for expr in (typed, parse_expression(text)):
+        concrete = concrete_eval(expr, assignment)
+        interval = SoundEvaluator({}).evaluate(expr, ranges)
+        assert interval.lo <= concrete <= interval.hi, (text, expr.ctype)
+    stored = EvaluationBoard(analyzed).run("f", assignment).final_environment["out"]
+    assert concrete_eval(typed, assignment) == stored, text

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.minic.folding import expression_variables
+from repro.minic.intervals import RangeEnvironment, SoundEvaluator
 from repro.minic.parser import parse_expression
 from repro.minic.types import IntRange
 from repro.solver import (
@@ -17,11 +18,17 @@ from repro.solver import (
     Satisfaction,
     SolverLimitReached,
     concrete_eval,
-    interval_eval,
     substitute,
 )
 from repro.solver.constraints import PropagationConflict
 from repro.solver.search import _ENUMERATION_LIMIT
+
+
+def interval_eval(expr, domains):
+    """The solver's interval of *expr*: the shared evaluator over the bounds
+    of *domains* (an unbound name gets its expression's type range)."""
+    ranges = {name: domain.to_range() for name, domain in domains.items()}
+    return SoundEvaluator({}).evaluate(expr, RangeEnvironment(ranges))
 
 
 class TestDomain:
@@ -76,6 +83,17 @@ class TestExpressionEvaluation:
     def test_concrete_eval_short_circuit(self):
         expr = parse_expression("a != 0 && 10 / a > 1")
         assert concrete_eval(expr, {"a": 0}) == 0
+
+    def test_concrete_eval_wraps_like_the_board(self):
+        # an untyped result wraps at Int16: 61461 is -4075
+        assert concrete_eval(parse_expression("a * 3"), {"a": 20487}) == -4075
+        assert concrete_eval(parse_expression("(Int8)a"), {"a": 3221}) == -107
+
+    def test_interval_eval_widens_a_narrowing_cast(self):
+        expr = parse_expression("(Int8)a < 0")
+        assert interval_eval(expr, {"a": Domain(0, 30000)}) == IntRange(0, 1)
+        status = Constraint(expr).status({"a": Domain(0, 30000)})
+        assert status is Satisfaction.UNKNOWN
 
     def test_interval_eval_addition(self):
         expr = parse_expression("a + b")

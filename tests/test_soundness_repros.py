@@ -19,8 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.hw import EvaluationBoard
+from repro.mc import EngineKind, ModelChecker, Verdict
 from repro.mc.query import QueryBudget, QueryEngineOptions
 from repro.minic import parse_and_analyze
+from repro.optim import OptimizationConfig, build_optimized_model
 from repro.pipeline import AnalyzerConfig
 from repro.pipeline.analyzer import WcetAnalyzer
 from repro.testgen import HybridOptions
@@ -82,32 +84,15 @@ def test_callee_global_writes_are_modelled():
     assert bound >= cycles
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP direction 3(b): the model checker's stores do not wrap "
-    "to the variable's type",
-)
-def test_stores_wrap_in_the_model():
-    source = f"""
+STORE_WRAP = f"""
     #pragma input a
     #pragma range a 0 30000
     Int16 a; Int16 t; Int16 r;
     void f(void) {{ t = a * 3; r = 0;
       if (t < 0) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
     """
-    bound, cycles = _bound_and_cycles(source, {"a": 20487})
-    assert bound >= cycles
 
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP direction 3(c): the solver's interval evaluation clamps "
-    "a narrowing cast instead of wrapping it",
-)
-def test_narrowing_casts_wrap_in_the_solver():
-    source = f"""
+NARROWING_CAST = f"""
     #pragma input a
     #pragma range a 0 30000
     #pragma input b
@@ -116,7 +101,62 @@ def test_narrowing_casts_wrap_in_the_solver():
     void f(void) {{ r = 0;
       if ((Int8)a < 0) {{ if ((a % 97) == 20 && (a % 89) == 17 && b == 1) {{ {_additions("r", 15)} }} }} }}
     """
-    bound, cycles = _bound_and_cycles(source, {"a": 3221, "b": 1})
+
+
+def test_stores_wrap_in_the_model():
+    bound, cycles = _bound_and_cycles(STORE_WRAP, {"a": 20487})
+    assert bound >= cycles
+
+
+def test_narrowing_casts_wrap_in_the_solver():
+    bound, cycles = _bound_and_cycles(NARROWING_CAST, {"a": 3221, "b": 1})
+    assert bound >= cycles
+
+
+@pytest.mark.parametrize(
+    "source, witness",
+    [(STORE_WRAP, {"a": 20487}), (NARROWING_CAST, {"a": 3221, "b": 1})],
+    ids=["3b-store", "3c-cast"],
+)
+def test_engines_agree_with_the_board(source, witness):
+    """Both engines find the block of the 15 additions on the cfg-preserving
+    model, and each witness enters it on the board, as the repro's does."""
+    analyzed = parse_and_analyze(source)
+    model = build_optimized_model(analyzed, "f", OptimizationConfig.cfg_preserving())
+    target = max(model.translation.cfg.real_blocks(), key=lambda block: len(block.statements))
+    assert len(target.statements) == 15
+    board = EvaluationBoard(analyzed)
+    assert target.block_id in board.run("f", witness).trace
+    results = {
+        engine: ModelChecker(
+            model.translation, QueryEngineOptions(engine=engine, slicing=False)
+        ).find_test_data_for_block(target.block_id)
+        for engine in (EngineKind.EXPLICIT, EngineKind.SYMBOLIC)
+    }
+    verdicts = {engine: result.verdict for engine, result in results.items()}
+    assert set(verdicts.values()) == {Verdict.REACHABLE}, verdicts
+    for engine, result in results.items():
+        assert target.block_id in board.run("f", result.counterexample.inputs).trace, engine
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 3(b): the model checker clamps a narrowing store "
+    "into the variable's domain instead of wrapping it at the variable's type",
+)
+@pytest.mark.parametrize("store, value", [("a", 149), ("a + 1", 150)], ids=["copy", "sum"])
+def test_narrowing_stores_wrap_in_the_model(store, value):
+    # a = 3221 stores 149 (150) into u, as 3221 is 12 * 256 + 149: the board
+    # reaches 218 (221) cycles there, and the report says 43 (46)
+    source = f"""
+    #pragma input a
+    #pragma range a 0 30000
+    UInt16 a; UInt8 u; Int16 r;
+    void f(void) {{ u = {store}; r = 0;
+      if (u == {value}) {{ if ((a % 97) == 20 && (a % 89) == 17) {{ {_additions("r", 15)} }} }} }}
+    """
+    bound, cycles = _bound_and_cycles(source, {"a": 3221})
     assert bound >= cycles
 
 
