@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .artifacts import RunArtifacts
-from .board import EvaluationBoard, InstrumentedRun, PointReading
+from .board import EvaluationBoard
 from .cost_model import (
     DEFAULT_EXTERNAL_CALL_CYCLES,
     HCS12_COST_MODEL,
@@ -20,8 +20,6 @@ from .interpreter import (
 
 __all__ = [
     "EvaluationBoard",
-    "InstrumentedRun",
-    "PointReading",
     "RunArtifacts",
     "DEFAULT_EXTERNAL_CALL_CYCLES",
     "HCS12_COST_MODEL",

@@ -5,9 +5,11 @@ uploads it to an evaluation board, forces the generated test data onto the
 input variables through glue code and reads back the cycle-counter values at
 the instrumentation points.  :class:`EvaluationBoard` packages that flow:
 programs are *loaded* once (parsed program + cost model), then *run* any
-number of times with different test vectors, optionally with an
-instrumentation plan attached so each run also yields the cycle-counter
-readings of every instrumentation point that fired.
+number of times with different test vectors.  A run's trace and stamps (the
+cycle counter at every block entry) are the readings of any instrumentation
+plan: :class:`~repro.measurement.runner.MeasurementRunner` pairs them into
+segment times.  A caller that needs only the final cycle count can skip
+recording them (``record=False``).
 
 A board takes its CFGs and compiled code from a
 :class:`~repro.hw.artifacts.RunArtifacts` store: a function's CFG is built
@@ -28,37 +30,14 @@ by its own search budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..cfg.graph import ControlFlowGraph
 from ..minic.semantic import AnalyzedProgram
-from ..partition.instrument import InstrumentationPlan, InstrumentationPoint
 from ..resilience import faults as _resilience
 from .artifacts import RunArtifacts
 from .cost_model import CostModel, HCS12_COST_MODEL
 from .interpreter import Interpreter, RunResult
-
-
-@dataclass
-class PointReading:
-    """One cycle-counter reading at an instrumentation point."""
-
-    point: InstrumentationPoint
-    cycles: int
-    #: index into the run's ``trace`` at which the point fired (stable ordering)
-    trace_index: int
-
-
-@dataclass
-class InstrumentedRun:
-    """A run plus the readings of the attached instrumentation plan."""
-
-    run: RunResult
-    readings: list[PointReading] = field(default_factory=list)
-
-    def readings_for_segment(self, segment_id: int) -> list[PointReading]:
-        return [r for r in self.readings if r.point.segment_id == segment_id]
 
 
 class EvaluationBoard:
@@ -100,8 +79,18 @@ class EvaluationBoard:
         """Distinct runs held by the memo (0 when the board does not memoise)."""
         return len(self._memo) if self._memo is not None else 0
 
-    def run(self, function_name: str, inputs: dict[str, int] | None = None) -> RunResult:
+    def run(
+        self,
+        function_name: str,
+        inputs: dict[str, int] | None = None,
+        record: bool = True,
+    ) -> RunResult:
         """Execute one test vector and return the raw run result.
+
+        ``record=False`` says the caller reads none of the trace, stamps and
+        events, so the run may leave them empty (see :meth:`Interpreter.run`);
+        a run a memoising board stores is recorded in full, because its memo
+        also answers later callers.
 
         A memoising board answers a repeated vector from its memo, except
         while a fault injector is armed: then every call reaches the
@@ -111,7 +100,7 @@ class EvaluationBoard:
         self.runs += 1
         memo = self._memo
         if memo is None or _resilience.injector_armed():
-            return self._interpreter.run(function_name, inputs)
+            return self._interpreter.run(function_name, inputs, record=record)
         _resilience.poll_deadline()
         key = (function_name, tuple(sorted(inputs.items())) if inputs else ())
         result = memo.get(key)
@@ -120,29 +109,3 @@ class EvaluationBoard:
         else:
             self.memo_hits += 1
         return result
-
-    def run_instrumented(
-        self,
-        function_name: str,
-        inputs: dict[str, int] | None,
-        plan: InstrumentationPlan,
-    ) -> InstrumentedRun:
-        """Execute one test vector and collect instrumentation-point readings.
-
-        Every instrumentation point whose trigger block is entered produces a
-        reading with the cycle-counter value at that moment; the plan's
-        end-of-function points fire with the final cycle count.  Points of
-        segments that were not executed at all simply do not appear.
-        """
-        run = self.run(function_name, inputs)
-        readings: list[PointReading] = []
-        triggers, stamps = plan.triggers, run.stamps
-        for index, block_id in enumerate(run.trace):
-            for point in triggers.get(block_id, ()):
-                readings.append(PointReading(point=point, cycles=stamps[index], trace_index=index))
-        for point in plan.end_of_function_points:
-            readings.append(
-                PointReading(point=point, cycles=run.total_cycles, trace_index=len(run.trace))
-            )
-        readings.sort(key=lambda r: (r.trace_index, r.point.point_id))
-        return InstrumentedRun(run=run, readings=readings)

@@ -173,6 +173,7 @@ class Interpreter:
         self,
         function_name: str,
         inputs: dict[str, int] | None = None,
+        record: bool = True,
     ) -> RunResult:
         """Execute *function_name* with the given input-variable values.
 
@@ -181,6 +182,10 @@ class Interpreter:
         :func:`~repro.minic.folding.initial_value`, the value its initialiser
         gets in a function body (0 without one).  Parameters of the
         top-level function may also be supplied through ``inputs`` by name.
+
+        With ``record=False`` the result's trace, stamps and event sequences
+        are empty; its cycle count, return value and environment are the
+        same as with recording.
         """
         inputs = dict(inputs or {})
         code = self._code
@@ -193,7 +198,7 @@ class Interpreter:
             value = inputs.get(param.name, 0)
             environment[param.name] = param.param_type.wrap(value)
 
-        return_value = code.run_function(function_name, environment, state, True)
+        return_value = code.run_function(function_name, environment, state, record)
         # positional: keyword arguments would add about 0.5 µs to every run
         return RunResult(
             function_name,

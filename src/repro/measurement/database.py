@@ -6,7 +6,10 @@ concrete path taken through the segment (so the tooling can tell whether every
 path of a segment has been observed -- that is the coverage goal of the
 test-data generator).  The WCET computation consumes the per-segment maxima.
 The database keeps only the per-segment statistics and a count of the
-observations, not the observations themselves.
+observations, not the observations themselves.  An observation that occurred
+several times is added once with its count
+(``add(measurement, count)``); the statistics are the same as after *count*
+single adds.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ class MeasurementDatabase:
         self._stats: dict[int, SegmentStatistics] = {}
 
     # ------------------------------------------------------------------ #
-    def add(self, measurement: SegmentMeasurement) -> None:
-        self._count += 1
+    def add(self, measurement: SegmentMeasurement, count: int = 1) -> None:
+        """Record *measurement* as observed *count* times."""
+        self._count += count
         stats = self._stats.setdefault(
             measurement.segment_id, SegmentStatistics(segment_id=measurement.segment_id)
         )
-        stats.observations += 1
-        stats.total_cycles += measurement.cycles
+        stats.observations += count
+        stats.total_cycles += measurement.cycles * count
         if measurement.cycles > stats.max_cycles:
             stats.max_cycles = measurement.cycles
             stats.worst_inputs = dict(measurement.inputs)
@@ -68,10 +72,6 @@ class MeasurementDatabase:
             stats.min_cycles = measurement.cycles
         best = stats.paths.get(measurement.path, 0)
         stats.paths[measurement.path] = max(best, measurement.cycles)
-
-    def extend(self, measurements: list[SegmentMeasurement]) -> None:
-        for measurement in measurements:
-            self.add(measurement)
 
     # ------------------------------------------------------------------ #
     def statistics(self, segment_id: int) -> SegmentStatistics | None:

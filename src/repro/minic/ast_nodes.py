@@ -58,10 +58,21 @@ class Node:
         return iter(())
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants in pre-order."""
+        """Yield this node and all descendants in pre-order.
+
+        An explicit stack of child iterators instead of nested generators,
+        so yielding a node costs the same at any depth.
+        """
         yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self.children()]
+        push, pop = stack.append, stack.pop
+        while stack:
+            for node in stack[-1]:
+                yield node
+                push(node.children())
+                break
+            else:
+                pop()
 
 
 # --------------------------------------------------------------------------- #

@@ -23,11 +23,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..minic import AnalyzedProgram, parse_and_analyze
 from ..minic.pretty import PrettyPrinter
 from ..pipeline.analyzer import AnalyzerConfig
+
+if TYPE_CHECKING:
+    from ..callgraph.graph import CallGraph
 
 
 class ProjectError(Exception):
@@ -143,6 +146,7 @@ class Project:
             self._units[unit.name] = unit
         if not self._units:
             raise ProjectError("project has no source units")
+        self._callgraph: "CallGraph | None" = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -175,6 +179,21 @@ class Project:
     @property
     def units(self) -> list[SourceUnit]:
         return [self._units[name] for name in sorted(self._units)]
+
+    @property
+    def callgraph(self) -> "CallGraph":
+        """The resolved call graph of every analyzable function.
+
+        Built on first use and then shared: a project's units never change,
+        so the service's fingerprinting and the scheduler's job graph read
+        the same graph.
+        """
+        if self._callgraph is None:
+            # imported lazily: repro.callgraph builds on this module
+            from ..callgraph.graph import CallGraph
+
+            self._callgraph = CallGraph.from_project(self)
+        return self._callgraph
 
     def unit(self, name: str) -> SourceUnit:
         try:

@@ -421,11 +421,7 @@ class ProjectScheduler:
         restricting to ``--function caller`` still analyses (or recalls from
         cache) everything the caller transitively calls.
         """
-        # imported lazily: repro.callgraph builds on repro.project.model, so a
-        # module-level import would be circular through the package __init__
-        from ..callgraph.graph import CallGraph
-
-        graph = CallGraph.from_project(self._project)
+        graph = self._project.callgraph
         self.callgraph = graph
         if self._only is not None:
             functions = graph.closure(self._only)

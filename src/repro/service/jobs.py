@@ -265,8 +265,6 @@ class JobQueue:
         can never succeed.  Only the units whose source differs from the
         previous submission's are parsed.
         """
-        from ..callgraph.graph import CallGraph
-
         with self._lock:
             previous = self._last_units
         units = []
@@ -278,8 +276,7 @@ class JobQueue:
         project = Project(units)
         with self._lock:
             self._last_units = {unit.name: unit for unit in units}
-        graph = CallGraph.from_project(project)
-        fingerprints = graph.transitive_fingerprints()
+        fingerprints = project.callgraph.transitive_fingerprints()
         return project_fingerprint(fingerprints, config), fingerprints, project
 
     # ------------------------------------------------------------------ #

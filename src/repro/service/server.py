@@ -341,6 +341,10 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        #: a response goes out as two writes (headers, then body); with
+        #: Nagle's algorithm on, a keep-alive client would wait for the
+        #: delayed ACK of the first before it saw the second
+        disable_nagle_algorithm = True
         #: quiet by default; the CLI flips this on with --verbose
         verbose = False
 
@@ -348,6 +352,19 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
         def log_message(self, format: str, *args: Any) -> None:
             if self.verbose:
                 BaseHTTPRequestHandler.log_message(self, format, *args)
+
+        def _end_headers(self) -> None:
+            """End the response headers.
+
+            A response sent before the request body was read closes the
+            connection: on a kept-alive one the unread body would be
+            parsed as the next request.  The body is not read to drain it,
+            since it may be of any size.
+            """
+            if self._body_pending:
+                self.close_connection = True
+                self.send_header("Connection", "close")
+            self.end_headers()
 
         def _send_json(
             self,
@@ -365,7 +382,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
+            self._end_headers()
             if self.command != "HEAD":
                 self.wfile.write(body)
 
@@ -376,7 +393,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
             self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._end_headers()
 
         def _send_text(
             self, status: int, text: str, content_type: str
@@ -385,7 +402,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
+            self._end_headers()
             if self.command != "HEAD":
                 self.wfile.write(body)
 
@@ -423,6 +440,11 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             else:
                 endpoint = path
             server.count_request(f"{method} {endpoint}")
+            # the request has a body that has not been read yet
+            self._body_pending = (
+                self.headers.get("Content-Length", "0").strip() not in ("", "0")
+                or "Transfer-Encoding" in self.headers
+            )
             status = 500
             # every request runs under its own registry: whatever the
             # handling records can never bleed into another request's view
@@ -523,6 +545,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             if length <= 0:
                 raise ServiceError(400, "request body required")
             raw = self.rfile.read(length)
+            self._body_pending = False
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as error:

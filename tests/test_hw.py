@@ -14,6 +14,7 @@ from repro.hw import (
     RunArtifacts,
     uniform_cost_model,
 )
+from repro.measurement import MeasurementRunner
 from repro.minic import parse_and_analyze
 from repro.partition import build_instrumentation_plan, partition_function
 
@@ -259,25 +260,32 @@ class TestTracesAndEvents:
 
 
 class TestInstrumentedRuns:
-    def test_readings_match_plan_triggers(self, figure1, figure1_cfg):
-        board = EvaluationBoard(figure1)
-        partition = partition_function(figure1.program.function("main"), 2, figure1_cfg)
-        plan = build_instrumentation_plan(partition, figure1_cfg)
-        instrumented = board.run_instrumented("main", {"i": 0}, plan)
-        assert instrumented.readings
-        # readings are ordered by trace position
-        indices = [r.trace_index for r in instrumented.readings]
-        assert indices == sorted(indices)
+    """A run's trace and stamps are the readings of every instrumentation point."""
 
-    def test_every_executed_segment_gets_entry_reading(self, figure1, figure1_cfg):
+    def test_stamps_read_the_counter_at_every_trace_position(self, figure1, figure1_cfg):
         board = EvaluationBoard(figure1)
         partition = partition_function(figure1.program.function("main"), 2, figure1_cfg)
         plan = build_instrumentation_plan(partition, figure1_cfg)
-        instrumented = board.run_instrumented("main", {"i": 0}, plan)
-        executed = set(instrumented.run.trace)
+        run = board.run("main", {"i": 0})
+        # some instrumentation point fires ...
+        assert any(block_id in plan.triggers for block_id in run.trace)
+        # ... and the counter readings follow the trace position
+        assert len(run.stamps) == len(run.trace)
+        assert run.stamps[0] == 0
+        assert list(run.stamps) == sorted(run.stamps)
+        assert run.stamps[-1] <= run.total_cycles
+
+    def test_every_executed_segment_gets_a_time(self, figure1, figure1_cfg):
+        board = EvaluationBoard(figure1)
+        partition = partition_function(figure1.program.function("main"), 2, figure1_cfg)
+        plan = build_instrumentation_plan(partition, figure1_cfg)
+        runner = MeasurementRunner(board, "main", partition, plan, figure1_cfg)
+        run = board.run("main", {"i": 0})
+        timed = {segment_id for segment_id, _, _ in runner.segment_times(run)}
+        executed = set(run.trace)
         for segment in partition.segments:
             if segment.entry_block in executed:
-                assert instrumented.readings_for_segment(segment.segment_id)
+                assert segment.segment_id in timed
 
     def test_interpreter_exposed_by_board(self, figure1):
         board = EvaluationBoard(figure1)

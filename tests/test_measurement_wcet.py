@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import random
+
 import pytest
 
+import measurement_reference
+import repro.hw.interpreter as interpreter_module
 from repro.cfg import build_cfg
 from repro.hw import EvaluationBoard
 from repro.measurement import MeasurementDatabase, MeasurementRunner, SegmentMeasurement
 from repro.minic import parse_and_analyze
 from repro.partition import build_instrumentation_plan, partition_function
+from repro.resilience import FaultInjector, FaultPlan, ResilienceContext, activate
 from repro.wcet import (
     EndToEndResult,
     InputSpaceTooLarge,
@@ -50,6 +56,24 @@ class TestMeasurementDatabase:
         database.add(SegmentMeasurement(segment_id=0, path=(), cycles=9, inputs={"i": 0}))
         assert database.statistics(0).worst_inputs == {"i": 0}
 
+    def test_counted_add_equals_repeated_adds(self):
+        measurements = [
+            (SegmentMeasurement(2, (4, 5), 12, {"i": 1}), 3),
+            (SegmentMeasurement(2, (4,), 7, {"i": 0}), 2),
+            (SegmentMeasurement(2, (4, 5), 12, {"i": 2}), 1),
+            (SegmentMeasurement(3, (), 0, {"i": 3}), 4),
+        ]
+        counted, repeated = MeasurementDatabase(), MeasurementDatabase()
+        for measurement, count in measurements:
+            counted.add(measurement, count)
+            for _ in range(count):
+                repeated.add(measurement)
+        assert len(counted) == len(repeated) == 10
+        for segment_id in (2, 3):
+            assert counted.statistics(segment_id) == repeated.statistics(segment_id)
+        assert counted.statistics(2).total_cycles == 4 * 12 + 2 * 7
+        assert counted.statistics(2).worst_inputs == {"i": 1}
+
     def test_unmeasured_segment_queries(self):
         database = MeasurementDatabase()
         assert database.max_cycles(7) is None
@@ -81,24 +105,129 @@ class TestMeasurementRunner:
     def test_segment_times_sum_close_to_total(self, figure1_setup):
         """Per-segment times of one run must sum to (almost) the end-to-end time."""
         board, partition, plan, runner = figure1_setup
-        instrumented = board.run_instrumented("main", {"i": 0}, plan)
-        measurements = runner.extract_measurements(instrumented, {"i": 0})
-        covered = sum(m.cycles for m in measurements)
-        assert covered <= instrumented.run.total_cycles
-        assert covered >= instrumented.run.total_cycles * 0.8
+        run = board.run("main", {"i": 0})
+        covered = sum(cycles for _, _, cycles in runner.segment_times(run))
+        assert covered <= run.total_cycles
+        assert covered >= run.total_cycles * 0.8
 
     def test_measurement_paths_stay_inside_segment(self, figure1_setup):
         board, partition, plan, runner = figure1_setup
-        instrumented = board.run_instrumented("main", {"i": 0}, plan)
-        for measurement in runner.extract_measurements(instrumented, {"i": 0}):
-            segment = partition.segment(measurement.segment_id)
-            assert set(measurement.path) <= set(segment.block_ids)
+        run = board.run("main", {"i": 0})
+        for segment_id, path, _ in runner.segment_times(run):
+            segment = partition.segment(segment_id)
+            assert path[0] == segment.entry_block
+            assert set(path) <= set(segment.block_ids)
 
     def test_coverage_report_structure(self, figure1_setup):
         _, partition, _, runner = figure1_setup
         database = MeasurementDatabase()
         report = runner.coverage(database)
         assert set(report) == {s.segment_id for s in partition.segments}
+
+
+@pytest.fixture(scope="module")
+def pinned_campaigns():
+    """(runner, vectors) of every measurement campaign of the pinned programs.
+
+    The call chain, the wiper and controllers 11/2/5 are analysed uncached;
+    each campaign's runner and vector list (suite plus the extra random
+    vectors) are kept as the analyzer built them.
+    """
+    from repro.project import Project, ProjectScheduler, ResultCache
+    from repro.workloads.multi import generate_call_chain_workload
+    from repro.workloads.targetlink import generate_small_application
+    from repro.workloads.wiper import wiper_case_study
+
+    projects = [
+        generate_call_chain_workload(2005).sources,
+        {"wiper.c": wiper_case_study().source},
+        *(
+            {f"controller_{seed}.c": generate_small_application(seed=seed).source}
+            for seed in (11, 2, 5)
+        ),
+    ]
+    campaigns = []
+    original = MeasurementRunner.run_vectors
+
+    def keep(self, vectors, database):
+        campaigns.append((self, list(vectors)))
+        return original(self, vectors, database)
+
+    MeasurementRunner.run_vectors = keep
+    try:
+        for sources in projects:
+            report = ProjectScheduler(
+                Project.from_sources(sources), cache=ResultCache.disabled()
+            ).run()
+            assert not report.failures
+    finally:
+        MeasurementRunner.run_vectors = original
+    assert len(campaigns) == 13
+    return campaigns
+
+
+class TestCampaignAgainstReference:
+    """``run_vectors`` against the per-vector extraction of
+    ``measurement_reference``: same statistics, same campaign."""
+
+    @staticmethod
+    def assert_same_campaign(runner, vectors, context=contextlib.nullcontext):
+        """Run both campaigns, each inside a fresh ``context()``."""
+        ours, theirs = MeasurementDatabase(), MeasurementDatabase()
+        with context():
+            campaign = runner.run_vectors(vectors, ours)
+        with context():
+            expected = measurement_reference.run_vectors(runner, vectors, theirs)
+        assert campaign == expected
+        assert len(ours) == len(theirs)
+        for segment in runner._partition.segments:
+            segment_id = segment.segment_id
+            stats, reference = ours.statistics(segment_id), theirs.statistics(segment_id)
+            assert stats == reference
+            if stats is not None:
+                assert list(stats.paths.items()) == list(reference.paths.items())
+            assert ours.observed_paths(segment_id) == theirs.observed_paths(segment_id)
+        return campaign
+
+    def test_analyzer_vectors(self, pinned_campaigns):
+        for runner, vectors in pinned_campaigns:
+            campaign = self.assert_same_campaign(runner, vectors)
+            assert campaign.runs == len(vectors)
+
+    def test_segment_times_of_every_run(self, pinned_campaigns):
+        """The single pass yields the reference's observations, in order."""
+        for runner, vectors in pinned_campaigns:
+            for vector in vectors:
+                run = runner._board.run(runner._function, vector)
+                expected = measurement_reference.extract_measurements(
+                    run, runner._plan, runner._partition, vector
+                )
+                assert runner.segment_times(run) == tuple(
+                    (m.segment_id, m.path, m.cycles) for m in expected
+                )
+
+    def test_shuffled_vectors_with_repeats(self, pinned_campaigns):
+        rng = random.Random(35)
+        for runner, vectors in pinned_campaigns:
+            shuffled = rng.choices(vectors, k=2 * len(vectors))
+            assert len({tuple(sorted(v.items())) for v in shuffled}) < len(shuffled)
+            self.assert_same_campaign(runner, shuffled)
+
+    def test_vectors_lost_to_injected_faults(self, pinned_campaigns, monkeypatch):
+        # the pinned runs take fewer steps than one poll interval; polling
+        # every 16 steps lets the ``interp.step`` site fire inside them
+        monkeypatch.setattr(interpreter_module, "POLL_INTERVAL", 16)
+        plan = FaultPlan.from_args(["interp.step:rate=0.2"], seed=35)
+
+        def armed():
+            return activate(ResilienceContext(injector=FaultInjector(plan)))
+
+        lost = 0
+        for runner, vectors in pinned_campaigns:
+            campaign = self.assert_same_campaign(runner, vectors, armed)
+            assert campaign.runs + campaign.faulted_runs == len(vectors)
+            lost += campaign.faulted_runs
+        assert lost > 0
 
 
 class TestTimingSchema:

@@ -472,6 +472,30 @@ class TestPinnedPrograms:
 
         assert_all_parse({"industrial.c": generate_synthetic_application().source})
 
+    def test_walk_matches_recursive_reference(self):
+        """``Node.walk`` visits the nodes of every pinned program in the
+        order of the recursive pre-order walk it replaced."""
+        from repro.minic import parse_and_analyze
+        from repro.workloads.multi import generate_call_chain_workload
+        from repro.workloads.targetlink import generate_small_application
+        from repro.workloads.wiper import wiper_case_study
+
+        def reference_walk(node):
+            yield node
+            for child in node.children():
+                yield from reference_walk(child)
+
+        sources = dict(generate_call_chain_workload(2005).sources)
+        sources["wiper.c"] = wiper_case_study().source
+        for seed in (11, 2, 5):
+            sources[f"controller_{seed}.c"] = generate_small_application(seed=seed).source
+        for name, source in sources.items():
+            program = parse_and_analyze(source, name).program
+            walked = list(program.walk())
+            expected = list(reference_walk(program))
+            assert len(walked) == len(expected) > 1
+            assert all(a is b for a, b in zip(walked, expected)), name
+
 
 class TestExampleAndBenchmarkSources:
     def test_workload_sources(self):

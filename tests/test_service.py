@@ -14,8 +14,10 @@ hung connection, and never let a degraded run reach the cache).
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -529,6 +531,98 @@ def test_request_faults_never_reach_the_analysis_pipeline():
     plan = FaultPlan.from_args(["service.request:rate=1.0"], seed=1)
     queue = JobQueue(config=quick_config(), fault_plan=plan)
     assert queue._fault_plan.is_empty
+
+
+# ---------------------------------------------------------------------- #
+# HTTP/1.1 keep-alive
+# ---------------------------------------------------------------------- #
+def _keep_alive_get(connection, path="/v1/healthz"):
+    connection.request("GET", path)
+    response = connection.getresponse()
+    return response.status, response.read()
+
+
+def test_keep_alive_requests_answer_without_delayed_ack_stalls(server):
+    """Ten GETs over one connection: a response split into a header and a
+    body write must not wait for the client's delayed ACK (about 40 ms a
+    request with Nagle's algorithm on)."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        _keep_alive_get(connection)
+        started = time.perf_counter()
+        for _ in range(10):
+            status, body = _keep_alive_get(connection)
+            assert status == 200
+            assert json.loads(body)["status"] == "ok"
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.2
+
+
+def _post_then_get(connection, path):
+    body = json.dumps({"units": TINY}).encode("utf-8")
+    connection.request(
+        "POST", path, body=body, headers={"Content-Type": "application/json"}
+    )
+    response = connection.getresponse()
+    first = (response.status, response.getheader("Connection"), response.read())
+    # the next request on the same connection object: answered on it, or
+    # on a fresh connection when the server closed the old one
+    return first, _keep_alive_get(connection)
+
+
+def test_unread_body_of_unknown_post_route_closes_the_connection(server):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        (status, header, body), after = _post_then_get(connection, "/v1/nothing")
+    finally:
+        connection.close()
+    assert status == 404
+    assert "no route" in json.loads(body)["error"]
+    # the unread body is not parsed as the next request
+    assert after[0] == 200
+    assert json.loads(after[1])["status"] == "ok"
+    assert header == "close"
+
+
+def test_unread_body_of_faulted_post_closes_the_connection():
+    plan = FaultPlan.from_args(["service.request:raise@1"], seed=1)
+    with AnalysisServer(config=quick_config(), fault_plan=plan) as srv:
+        connection = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+        try:
+            (status, header, body), after = _post_then_get(
+                connection, "/v1/analyze"
+            )
+        finally:
+            connection.close()
+        assert status == 503
+        assert json.loads(body)["retryable"] is True
+        assert after[0] == 200
+        assert json.loads(after[1])["status"] == "ok"
+        assert header == "close"
+        assert srv.queue.stats()["submitted"] == 0
+
+
+def test_read_body_keeps_the_connection_open(server):
+    """A POST whose body was read (here a 400 for bad units) keeps the
+    connection: the next request is answered on the same socket."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        connection.request(
+            "POST", "/v1/analyze", body=b'{"units": {}}',
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") is None
+        response.read()
+        socket_before = connection.sock
+        status, _ = _keep_alive_get(connection)
+        assert status == 200
+        assert connection.sock is socket_before
+    finally:
+        connection.close()
 
 
 # ---------------------------------------------------------------------- #
